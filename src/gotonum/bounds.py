@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .colon import goto_monomial
-from .errors import CrossCheckMismatch, NotTwoGenerated
+from .errors import BoundViolation, CrossCheckMismatch, NotTwoGenerated
 from .semigroup import NumericalSemigroup
 
 
@@ -92,10 +92,12 @@ def bound_display_max(S: NumericalSemigroup) -> int:
         bound_first_generator(S),
         max(bound_monomial_generator(S, j) for j in range(2, S.embedding_dim + 1)),
     )
-    assert value >= rho(S), "combined bound undercuts the monomial supremum"
-    assert Fraction(value) <= 1 + Fraction(S.frobenius, S.multiplicity), (
-        "combined bound exceeds 1 + f/a_1"
-    )
+    if value < rho(S):
+        raise CrossCheckMismatch(
+            f"combined bound {value} undercuts the monomial supremum on {S.generators}"
+        )
+    if Fraction(value) > 1 + Fraction(S.frobenius, S.multiplicity):
+        raise BoundViolation(f"combined bound {value} exceeds 1 + f/a_1 on {S.generators}")
     return value
 
 

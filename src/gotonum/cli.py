@@ -100,7 +100,6 @@ def _cmd_search(args, out):
         coefficients=coefficients,
         b_values=tuple(args.b) if args.b else None,
         positions=tuple(args.positions) if args.positions else None,
-        width=args.width,
     )
     result = search(config)
     if args.format == "tsv":
@@ -206,9 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         action="append",
         help="restrict tail positions that may be nonzero",
-    )
-    p.add_argument(
-        "--width", type=int, default=1, help="parallel work-item width"
     )
     p.set_defaults(func=_cmd_search)
 

@@ -6,9 +6,17 @@ lie in x^b times the conductor, which qR absorbs, so nothing below T is
 ever affected.  The colon Q : m^g is the kernel of a linear system over
 the coordinates {x^e : e in G, e < T}; one row per (multiplier s, checked
 exponent j) pair forces the coefficient of x^j in r * x^s * u^(-1) to
-vanish whenever j - b is negative or a gap.  The Goto number is the last
-g whose colon stays inside the integral closure, i.e. has no kernel
-vector of valuation below b.
+vanish whenever j - b is negative or a gap.
+
+The Goto number is the last g whose colon stays inside the integral
+closure, i.e. has no element of valuation below b.  For a monomial Q that
+is read off escape orders (``goto_monomial``).  For every other Q one
+forward elimination per g decides it: with the largest column taken as
+pivot, a kernel vector led by column c exists exactly when c gets no
+pivot, so the colon's minimal valuation is the smallest free column and
+no kernel basis is built.  ``colon_power`` and duality, which need the
+subspace itself, read the reduced kernel basis off the same descending
+elimination.
 """
 
 from __future__ import annotations
@@ -27,20 +35,21 @@ from .ring import CanonicalIdeal, RingElement
 # -- exact sparse row echelon --------------------------------------------
 
 
-def _forward_eliminate(rows, field):
-    """Sparse forward elimination.  Returns {pivot column -> row} with each
-    stored row normalized to pivot coefficient 1."""
+def _forward_eliminate(rows, field, lead):
+    """Sparse forward elimination, taking ``lead(row)`` as each row's pivot
+    column (``min`` for spans, ``max`` for kernels).  Returns {pivot column
+    -> row} with each stored row normalized to pivot coefficient 1."""
     zero = field.zero
     pivots = {}
     for incoming in rows:
         row = dict(incoming)
         while row:
-            j = min(row)
+            j = lead(row)
             prow = pivots.get(j)
             if prow is None:
-                lead = row[j]
-                if lead != field.one:
-                    inv = field.inv(lead)
+                lead_coef = row[j]
+                if lead_coef != field.one:
+                    inv = field.inv(lead_coef)
                     row = {c: field.mul(inv, v) for c, v in row.items()}
                 pivots[j] = row
                 break
@@ -57,16 +66,18 @@ def _forward_eliminate(rows, field):
 
 
 def _back_substitute(pivots, field):
-    """Reduce each pivot row against the others (full RREF), in place."""
+    """Clear each pivot column from every other row (full RREF), in place.
+
+    The result does not depend on the order.  Taking rows shortest first
+    finishes each row before it is subtracted from the others, in an
+    echelon form of either direction.
+    """
     zero = field.zero
-    for j in sorted(pivots, reverse=True):
+    for j in sorted(pivots, key=lambda p: len(pivots[p])):
         prow = pivots[j]
-        for j2 in pivots:
-            if j2 >= j:
-                continue
-            row = pivots[j2]
+        for j2, row in pivots.items():
             factor = row.get(j)
-            if factor is None:
+            if factor is None or j2 == j:
                 continue
             for c, v in prow.items():
                 nv = field.sub(row.get(c, zero), field.mul(factor, v))
@@ -77,26 +88,22 @@ def _back_substitute(pivots, field):
     return pivots
 
 
-def _rref(rows, field):
-    return _back_substitute(_forward_eliminate(rows, field), field)
-
-
 def _kernel_basis(rows, cols, field):
-    """Reduced basis of the kernel of the system, pivots ascending."""
-    pivots = _rref(rows, field)
-    vectors = []
+    """Reduced basis of the kernel of the system, leading exponents ascending.
+
+    After a descending RREF each pivot row holds its pivot p and free
+    columns below p only.  A free column c therefore gives the kernel
+    vector e_c - sum prow_p[c] e_p with every p > c, and these vectors are
+    already the reduced echelon basis: no other one has a coefficient at c.
+    """
+    pivots = _back_substitute(_forward_eliminate(rows, field, max), field)
     one = field.one
-    for free in cols:
-        if free in pivots:
-            continue
-        v = {free: one}
-        for p, prow in pivots.items():
-            coef = prow.get(free)
-            if coef is not None:
-                v[p] = field.neg(coef)
-        vectors.append(v)
-    reduced = _rref(vectors, field)
-    return [reduced[j] for j in sorted(reduced)]
+    basis = {c: {c: one} for c in cols if c not in pivots}
+    for p, prow in pivots.items():
+        for c, v in prow.items():
+            if c != p:
+                basis[c][p] = field.neg(v)
+    return list(basis.values())
 
 
 class TruncatedSubspace:
@@ -117,7 +124,7 @@ class TruncatedSubspace:
 
     @classmethod
     def span(cls, semigroup, field, truncation, vectors):
-        reduced = _rref(vectors, field)
+        reduced = _back_substitute(_forward_eliminate(vectors, field, min), field)
         return cls(semigroup, field, truncation, [reduced[j] for j in sorted(reduced)])
 
     def min_valuation(self):
@@ -172,84 +179,68 @@ class TruncatedSubspace:
 # -- the membership linear system ------------------------------------------
 
 
-def _default_truncation(Q: CanonicalIdeal) -> int:
-    return Q.truncation
-
-
-def _column_exponents(S, T):
-    return [e for e in range(T) if S.contains(e)]
-
-
 def _context(Q):
-    """Per-ideal memo: semigroup members below the working truncation and
-    the exponent positions that carry membership conditions."""
+    """Per-ideal memo: the largest exponent b + f that carries a condition,
+    the semigroup members up to it (as a set and ascending), and the
+    exponents j <= b + f where membership in qR imposes a condition."""
     ctx = Q._engine_cache.get("ctx")
     if ctx is None:
         S = Q.semigroup
         b = Q.b
         hi = b + max(S.frobenius, 0)
-        cols = _column_exponents(S, hi + 1)
+        cols = S.members(0, hi)
         member = set(cols)
-        checked = {j for j in range(hi + 1) if j < b or (j - b) not in member}
-        ctx = (hi, member, checked, cols)
+        checked = [j for j in range(hi + 1) if j < b or (j - b) not in member]
+        ctx = (hi, member, cols, checked)
         Q._engine_cache["ctx"] = ctx
     return ctx
 
 
-def _pinned_exponents(Q, multipliers):
-    """For a monomial generator, the coordinates forced to vanish."""
-    _, member, checked, _ = _context(Q)
-    pinned = set()
-    for s in multipliers:
-        pinned |= member & {j - s for j in checked}
-    return pinned
-
-
-def _membership_rows(Q, multipliers, T):
+def _membership_rows(Q, multipliers):
     """Rows forcing r * x^s in Q for every s in multipliers.
 
     Only exponents j <= b + f carry conditions; a condition at j reads off
     the coefficient of x^j in r * x^s * u^(-1), which is a combination of
     the unknowns r_c with c = j - s - k over the support k of u^(-1).
+    Every such c is at most b + f, whatever the truncation.
     """
-    hi, member, checked, _ = _context(Q)
-    if not Q.unit_coeffs:
-        # monomial generator: each condition pins a single coordinate
-        one = Q.field.one
-        return [{c: one} for c in sorted(_pinned_exponents(Q, multipliers))]
-    S = Q.semigroup
+    hi, member, _, checked = _context(Q)
     uinv = Q.unit_inverse(hi + 1)
-    checked_asc = sorted(checked)
     rows = []
     for s in multipliers:
-        for j in checked_asc:
+        for j in checked:
             if j < s:
                 continue
             row = {}
             for k, uv in uinv.items():
                 c = j - s - k
-                if c >= 0 and (c in member or (c < T and S.contains(c))):
+                if c in member:
                     row[c] = uv
             if row:
                 rows.append(row)
     return rows
 
 
+def _colon(Q, multipliers, truncation):
+    """The subspace {r mod x^T : r * x^s in Q for every s in multipliers}."""
+    if truncation is None:
+        truncation = Q.truncation
+    if truncation < Q.truncation:
+        raise TruncationTooSmall(
+            f"colon needs truncation >= {Q.truncation}, got {truncation}"
+        )
+    S = Q.semigroup
+    rows = _membership_rows(Q, multipliers)
+    cols = S.members(0, truncation - 1)
+    return TruncatedSubspace(S, Q.field, truncation, _kernel_basis(rows, cols, Q.field))
+
+
 def colon_power(Q: CanonicalIdeal, g: int, truncation=None) -> TruncatedSubspace:
     """The subspace {r mod x^T : r * m^g <= Q} at T = b + f + 1 by default."""
     if g < 0:
         raise ValueError(f"need g >= 0, got {g}")
-    S = Q.semigroup
-    T = truncation if truncation is not None else _default_truncation(Q)
-    if T < _default_truncation(Q):
-        raise TruncationTooSmall(
-            f"colon needs truncation >= {_default_truncation(Q)}, got {T}"
-        )
-    hi = Q.b + max(S.frobenius, 0)
-    multipliers = S._sums_upto(g, hi)
-    cols = _column_exponents(S, T)
-    rows = _membership_rows(Q, multipliers, T)
-    return TruncatedSubspace(S, Q.field, T, _kernel_basis(rows, cols, Q.field))
+    hi = _context(Q)[0]
+    return _colon(Q, Q.semigroup._sums_upto(g, hi), truncation)
 
 
 def colon_by_monomials(Q: CanonicalIdeal, exponents, truncation=None) -> TruncatedSubspace:
@@ -260,56 +251,37 @@ def colon_by_monomials(Q: CanonicalIdeal, exponents, truncation=None) -> Truncat
             raise NotInSemigroup(
                 f"multiplier exponent {e} is not in the semigroup {S.generators}"
             )
-    T = truncation if truncation is not None else _default_truncation(Q)
-    if T < _default_truncation(Q):
-        raise TruncationTooSmall(
-            f"colon needs truncation >= {_default_truncation(Q)}, got {T}"
-        )
-    hi = Q.b + max(S.frobenius, 0)
-    multipliers = sorted(e for e in set(exponents) if e <= hi)
-    cols = _column_exponents(S, T)
-    rows = _membership_rows(Q, multipliers, T)
-    return TruncatedSubspace(S, Q.field, T, _kernel_basis(rows, cols, Q.field))
+    hi = _context(Q)[0]
+    return _colon(Q, sorted(e for e in set(exponents) if e <= hi), truncation)
 
 
 def _colon_min_valuation(Q, g):
-    """Minimal valuation in Q : m^g.
+    """Minimal valuation in Q : m^g (None when the colon is zero), from the
+    rank profile of its membership system alone.
 
-    For a monomial generator every system row pins a single coordinate,
-    so the kernel is the span of the unconstrained coordinates and its
-    minimal valuation is the smallest free exponent.  For a general
-    generator the kernel can reach below every free coordinate (vectors
-    may combine constrained ones), so the full reduced basis is needed.
+    With the largest column taken as pivot, column c gets no pivot exactly
+    when it lies in the span of the larger columns, i.e. when some kernel
+    vector is led by x^c.  So the smallest free column is the answer, with
+    no back substitution and no kernel basis.
     """
-    if not Q.unit_coeffs:
-        S = Q.semigroup
-        hi, _, checked, cols = _context(Q)
-        multipliers = S._sums_upto(g, hi)
-        for c in cols:
-            pinned = False
-            for s in multipliers:
-                j = c + s
-                if j > hi:
-                    break
-                if j in checked:
-                    pinned = True
-                    break
-            if not pinned:
-                return c
-        return None
-    return colon_power(Q, g).min_valuation()
+    hi, _, cols, _ = _context(Q)
+    rows = _membership_rows(Q, Q.semigroup._sums_upto(g, hi))
+    pivots = _forward_eliminate(rows, Q.field, max)
+    return next((c for c in cols if c not in pivots), None)
 
 
 def goto_number(Q: CanonicalIdeal) -> int:
     """Largest g such that Q : m^g stays inside the integral closure of Q.
 
-    Ascending scan with early exit at the first colon that reaches below
-    valuation b; the scan cannot legitimately pass floor(f/a_1) + 1, so
-    reaching floor(f/a_1) + 2 raises an internal error.
+    A monomial Q goes to ``goto_monomial`` (escape orders).  Every other Q
+    is scanned over ascending g, one rank-only elimination per g, up to
+    the first colon that reaches below valuation b; the scan cannot
+    legitimately pass floor(f/a_1) + 1, so reaching floor(f/a_1) + 2
+    raises an internal error.
     """
     S = Q.semigroup
-    if S.is_regular:
-        return 0
+    if not Q.unit_coeffs:
+        return goto_monomial(S, Q.b)
     cap = S.frobenius // S.multiplicity + 1
     for g in range(1, cap + 2):
         mv = _colon_min_valuation(Q, g)
@@ -350,7 +322,7 @@ def goto_monomial(S, b: int) -> int:
 def ideal_image(Q: CanonicalIdeal, truncation=None) -> TruncatedSubspace:
     """The image of Q in R / x^T R, spanned by the shifts q * x^e."""
     S = Q.semigroup
-    T = truncation if truncation is not None else _default_truncation(Q)
+    T = truncation if truncation is not None else Q.truncation
     fld = Q.field
     vectors = []
     for e in S.members(0, T - 1 - Q.b):
@@ -365,7 +337,7 @@ def ideal_image(Q: CanonicalIdeal, truncation=None) -> TruncatedSubspace:
 def is_integrally_closed(Q: CanonicalIdeal) -> bool:
     """Compare the image of Q with the span of {x^e : e in G, e >= b}."""
     S = Q.semigroup
-    T = _default_truncation(Q)
+    T = Q.truncation
     one = Q.field.one
     closure = TruncatedSubspace.span(
         S, Q.field, T, [{e: one} for e in S.members(Q.b, T - 1)]
@@ -415,10 +387,13 @@ def _closure_generator_exponents(Q):
     x^(a_1)-multiples of lower ones; checked below on a window)."""
     S = Q.semigroup
     gens = S.members(Q.b, Q.b + max(S.frobenius, 0) + 1)
-    assert all(
+    if not all(
         any(S.contains(e - c) for c in gens)
         for e in S.members(Q.b, Q.b + 2 * max(S.frobenius, 1))
-    ), "closure generator window too small"
+    ):
+        raise BoundViolation(
+            f"closure generators of ({Q}) up to x^{gens[-1]} miss a monomial"
+        )
     return gens
 
 

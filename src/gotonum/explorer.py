@@ -7,13 +7,12 @@ field and coefficient set and say nothing about other coefficients.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 
 from .bounds import bound_global, stable_goto
 from .colon import goto_monomial, goto_number
-from .errors import SearchSpaceTooLarge
+from .errors import BoundViolation, SearchSpaceTooLarge
 from .fields import RATIONALS
 from .ring import CanonicalIdeal, canonicalize
 
@@ -31,8 +30,7 @@ class SearchConfig:
 
     coefficients must contain 0 (absent positions); positions, when given,
     restricts which tail indices i may carry a nonzero coefficient.
-    Enumeration order is lexicographic in (b, coefficient vector) and is
-    independent of the parallelism width.
+    Enumeration order is lexicographic in (b, coefficient vector).
     """
 
     semigroup: object
@@ -40,7 +38,6 @@ class SearchConfig:
     coefficients: tuple = (0, 1)
     b_values: tuple | None = None
     positions: tuple | None = None
-    width: int = 1
     cap: int = 10_000_000
 
     def __post_init__(self):
@@ -61,8 +58,6 @@ class SearchConfig:
                     raise ValueError(f"b = {b} is not a valid valuation")
         if self.positions is not None:
             self.positions = tuple(sorted(set(self.positions)))
-        if self.width < 1:
-            raise ValueError(f"width must be >= 1, got {self.width}")
 
     def admissible_positions(self, b: int) -> tuple:
         S = self.semigroup
@@ -153,12 +148,7 @@ def search(config: SearchConfig) -> SearchResult:
             raise SearchSpaceTooLarge(
                 f"enumeration would exceed {config.cap} ideals"
             )
-    if config.width > 1:
-        with ThreadPoolExecutor(max_workers=config.width) as pool:
-            chunks = list(pool.map(lambda b: _search_one_b(config, b), config.b_values))
-    else:
-        chunks = [_search_one_b(config, b) for b in config.b_values]
-    records = [rec for chunk in chunks for rec in chunk]
+    records = [rec for b in config.b_values for rec in _search_one_b(config, b)]
     value_counts = {}
     witnesses = {}
     for rec in records:
@@ -273,11 +263,12 @@ def verify_monomial_lower_bound(S, result: SearchResult) -> MonomialLowerBoundRe
 
 def check_search_envelope(S, result: SearchResult):
     """Every observed Goto number must lie between the stable value and the
-    global bound.  Returns (stable, bound); raises AssertionError on
-    violation."""
+    global bound.  Returns (stable, bound); raises BoundViolation on the
+    first record outside."""
     lo, hi = stable_goto(S), bound_global(S)
     for rec in result.records:
-        assert lo <= rec.goto <= hi, (
-            f"record (b={rec.b}, g={rec.goto}) escapes [{lo}, {hi}]"
-        )
+        if not lo <= rec.goto <= hi:
+            raise BoundViolation(
+                f"record (b={rec.b}, g={rec.goto}) escapes [{lo}, {hi}]"
+            )
     return lo, hi

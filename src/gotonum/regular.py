@@ -89,9 +89,8 @@ class MonomialIdeal:
         out = reduce(lambda a, b: a.intersection(b), parts)
         # colon never pushes an exponent above the original per-coordinate max
         for k in range(self.dimension):
-            assert max(g[k] for g in out.generators) <= max(
-                g[k] for g in self.generators
-            )
+            if max(g[k] for g in out.generators) > max(g[k] for g in self.generators):
+                raise BoundViolation(f"colon of {self.generators} grew exponent {k}")
         return out
 
     def _primary_box(self):

@@ -247,7 +247,8 @@ class CanonicalIdeal:
         "field",
         "b",
         "unit_coeffs",
-        "_uinv_state",
+        "_uinv_cap",
+        "_uinv",
         "_engine_cache",
     )
 
@@ -275,7 +276,8 @@ class CanonicalIdeal:
         self.field = field
         self.b = b
         self.unit_coeffs = clean
-        self._uinv_state = (0, None)   # (cap, inverse mod x^cap), swapped whole
+        self._uinv_cap = -1            # unit_inverse memo: exact below x^cap
+        self._uinv = None
         self._engine_cache = {}        # colon-engine memo, see colon._context
 
     @property
@@ -290,20 +292,15 @@ class CanonicalIdeal:
         return RingElement(self.semigroup, coeffs, None, self.field)
 
     def unit_inverse(self, upto: int):
-        """Coefficients of (1 + sum u_i x^i)^(-1) modulo x^upto, cached.
-
-        The cache is a single (cap, map) pair swapped atomically, so
-        concurrent callers at worst recompute."""
-        cap, inv = self._uinv_state
-        if inv is None or cap < upto:
+        """Coefficients of (1 + sum u_i x^i)^(-1) modulo x^upto, cached."""
+        if self._uinv_cap < upto:
             unit = {0: self.field.one}
             unit.update(self.unit_coeffs)
-            inv = invert_unit_mod(unit, upto, self.field)
-            self._uinv_state = (upto, inv)
-            cap = upto
-        if upto == cap:
-            return inv
-        return {e: v for e, v in inv.items() if e < upto}
+            self._uinv = invert_unit_mod(unit, upto, self.field)
+            self._uinv_cap = upto
+        if upto == self._uinv_cap:
+            return self._uinv
+        return {e: v for e, v in self._uinv.items() if e < upto}
 
     def contains(self, w: RingElement) -> bool:
         """Exact membership test w in qR.

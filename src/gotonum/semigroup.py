@@ -10,7 +10,6 @@ characterizations of the stable Goto number.
 
 from __future__ import annotations
 
-import threading
 from math import gcd
 
 from .errors import (
@@ -70,7 +69,7 @@ class NumericalSemigroup:
 
     Instances are immutable after construction; the private tables
     (membership, m-adic orders, generator-sum levels) are memoized lazily
-    and only ever grow, so shared use across threads is safe.
+    and only ever grow.
     """
 
     def __init__(self, raw_generators):
@@ -100,7 +99,6 @@ class NumericalSemigroup:
         self._sums = [(0,)]         # generator-sum levels S_t, sorted tuples
         self._sums_cap = 0
         self._escape = {}           # delta -> escape_order(delta)
-        self._lock = threading.Lock()   # guards growth of the tables above
 
     # -- construction helpers ------------------------------------------
 
@@ -173,21 +171,20 @@ class NumericalSemigroup:
     # -- generator sums ----------------------------------------------------
 
     def _sum_levels(self, t: int, cap: int):
-        with self._lock:
-            if cap > self._sums_cap:
-                self._sums = [(0,)] if cap >= 0 else [()]
-                self._sums_cap = cap
-            levels = self._sums
-            limit = self._sums_cap
-            while len(levels) <= t:
-                nxt = set()
-                for s in levels[-1]:
-                    for a in self.generators:
-                        v = s + a
-                        if v <= limit:
-                            nxt.add(v)
-                levels.append(tuple(sorted(nxt)))
-            return levels
+        if cap > self._sums_cap:
+            self._sums = [(0,)] if cap >= 0 else [()]
+            self._sums_cap = cap
+        levels = self._sums
+        limit = self._sums_cap
+        while len(levels) <= t:
+            nxt = set()
+            for s in levels[-1]:
+                for a in self.generators:
+                    v = s + a
+                    if v <= limit:
+                        nxt.add(v)
+            levels.append(tuple(sorted(nxt)))
+        return levels
 
     def generator_sums(self, t: int, cap: int) -> set:
         """Sums of exactly t generators (with repetition), capped at ``cap``."""
@@ -213,18 +210,17 @@ class NumericalSemigroup:
         if len(table) > cap:
             return table
         gens = self.generators
-        with self._lock:
-            for e in range(len(table), cap + 1):
-                if not self.contains(e):
-                    table.append(None)
-                    continue
-                best = 0
-                for a in gens:
-                    if a <= e:
-                        rest = table[e - a]
-                        if rest is not None and rest >= best:
-                            best = rest
-                table.append(best + 1)
+        for e in range(len(table), cap + 1):
+            if not self.contains(e):
+                table.append(None)
+                continue
+            best = 0
+            for a in gens:
+                if a <= e:
+                    rest = table[e - a]
+                    if rest is not None and rest >= best:
+                        best = rest
+            table.append(best + 1)
         return table
 
     def madic_order(self, e: int) -> int:
@@ -314,15 +310,9 @@ class NumericalSemigroup:
     def conductor_order(self) -> int:
         """m-adic order of the conductor ideal x^(f+1)V.
 
-        Equals the minimum order over the monomials x^e, e in
-        [f+1, f+2*a_d]; orders beyond the window are at least
-        ceil(e / a_d), which the assertion checks cannot undercut the
-        minimum found.
+        The minimum order over the monomials x^e with e >= f + 1 is
+        attained on the R-module generators, e in [f+1, f+a_1]: for larger
+        e, x^(e-a_1) lies in the conductor and x^e = x^(a_1) x^(e-a_1) has
+        order at least one more.
         """
-        if self.is_regular:
-            return 0
-        f, ad = self.frobenius, self.generators[-1]
-        cap = f + 2 * ad
-        value = min(self.madic_order(e) for e in range(f + 1, cap + 1))
-        assert (cap + 1 + ad - 1) // ad >= value, "conductor window too small"
-        return value
+        return min(self.madic_order(e) for e in self.conductor_generators)

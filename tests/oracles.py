@@ -116,13 +116,24 @@ def goto_monomial_literal(S, b):
     """Literal scan for the monomial Goto number, on the library semigroup:
     the largest g such that no c in G with c < b satisfies
     c + s - b in G for every generator sum s of size g with s <= b + f - c.
+
+    Written as a pinned-coordinate scan: x^c is pinned at level g when
+    some sum s puts c + s on a checked exponent (below b, or b plus a
+    gap), and the first unpinned c ends the scan.
     """
+    hi = b + S.frobenius
+    checked = {j for j in range(hi + 1) if not S.contains(j - b)}
     candidates = S.members(0, b - 1)
     cap = S.frobenius // S.multiplicity + 2
     for g in range(1, cap + 1):
+        sums = S._sums_upto(g, hi)
         for c in candidates:
-            sums = S.generator_sums(g, b + S.frobenius - c)
-            if all(S.contains(c + s - b) for s in sums):
+            for s in sums:
+                if c + s > hi:
+                    return g - 1
+                if c + s in checked:
+                    break
+            else:
                 return g - 1
     raise AssertionError("no witness appeared below the proven bound")
 

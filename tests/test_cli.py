@@ -27,6 +27,13 @@ class TestInfo:
         assert code == 0
         assert "frobenius: 7" in out
 
+    def test_info_conductor_order_beyond_old_window(self):
+        # the conductor's order used to be taken over [f+1, f+2*a_d] behind
+        # an assert that failed on this semigroup
+        code, out = run_cli("info", "100", "131", "177")
+        assert code == 0
+        assert json.loads(out)["conductor_order"] == 34
+
     def test_info_minimalizes(self):
         code, out = run_cli("info", "4", "6", "7", "10")
         assert code == 0
@@ -146,8 +153,8 @@ class TestDeterminism:
         _, second = run_cli(*args)
         assert first == second
 
-    def test_width_does_not_change_output(self):
-        base = ("search", "4", "7", "9", "--b", "7", "--format", "tsv")
-        _, serial = run_cli(*base, "--width", "1")
-        _, wide = run_cli(*base, "--width", "4")
-        assert serial == wide
+    def test_restricted_search_reruns_identical(self):
+        args = ("search", "4", "7", "9", "--b", "7", "--format", "tsv")
+        _, first = run_cli(*args)
+        _, second = run_cli(*args)
+        assert first == second

@@ -200,25 +200,52 @@ class TestGotoMonomial:
             goto_monomial(semigroup(3, 5), 0)
 
     def test_agrees_with_linear_algebra(self, named_semigroups):
+        # goto_number sends monomials to escape orders; the rank-only scan
+        # it runs on every other ideal must agree on monomials too
+        from gotonum.colon import _colon_min_valuation
+
         for S in named_semigroups:
             for b in S.members(1, S.frobenius + 2 * S.multiplicity):
                 Q = CanonicalIdeal(S, b)
-                assert goto_number(Q) == goto_monomial(S, b), (S.generators, b)
+                drops = [
+                    g
+                    for g in range(1, S.frobenius // S.multiplicity + 3)
+                    if _colon_min_valuation(Q, g) < b
+                ]
+                assert drops[0] - 1 == goto_monomial(S, b), (S.generators, b)
 
     def test_fast_paths_match_generic_kernel(self):
-        # the unit-row shortcut and the full Gaussian route see the same
-        # subspaces
+        # the rank-only scan and the full kernel basis see the same minimal
+        # valuations, on monomials and on seeded non-monomial tails; the
+        # basis read off the descending elimination is already reduced
         from gotonum.colon import _colon_min_valuation
 
+        rng = random.Random(20261018)
+        cases = []
         for gens in [(3, 5), (4, 6, 7), (7, 9, 20)]:
             S = semigroup(*gens)
-            for b in S.members(1, S.frobenius + S.multiplicity + 1):
-                Q = CanonicalIdeal(S, b)
-                for g in range(S.frobenius // S.multiplicity + 2):
-                    assert (
-                        _colon_min_valuation(Q, g)
-                        == colon_power(Q, g).min_valuation()
-                    ), (gens, b, g)
+            cases += [(S, b, {}) for b in S.members(1, S.frobenius + S.multiplicity + 1)]
+        for gens in [(4, 7, 9), (9, 19, 21)]:
+            S = semigroup(*gens)
+            bs = S.members(1, S.frobenius + S.multiplicity + 1)
+            for _ in range(12):
+                b = rng.choice(bs)
+                positions = [i for i in range(1, S.frobenius + 1) if S.contains(b + i)]
+                tail = {
+                    i: Fraction(rng.choice([1, -1, 2, 3]))
+                    for i in rng.sample(positions, rng.randint(1, min(3, len(positions))))
+                }
+                cases.append((S, b, tail))
+        for S, b, tail in cases:
+            Q = CanonicalIdeal(S, b, tail)
+            for g in range(S.frobenius // S.multiplicity + 2):
+                V = colon_power(Q, g)
+                assert _colon_min_valuation(Q, g) == V.min_valuation(), (
+                    S.generators, b, tail, g
+                )
+                assert TruncatedSubspace.span(
+                    S, RATIONALS, V.truncation, V.basis
+                ) == V, (S.generators, b, tail, g)
 
 
 class TestColonByMonomials:

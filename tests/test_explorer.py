@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from gotonum.bounds import stable_goto
-from gotonum.errors import SearchSpaceTooLarge
+from gotonum.errors import BoundViolation, SearchSpaceTooLarge
 from gotonum.explorer import (
     SearchConfig,
+    SearchRecord,
     check_search_envelope,
     monomial_table,
     search,
@@ -81,15 +82,12 @@ class TestSearch:
         assert result.max_goto == 5
         assert result.witnesses[5].coeffs == ((4, Fraction(1)),)
 
-    def test_deterministic_and_width_independent(self):
-        cfg = lambda w: SearchConfig(
-            semigroup=semigroup(4, 6, 7), b_values=(4, 6, 7), width=w
-        )
-        a = search(cfg(1))
-        b = search(cfg(1))
-        c = search(cfg(3))
-        assert a.records == b.records == c.records
-        assert a.to_tsv() == c.to_tsv()
+    def test_deterministic(self):
+        cfg = lambda: SearchConfig(semigroup=semigroup(4, 6, 7), b_values=(4, 6, 7))
+        a = search(cfg())
+        b = search(cfg())
+        assert a.records == b.records
+        assert a.to_tsv() == b.to_tsv()
 
     def test_prime_field_matches_rationals_on_named_searches(self):
         for gens, kwargs in [
@@ -123,6 +121,14 @@ class TestSearch:
         result = search(SearchConfig(semigroup=semigroup(4, 6, 7)))
         lo, hi = check_search_envelope(semigroup(4, 6, 7), result)
         assert (lo, hi) == (2, 3)
+
+    def test_envelope_violation_is_typed(self):
+        # a record above the global bound must raise, also under python -O
+        S = semigroup(4, 6, 7)
+        result = search(SearchConfig(semigroup=S, b_values=(4,)))
+        result.records.append(SearchRecord(b=4, coeffs=(), goto=4))
+        with pytest.raises(BoundViolation, match="escapes"):
+            check_search_envelope(S, result)
 
     def test_json_shape(self):
         S = semigroup(3, 5)

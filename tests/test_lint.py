@@ -1,0 +1,19 @@
+"""Static checks on the library source."""
+
+import ast
+from pathlib import Path
+
+import gotonum
+
+SOURCE = Path(gotonum.__file__).parent
+
+
+def test_no_assert_statements():
+    # python -O strips assert statements, so a runtime check written as
+    # one would silently vanish; raise a GotoNumberError instead
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

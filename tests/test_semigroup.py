@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 from math import gcd
 
@@ -262,6 +263,23 @@ class TestConductorOrder:
     def test_oracle_window(self):
         got = min(oracles.madic_order_brute([4, 7, 9], e) for e in range(11, 29))
         assert semigroup(4, 7, 9).conductor_order() == got
+
+    def test_matches_brute_orders_over_wide_window(self):
+        # minimum over [f+1, f+2*a_d] by partition search; the first four
+        # tripped the window assert the old implementation carried
+        batch = [(7, 12, 30), (7, 13, 36), (8, 15, 34), (10, 11, 35)]
+        rng = random.Random(20261018)
+        while len(batch) < 16:
+            trip = tuple(sorted(rng.sample(range(3, 30), 3)))
+            if gcd(gcd(*trip[:2]), trip[2]) == 1 and semigroup(*trip).generators == trip:
+                batch.append(trip)
+        for gens in batch:
+            S = semigroup(*gens)
+            f, ad = S.frobenius, S.generators[-1]
+            want = min(
+                oracles.madic_order_brute(list(gens), e) for e in range(f + 1, f + 2 * ad + 1)
+            )
+            assert S.conductor_order() == want, gens
 
     def test_never_exceeds_stable(self, family):
         for S in family:
