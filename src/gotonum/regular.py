@@ -1,20 +1,29 @@
 """Goto numbers of pure-power monomial parameter ideals in a regular
 local ring of dimension d (polynomial model).
 
-Colon by the maximal ideal works on minimal monomial generators:
-decrement one variable at a time and intersect by pairwise componentwise
-maxima.  For m-primary ideals the iterated colon I : m^g is instead
-tracked on the staircase complement (the monomials outside the ideal,
-which fit in a finite box), one dilation step per power; the two routes
-agree and the generator route stays the reference.  Integrality over a
-pure-power ideal (x_1^{n_1}, ..., x_d^{n_d}) is the single facet
-condition sum p_i / n_i >= 1 of its Newton polyhedron.
+For Q = (x_1^{n_1}, ..., x_d^{n_d}) everything is closed form.  A
+monomial x^p of the box 0 <= p_i < n_i stays outside Q : m^g exactly
+when some degree-g step keeps it inside the box, that is when
+g <= sum(n_i - 1 - p_i); so with T = sum(n_i - 1),
+Q : m^g = Q + m^(T - g + 1).  Integrality over Q is the single facet
+condition sum p_i / n_i >= 1 of its Newton polyhedron, so g(Q) is T
+minus the largest sum p_i over the non-integral points, and that
+largest sum is max n_i - 1:
+
+    g(Q) = sum n_i - max n_i - (d - 1).
+
+``MonomialIdeal`` keeps the general colon routes, on minimal generators
+(decrement one variable at a time and intersect by pairwise
+componentwise maxima) and, for m-primary ideals, on the staircase
+complement, one dilation step per power; the tests check the closed
+forms against both.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 
 from .errors import BoundViolation
 
@@ -106,20 +115,7 @@ class MonomialIdeal:
 
     def _staircase(self, box):
         """The monomials outside the ideal, all inside prod [0, B_i)."""
-        std = set()
-        gens = self.generators
-        def fill(prefix, i):
-            if i == self.dimension:
-                point = tuple(prefix)
-                if not any(all(gi <= pi for gi, pi in zip(g, point)) for g in gens):
-                    std.add(point)
-                return
-            for v in range(box[i]):
-                prefix.append(v)
-                fill(prefix, i + 1)
-                prefix.pop()
-        fill([], 0)
-        return std
+        return {p for p in product(*map(range, box)) if not self.contains_exponent(p)}
 
     @staticmethod
     def _from_staircase(dimension, box, std):
@@ -130,15 +126,13 @@ class MonomialIdeal:
         neighbours are outside.  Minimal generators never exceed B_i in
         coordinate i, so the search box is prod [0, B_i].
         """
-        from itertools import product as _product
-
         def in_ideal(q):
             if any(qi >= bi for qi, bi in zip(q, box)):
                 return True
             return q not in std
 
         gens = []
-        for point in _product(*(range(b + 1) for b in box)):
+        for point in product(*(range(b + 1) for b in box)):
             if not in_ideal(point):
                 continue
             minimal = True
@@ -217,35 +211,21 @@ def pure_power_integral(exponents, point) -> bool:
 
 
 def pure_power_goto(exponents) -> int:
-    """Goto number of the pure-power parameter ideal.
+    """Goto number of the pure-power parameter ideal:
+    g(Q) = sum n_i - max n_i - (d - 1).
 
-    Largest g for which every minimal generator of Q : m^g is integral
-    over Q."""
+    x^p with 0 <= p_i < n_i leaves Q : m^g once g > sum(n_i - 1 - p_i),
+    so g(Q) = sum(n_i - 1) - max{sum p_i : sum p_i / n_i < 1}.  Every
+    unit of p adds 1 to the sum and at least 1/max n_i to the weight, so
+    max n_i units reach weight 1, while max n_i - 1 units on the largest
+    exponent weigh (max n_i - 1)/max n_i < 1: the maximum is max n_i - 1.
+    """
     exponents = tuple(exponents)
     if len(exponents) < 2:
         raise ValueError("need dimension >= 2")
-    if any(n < 1 for n in exponents):
-        raise ValueError("pure-power exponents must be >= 1")
-    Q = MonomialIdeal.pure_powers(exponents)
-    cap = sum(exponents) + 2
-    d = Q.dimension
-    box = Q._primary_box()
-    std = Q._staircase(box)
-    for g in range(cap + 1):
-        current = MonomialIdeal._from_staircase(d, box, std)
-        if any(not pure_power_integral(exponents, p) for p in current.generators):
-            return g - 1
-        nxt = set()
-        for point in std:
-            for i in range(d):
-                up = point[:i] + (point[i] + 1,) + point[i + 1:]
-                if up in std:
-                    nxt.add(point)
-                    break
-        std = nxt
-    raise BoundViolation(
-        f"colon chain of {exponents} never left the integral closure"
-    )
+    if any(not isinstance(n, int) or n < 1 for n in exponents):
+        raise ValueError("pure-power exponents must be integers >= 1")
+    return sum(exponents) - max(exponents) - (len(exponents) - 1)
 
 
 def goto_ratios(exponents):
@@ -254,13 +234,16 @@ def goto_ratios(exponents):
 
 
 def pure_power_report(exponents) -> dict:
-    """Goto number, the three ideal orders, and the ratios, all exact."""
+    """Goto number, the three ideal orders, and the ratios, all exact.
+
+    Q : m^k = Q + m^(T - k + 1) with T = sum(n_i - 1), so its order is
+    min(min n_i, T - k + 1); at k = g(Q) that is min n_i."""
     exponents = tuple(exponents)
     g = pure_power_goto(exponents)
-    Q = MonomialIdeal.pure_powers(exponents)
-    ord_q = Q.order()
-    ord_colon = Q.colon_maximal().order()
-    ord_colon_g = Q.colon_power_maximal(g).order()
+    top = sum(exponents) - len(exponents)
+    ord_q = min(exponents)
+    ord_colon = min(ord_q, top)
+    ord_colon_g = min(ord_q, top - g + 1)
     if g == 0:
         ratios = (Fraction(0), Fraction(0), Fraction(0))
     else:

@@ -4,12 +4,16 @@ Everything here is written for clarity over speed and stays independent
 of the library code paths it checks: membership by coin-problem dynamic
 programming, generator sums by explicit multiset enumeration, m-adic
 orders by exhaustive partition search, monomial colon ideals by direct
-containment scans, and Goto numbers read off those colons.
+containment scans, and Goto numbers read off those colons.  Pure-power
+Goto numbers in a regular local ring come from the staircase of
+Q : m^g, one dilation step per g.
 """
 
 from itertools import combinations_with_replacement
 
 from math import gcd
+
+from gotonum.regular import MonomialIdeal, pure_power_integral
 
 
 def representable(n, gens):
@@ -149,3 +153,28 @@ def power_in_shift_brute(gens, t, alpha):
             return True
         return e in member
     return all(contains(s - alpha) for s in exact_sums(gens, t, f + alpha))
+
+
+def pure_power_goto_staircase(exponents):
+    """Goto number of (x_1^{n_1}, ..., x_d^{n_d}) by the staircase scan.
+
+    Dilate the staircase complement of Q : m^g one step per g (a point
+    stays outside Q : m^(g+1) when one variable step up stays outside
+    Q : m^g), rebuild the minimal generators of Q : m^g from it, and stop
+    at the first g where a generator fails the Newton-polyhedron test.
+    """
+    exponents = tuple(exponents)
+    Q = MonomialIdeal.pure_powers(exponents)
+    d = Q.dimension
+    box = Q._primary_box()
+    std = Q._staircase(box)
+    for g in range(sum(exponents) + 3):
+        current = MonomialIdeal._from_staircase(d, box, std)
+        if any(not pure_power_integral(exponents, p) for p in current.generators):
+            return g - 1
+        std = {
+            point
+            for point in std
+            if any(point[:i] + (point[i] + 1,) + point[i + 1:] in std for i in range(d))
+        }
+    raise AssertionError("colon chain never left the integral closure")

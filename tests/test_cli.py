@@ -1,7 +1,12 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
+import gotonum
 from gotonum.cli import main
 
 
@@ -112,6 +117,29 @@ class TestBoundsAndRlr:
         payload = json.loads(out)
         assert payload["goto_number"] == 5
         assert payload["ratios"] == ["5/2", "5/2", "5/2"]
+
+    def test_rlr_large_exponents_answer_at_once(self):
+        # closed forms: no staircase of 5000^4 or 2 * 10^6 points is built
+        code, out = run_cli("rlr", "--pure-power", "5000,5000,5000,5000")
+        assert code == 0
+        assert json.loads(out)["goto_number"] == 14997
+        code, out = run_cli("rlr", "--pure-power", "2,1000000")
+        assert code == 0
+        assert json.loads(out)["goto_number"] == 1
+
+    def test_python_dash_m_matches_main(self):
+        argv = ["rlr", "--pure-power", "2,5,5"]
+        src = str(Path(gotonum.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "gotonum", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == run_cli(*argv)[1]
 
 
 class TestVerifyPaper:

@@ -1,7 +1,11 @@
+import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import prod
 
 import pytest
 
+import oracles
 from gotonum.regular import (
     MonomialIdeal,
     goto_ratios,
@@ -153,3 +157,37 @@ class TestRatios:
                 for e in range(1, n + 1):
                     rep = pure_power_report((e,) + (n,) * (d - 1))
                     assert rep["orders"] == (e, e, e), (d, e, n)
+
+
+class TestClosedFormAgainstStaircase:
+    def test_report_matches_staircase_routes(self):
+        """Every exponent multiset over [1, 6] with 2 <= d <= 5 and box
+        volume at most 200, each in a seeded unsorted order: e > n and
+        the all-ones vectors are among them.  The volume cap keeps the
+        staircase oracle to a few seconds."""
+        rng = random.Random(3)
+        checked = 0
+        for d in range(2, 6):
+            for vec in combinations_with_replacement(range(1, 7), d):
+                if prod(vec) > 200:
+                    continue
+                exps = list(vec)
+                rng.shuffle(exps)
+                exps = tuple(exps)
+                rep = pure_power_report(exps)
+                g = oracles.pure_power_goto_staircase(exps)
+                Q = MonomialIdeal.pure_powers(exps)
+                orders = (
+                    Q.order(),
+                    Q.colon_maximal().order(),
+                    Q.colon_power_maximal(g).order(),
+                )
+                if g == 0:
+                    ratios = (Fraction(0),) * 3
+                else:
+                    ratios = tuple(Fraction(g, o) for o in orders)
+                assert rep["goto_number"] == g, exps
+                assert rep["orders"] == orders, exps
+                assert rep["ratios"] == ratios, exps
+                checked += 1
+        assert checked == 274
