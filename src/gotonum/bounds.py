@@ -54,26 +54,12 @@ def closed_form_two_generated(S: NumericalSemigroup):
 def stable_goto(S: NumericalSemigroup) -> int:
     """The common Goto number g(x^e) for all e >= f + a_1 + 1.
 
-    Computed as g(x^(f+a_1+1)) and cross-checked against both
-    combinatorial characterizations, and against a_1 - 1 when the
-    semigroup is two-generated.
+    One route: the least escape order over alpha in [1, a_1]
+    (``S.stable_goto_via_t_prime``).  Its agreement with g(x^(f+a_1+1)),
+    with ``S.stable_goto_via_t`` and, for two generators, with a_1 - 1 is
+    checked in the tests.
     """
-    if S.is_regular:
-        return 0
-    value = goto_monomial(S, S.frobenius + S.multiplicity + 1)
-    via_t = S.stable_goto_via_t()
-    via_t_prime = S.stable_goto_via_t_prime()
-    if not (value == via_t == via_t_prime):
-        raise CrossCheckMismatch(
-            f"stable Goto number of {S.generators}: monomial route {value}, "
-            f"power route {via_t}, order route {via_t_prime}"
-        )
-    if S.embedding_dim == 2 and value != S.multiplicity - 1:
-        raise CrossCheckMismatch(
-            f"two-generated stable value {value} != a_1 - 1 = "
-            f"{S.multiplicity - 1}"
-        )
-    return value
+    return S.stable_goto_via_t_prime()
 
 
 def rho(S: NumericalSemigroup) -> int:

@@ -2,14 +2,17 @@
 
 A numerical semigroup G is the set of non-negative integer combinations of
 generators a_1 < ... < a_d with gcd 1; its complement in the positive
-integers is finite.  This module computes membership, the Frobenius number
-(largest integer outside G), gaps, the conductor window, m-adic orders of
-monomials in the associated semigroup ring, and the two combinatorial
-characterizations of the stable Goto number.
+integers is finite.  G is held as its Apery set with respect to a_1, the
+least member of G in each residue class mod a_1.  Membership, the
+Frobenius number (largest integer outside G), the gaps and the minimal
+generators are read off it.  This module also computes the conductor
+window, m-adic orders of monomials in the associated semigroup ring, and
+the two combinatorial characterizations of the stable Goto number.
 """
 
 from __future__ import annotations
 
+import heapq
 from math import gcd
 
 from .errors import (
@@ -21,38 +24,26 @@ from .errors import (
 )
 
 
-def _reachable(gens, cap):
-    """Boolean table over [0, cap]: reachable[e] iff e is a sum of generators."""
-    table = [False] * (cap + 1)
-    table[0] = True
-    for e in range(1, cap + 1):
+def _apery_set(a1, gens):
+    """Least member of G in each residue class mod a1, indexed by residue.
+
+    A shortest-path pass over the residues: the edge r -> (r + a) mod a1
+    costs a for each generator a, and the member of G reached first in
+    class r is the least one (Nijenhuis, 1979).  gcd(gens) = 1 makes every
+    class reachable.
+    """
+    ap = [None] * a1
+    heap = [(0, 0)]
+    while heap:
+        w, r = heapq.heappop(heap)
+        if ap[r] is not None:
+            continue
+        ap[r] = w
         for a in gens:
-            if a <= e and table[e - a]:
-                table[e] = True
-                break
-    return table
-
-
-def _representable(n, gens):
-    if n == 0:
-        return True
-    if not gens:
-        return False
-    return _reachable(gens, n)[n]
-
-
-def _minimalize(gens):
-    """Drop every generator that the remaining ones already represent."""
-    gens = sorted(set(gens))
-    changed = True
-    while changed:
-        changed = False
-        for a in list(gens):
-            rest = [g for g in gens if g != a]
-            if rest and _representable(a, rest):
-                gens.remove(a)
-                changed = True
-    return gens
+            s = (r + a) % a1
+            if ap[s] is None:
+                heapq.heappush(heap, (w + a, s))
+    return ap
 
 
 def frobenius_two_generated(a1: int, a2: int) -> int:
@@ -67,9 +58,11 @@ def frobenius_two_generated(a1: int, a2: int) -> int:
 class NumericalSemigroup:
     """A numerical semigroup given by its minimal generators.
 
-    Instances are immutable after construction; the private tables
-    (membership, m-adic orders, generator-sum levels) are memoized lazily
-    and only ever grow.
+    G is stored as its Apery set with respect to a_1 (``_ap[r]`` is the
+    least member of G congruent to r mod a_1), so e is in G iff
+    e >= ``_ap[e % a_1]``, and f = max(``_ap``) - a_1.  Instances are
+    immutable after construction; the private tables (m-adic orders,
+    generator-sum levels) are memoized lazily and only ever grow.
     """
 
     def __init__(self, raw_generators):
@@ -84,12 +77,23 @@ class NumericalSemigroup:
             g = gcd(g, a)
         if g != 1:
             raise GcdError(f"gcd of generators {sorted(set(raw))} is {g}, not 1")
-        self.generators = tuple(_minimalize(raw))
-        self.frobenius = self._compute_frobenius()
-        cap = self.frobenius + 2 * self.generators[-1]
-        self._table = _reachable(self.generators, max(cap, 1))
+        raw = sorted(set(raw))
+        a1 = raw[0]
+        self._a1 = a1
+        self._ap = ap = _apery_set(a1, raw)
+        # a raw a > a_1 is a minimal generator iff it is not a sum of two
+        # nonzero members of G.  Such a sum either has a - a_1 in G, so a is
+        # not the least of its class, or has both summands in the Apery set.
+        nonzero = [w for w in ap if w]
+        self.generators = (a1,) + tuple(
+            a
+            for a in raw[1:]
+            if ap[a % a1] == a
+            and not any(w < a and self.contains(a - w) for w in nonzero)
+        )
+        self.frobenius = max(ap) - a1
         self.gaps = tuple(
-            e for e in range(1, self.frobenius + 1) if not self._table[e]
+            e for e in range(1, self.frobenius + 1) if e < ap[e % a1]
         )
         # R-module generators of the conductor x^(f+1)V
         self.conductor_generators = tuple(
@@ -99,27 +103,6 @@ class NumericalSemigroup:
         self._sums = [(0,)]         # generator-sum levels S_t, sorted tuples
         self._sums_cap = 0
         self._escape = {}           # delta -> escape_order(delta)
-
-    # -- construction helpers ------------------------------------------
-
-    def _compute_frobenius(self):
-        gens = self.generators
-        a1, ad = gens[0], gens[-1]
-        if a1 == 1:
-            return -1
-        bound = a1 * ad
-        while True:
-            table = _reachable(gens, bound)
-            run, last_gap = 0, None
-            for e in range(bound + 1):
-                if table[e]:
-                    run += 1
-                    if run >= a1:
-                        # a1 consecutive members force all larger integers in
-                        return last_gap
-                else:
-                    run, last_gap = 0, e
-            bound *= 2
 
     # -- basic queries ---------------------------------------------------
 
@@ -149,11 +132,8 @@ class NumericalSemigroup:
         return f"NumericalSemigroup{self.generators}"
 
     def contains(self, e: int) -> bool:
-        if e < 0:
-            return False
-        if e > self.frobenius:
-            return True
-        return self._table[e]
+        # every Apery element is >= 0, so negative e is never a member
+        return e >= self._ap[e % self._a1]
 
     def members(self, lo: int, hi: int):
         """Ascending list of semigroup elements in [lo, hi]."""
@@ -303,9 +283,13 @@ class NumericalSemigroup:
     # -- symmetry and conductor ---------------------------------------------
 
     def is_symmetric(self) -> bool:
-        """True iff for every n in [0, f] exactly one of n, f - n is in G."""
-        f = self.frobenius
-        return all(self.contains(n) != self.contains(f - n) for n in range(f + 1))
+        """True iff for every n in [0, f] exactly one of n, f - n is in G.
+
+        n in G puts f - n outside G, since G is closed under addition and
+        f is not in G.  So at least half of [0, f] are gaps, and exactly one
+        of each pair is in G iff the gaps number (f + 1)/2.
+        """
+        return 2 * len(self.gaps) == self.frobenius + 1
 
     def conductor_order(self) -> int:
         """m-adic order of the conductor ideal x^(f+1)V.

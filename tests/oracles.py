@@ -27,6 +27,12 @@ def representable(n, gens):
     return table[n]
 
 
+def minimal_generators(gens):
+    """The elements of gens that are not sums of smaller ones, ascending."""
+    gens = sorted(set(gens))
+    return [a for a in gens if not representable(a, [c for c in gens if c < a])]
+
+
 def members_upto(gens, cap):
     """Semigroup elements in [0, cap], by dynamic programming."""
     table = [False] * (cap + 1)

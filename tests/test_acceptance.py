@@ -191,7 +191,12 @@ class TestPropertySuites:
         bad = 0
         for S in full_family():
             stable = goto_monomial(S, S.frobenius + S.multiplicity + 1)
-            if not (stable == S.stable_goto_via_t() == S.stable_goto_via_t_prime()):
+            if not (
+                stable
+                == S.stable_goto_via_t()
+                == S.stable_goto_via_t_prime()
+                == stable_goto(S)
+            ):
                 bad += 1
         report("stable value triple agreement over the family", bad == 0)
 

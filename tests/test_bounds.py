@@ -1,9 +1,13 @@
+import io
+import json
+from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
 import pytest
 
+from gotonum import bounds
 from gotonum.bounds import (
     bound_display_max,
     bound_first_generator,
@@ -14,8 +18,10 @@ from gotonum.bounds import (
     rho,
     stable_goto,
 )
+from gotonum.cli import main
 from gotonum.colon import goto_monomial
 from gotonum.errors import NotTwoGenerated
+from gotonum.semigroup import NumericalSemigroup
 
 from conftest import semigroup
 
@@ -114,6 +120,19 @@ class TestStableGoto:
 
     def test_regular(self):
         assert stable_goto(semigroup(1)) == 0
+
+    def test_one_route(self, monkeypatch):
+        # the monomial and power routes are test oracles, not runtime checks
+        def refuse(*args):
+            raise AssertionError("stable_goto ran a second route")
+
+        monkeypatch.setattr(NumericalSemigroup, "stable_goto_via_t", refuse)
+        monkeypatch.setattr(bounds, "goto_monomial", refuse)
+        assert stable_goto(NumericalSemigroup([9, 19])) == 8
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            assert main(["info", "9", "19"]) == 0
+        assert json.loads(buf.getvalue())["stable_goto"] == 8
 
 
 class TestRho:

@@ -17,3 +17,15 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_no_floating_point():
+    # every value the library reports is exact: integers and Fractions only
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+            elif isinstance(node, ast.Name) and node.id == "float":
+                found.append(f"{path.name}:{node.lineno}: float")
+    assert found == []

@@ -13,7 +13,33 @@ from gotonum.errors import (
 )
 from gotonum.semigroup import NumericalSemigroup, frobenius_two_generated
 
-from conftest import semigroup
+from conftest import full_family, semigroup
+
+
+def _raw_generator_lists():
+    """Generator lists as a user may type them, minimal or not.
+
+    The fixed ones cover duplicates, multiples of a_1 (8 in (4, 8, 5)), a
+    sum of two generators (10 = 4 + 6), 13 = 6 + 7 in (5, 6, 7, 13), which
+    is also the least member of its class mod 5, and a_1 = 1.  The seeded
+    ones add sums, multiples and repeats of random bases, shuffled.
+    """
+    cases = [
+        (2, 3), (3, 5), (4, 7, 9), (7, 9, 20),
+        (3, 5, 5, 3), (4, 8, 5), (4, 6, 7, 10), (5, 6, 7, 13), (1, 5),
+    ]
+    rng = random.Random(20261018)
+    while len(cases) < 40:
+        base = rng.sample(range(2, 24), rng.randint(2, 4))
+        extra = [rng.choice(base) + rng.choice(base), min(base) * rng.randint(2, 4)]
+        raw = base + rng.sample(extra + base, rng.randint(1, 3))
+        rng.shuffle(raw)
+        if gcd(*raw) == 1:
+            cases.append(tuple(raw))
+    return cases
+
+
+RAW_GENERATOR_LISTS = _raw_generator_lists()
 
 
 class TestConstruction:
@@ -55,12 +81,17 @@ class TestConstruction:
         assert S.gaps == (1, 2, 4, 7)
         assert S.conductor_generators == (8, 9, 10)
 
-    @pytest.mark.parametrize("gens", [(2, 3), (3, 5), (4, 7, 9), (7, 9, 20)])
+    @pytest.mark.parametrize("gens", RAW_GENERATOR_LISTS)
     def test_membership_table_matches_brute_force(self, gens):
-        S = semigroup(*gens)
-        cap = S.frobenius + 2 * S.generators[-1]
-        expected = set(oracles.members_upto(list(gens), cap))
-        for e in range(cap + 1):
+        S = NumericalSemigroup(list(gens))
+        raw = sorted(set(gens))
+        assert S.generators == tuple(oracles.minimal_generators(raw))
+        f = oracles.frobenius_brute(raw)
+        assert S.frobenius == f
+        cap = max(f, 0) + 2 * raw[-1]
+        expected = set(oracles.members_upto(raw, cap))
+        assert S.gaps == tuple(e for e in range(1, f + 1) if e not in expected)
+        for e in range(-raw[-1], cap + 1):
             assert S.contains(e) == (e in expected)
 
     def test_contains_outside_table(self):
@@ -247,6 +278,15 @@ class TestSymmetry:
 
     def test_symmetric_three_generated(self):
         assert semigroup(11, 14, 21).is_symmetric()
+
+    def test_genus_count_matches_definition(self):
+        # the definition: exactly one of n, f - n is in G for every n in [0, f]
+        batch = full_family() + [NumericalSemigroup(list(g)) for g in RAW_GENERATOR_LISTS]
+        for S in batch:
+            f = S.frobenius
+            member = set(oracles.members_upto(list(S.generators), max(f, 0)))
+            want = all((n in member) != (f - n in member) for n in range(f + 1))
+            assert S.is_symmetric() == want, S.generators
 
 
 class TestConductorOrder:
