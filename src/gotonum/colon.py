@@ -4,9 +4,10 @@ A parameter ideal Q with canonical generator q = x^b(1 + tail) is handled
 modulo x^T with T = b + f + 1: elements of R with valuation above b + f
 lie in x^b times the conductor, which qR absorbs, so nothing below T is
 ever affected.  The colon Q : m^g is the kernel of a linear system over
-the coordinates {x^e : e in G, e < T}; one row per (multiplier s, checked
-exponent j) pair forces the coefficient of x^j in r * x^s * u^(-1) to
-vanish whenever j - b is negative or a gap.
+the coordinates {x^e : e in G, e < T}: for each multiplier s and each
+checked exponent j (j - b negative or a gap) the coefficient of x^j in
+r * x^s * u^(-1) must vanish.  That condition depends only on the shift
+d = j - s, so the system holds one row per distinct shift.
 
 The Goto number is the last g whose colon stays inside the integral
 closure, i.e. has no element of valuation below b.  For a monomial Q that
@@ -14,12 +15,18 @@ is read off escape orders (``goto_monomial``).  For every other Q one
 forward elimination per g decides it: with the largest column taken as
 pivot, a kernel vector led by column c exists exactly when c gets no
 pivot, so the colon's minimal valuation is the smallest free column and
-no kernel basis is built.  ``colon_power`` and duality, which need the
-subspace itself, read the reduced kernel basis off the same descending
-elimination.
+no kernel basis is built.  That scan runs on Python ints: over F_p the
+rows are reduced mod p, and over Q the substitution x -> Dx (D the lcm
+of the tail denominators) makes u^(-1) integral without moving a pivot,
+so the elimination is fraction-free.  ``colon_power`` and duality, which
+need the subspace itself, read the reduced kernel basis off a descending
+elimination over the field, on the same rows.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
+from math import gcd, lcm
 
 from .errors import (
     BoundViolation,
@@ -30,6 +37,7 @@ from .errors import (
     NotInSemigroup,
     TruncationTooSmall,
 )
+from .fields import PrimeField
 from .ring import CanonicalIdeal, RingElement
 
 # -- exact sparse row echelon --------------------------------------------
@@ -181,44 +189,120 @@ class TruncatedSubspace:
 
 def _context(Q):
     """Per-ideal memo: the largest exponent b + f that carries a condition,
-    the semigroup members up to it (as a set and ascending), and the
-    exponents j <= b + f where membership in qR imposes a condition."""
+    the semigroup members up to it (ascending), and the exponents
+    j <= b + f where membership in qR imposes a condition."""
     ctx = Q._engine_cache.get("ctx")
     if ctx is None:
         S = Q.semigroup
         b = Q.b
         hi = b + max(S.frobenius, 0)
         cols = S.members(0, hi)
-        member = set(cols)
-        checked = [j for j in range(hi + 1) if j < b or (j - b) not in member]
-        ctx = (hi, member, cols, checked)
+        checked = [j for j in range(hi + 1) if j < b or not S.contains(j - b)]
+        ctx = (hi, cols, checked)
         Q._engine_cache["ctx"] = ctx
     return ctx
 
 
-def _membership_rows(Q, multipliers):
-    """Rows forcing r * x^s in Q for every s in multipliers.
+def _membership_rows(Q, multipliers, series):
+    """Rows forcing r * x^s in Q for every s in multipliers, one per shift.
 
-    Only exponents j <= b + f carry conditions; a condition at j reads off
-    the coefficient of x^j in r * x^s * u^(-1), which is a combination of
-    the unknowns r_c with c = j - s - k over the support k of u^(-1).
-    Every such c is at most b + f, whatever the truncation.
+    A condition at a checked exponent j reads off the coefficient of x^j
+    in r * x^s * u^(-1), the sum of r_c * series[j - s - c] over c in G
+    (series holds the coefficients of u^(-1), or a rescaling of them).  It
+    depends on s and j only through the shift d = j - s, so each distinct
+    d >= 0 gives the one row {c: series[d - c] : c in G, c <= d}.  Every
+    such c is at most b + f, whatever the truncation.
     """
-    hi, member, _, checked = _context(Q)
-    uinv = Q.unit_inverse(hi + 1)
+    _, cols, checked = _context(Q)
+    shifts = {j - s for s in multipliers for j in checked if j >= s}
     rows = []
-    for s in multipliers:
-        for j in checked:
-            if j < s:
-                continue
-            row = {}
-            for k, uv in uinv.items():
-                c = j - s - k
-                if c in member:
-                    row[c] = uv
-            if row:
-                rows.append(row)
+    for d in sorted(shifts):
+        row = {
+            c: v
+            for c in cols[: bisect_right(cols, d)]
+            if (v := series.get(d - c)) is not None
+        }
+        if row:
+            rows.append(row)
     return rows
+
+
+def _integer_series(Q):
+    """The unit inverse as Python ints, with the modulus the scan reduces
+    by (0 over Q), cached.
+
+    Over F_p the coefficients of u^(-1) already are ints mod p.  Over Q,
+    with D the lcm of the tail denominators, w = (1 + sum u_i D^i x^i)^(-1)
+    has integer coefficients w_k = D^k uinv_k.  Entry c of the row of
+    shift d becomes D^(d - c) uinv_(d - c): the row scaled by D^d and
+    column c by D^(-c), which moves no pivot.
+    """
+    cached = Q._engine_cache.get("zseries")
+    if cached is None:
+        hi = _context(Q)[0]
+        if isinstance(Q.field, PrimeField):
+            cached = (Q.unit_inverse(hi + 1), Q.field.p)
+        else:
+            tail = Q.unit_coeffs
+            D = lcm(*(v.denominator for v in tail.values()))
+            scaled = {
+                i: v.numerator * (D // v.denominator) * D ** (i - 1)
+                for i, v in tail.items()
+            }
+            w = {0: 1}
+            for n in range(1, hi + 1):
+                acc = sum(t * w[n - k] for k, t in scaled.items() if n - k in w)
+                if acc:
+                    w[n] = -acc
+            cached = (w, 0)
+        Q._engine_cache["zseries"] = cached
+    return cached
+
+
+def _pivot_columns(rows, p):
+    """Pivot columns of an integer system, the largest column taken as pivot.
+
+    Over F_p (p prime) each pivot row is scaled to leading entry 1 and
+    reductions run mod p.  Over Q (p = 0) the elimination stays in Z:
+    a row is cross-multiplied against the pivot row by their leading
+    entries, and every stored row is divided by the gcd of its entries.
+    Either way the pivot set is the field's rank profile.  Consumes rows.
+    """
+    pivots = {}
+    for row in rows:
+        while row:
+            j = max(row)
+            prow = pivots.get(j)
+            if prow is None:
+                lead = row[j]
+                if p:
+                    if lead != 1:
+                        inv = pow(lead, -1, p)
+                        row = {c: v * inv % p for c, v in row.items()}
+                else:
+                    content = gcd(*row.values())
+                    if content != 1:
+                        row = {c: v // content for c, v in row.items()}
+                pivots[j] = row
+                break
+            factor = row.pop(j)
+            if not p:
+                common = gcd(prow[j], factor)
+                scale = prow[j] // common
+                factor //= common
+                if scale != 1:
+                    row = {c: scale * v for c, v in row.items()}
+            for c, v in prow.items():
+                if c == j:
+                    continue
+                nv = row.get(c, 0) - factor * v
+                if p:
+                    nv %= p
+                if nv:
+                    row[c] = nv
+                else:
+                    row.pop(c, None)
+    return pivots
 
 
 def _colon(Q, multipliers, truncation):
@@ -230,7 +314,7 @@ def _colon(Q, multipliers, truncation):
             f"colon needs truncation >= {Q.truncation}, got {truncation}"
         )
     S = Q.semigroup
-    rows = _membership_rows(Q, multipliers)
+    rows = _membership_rows(Q, multipliers, Q.unit_inverse(_context(Q)[0] + 1))
     cols = S.members(0, truncation - 1)
     return TruncatedSubspace(S, Q.field, truncation, _kernel_basis(rows, cols, Q.field))
 
@@ -262,11 +346,13 @@ def _colon_min_valuation(Q, g):
     With the largest column taken as pivot, column c gets no pivot exactly
     when it lies in the span of the larger columns, i.e. when some kernel
     vector is led by x^c.  So the smallest free column is the answer, with
-    no back substitution and no kernel basis.
+    no back substitution and no kernel basis.  The rows are built from
+    ``_integer_series``, so the elimination makes no field calls.
     """
-    hi, _, cols, _ = _context(Q)
-    rows = _membership_rows(Q, Q.semigroup._sums_upto(g, hi))
-    pivots = _forward_eliminate(rows, Q.field, max)
+    hi, cols, _ = _context(Q)
+    series, p = _integer_series(Q)
+    rows = _membership_rows(Q, Q.semigroup._sums_upto(g, hi), series)
+    pivots = _pivot_columns(rows, p)
     return next((c for c in cols if c not in pivots), None)
 
 

@@ -13,16 +13,34 @@ from fractions import Fraction
 from .errors import ParseError
 
 
+_WITNESSES = (2, 3, 5, 7)
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin on the bases 2, 3, 5, 7.
+
+    Exact for every n < 3,215,031,751 (the least strong pseudoprime to
+    all four bases), which covers the 2^31 cap on ``PrimeField``.
+    """
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -30,17 +48,12 @@ def _is_prime(n: int) -> bool:
 class Rationals:
     """Descriptor for exact rational scalars (fractions in lowest terms)."""
 
+    zero = Fraction(0)
+    one = Fraction(1)
+
     @property
     def label(self) -> str:
         return "q"
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
 
     def of(self, value):
         return Fraction(value)
@@ -66,7 +79,7 @@ class Rationals:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return Fraction(1) / a
+        return Fraction(1, a)
 
     def sort_key(self, a):
         return a
@@ -81,6 +94,9 @@ class PrimeField:
 
     p: int
 
+    zero = 0
+    one = 1
+
     def __post_init__(self):
         if self.p >= 2**31:
             raise ValueError(f"prime {self.p} too large (must be < 2^31)")
@@ -90,14 +106,6 @@ class PrimeField:
     @property
     def label(self) -> str:
         return f"fp:{self.p}"
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
 
     def of(self, value):
         if isinstance(value, Fraction):

@@ -4,14 +4,16 @@ Everything here is written for clarity over speed and stays independent
 of the library code paths it checks: membership by coin-problem dynamic
 programming, generator sums by explicit multiset enumeration, m-adic
 orders by exhaustive partition search, monomial colon ideals by direct
-containment scans, and Goto numbers read off those colons.  Pure-power
-Goto numbers in a regular local ring come from the staircase of
-Q : m^g, one dilation step per g.
+containment scans, and Goto numbers read off those colons.  Colons of
+non-monomial ideals come from the literal membership system, one row per
+(multiplier, checked exponent) pair, eliminated over Fraction or mod p;
+primes from trial division.  Pure-power Goto numbers in a regular local
+ring come from the staircase of Q : m^g, one dilation step per g.
 """
 
+from fractions import Fraction
 from itertools import combinations_with_replacement
-
-from math import gcd
+from math import gcd, isqrt
 
 from gotonum.regular import MonomialIdeal, pure_power_integral
 
@@ -184,3 +186,77 @@ def pure_power_goto_staircase(exponents):
             if any(point[:i] + (point[i] + 1,) + point[i + 1:] in std for i in range(d))
         }
     raise AssertionError("colon chain never left the integral closure")
+
+
+def is_prime_trial(n):
+    """Primality by trial division up to the square root."""
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def colon_free_columns_literal(gens, b, tail, g, p=0):
+    """Free columns of the membership system of (x^b * u) : m^g, as built
+    literally: one row per (multiplier s, checked exponent j) pair.
+
+    s runs over the sums of exactly g generators with s <= b + f, and j
+    over the exponents s <= j <= b + f with j < b or j - b a gap; the
+    entry of the row at a column c (a member, c <= b + f) is the
+    coefficient of x^(j - s - c) in u^(-1), with u = 1 + sum tail[i] x^i.
+    Gaussian elimination over Fraction (p = 0) or mod p takes the columns
+    in descending order; the columns that get no pivot are returned
+    ascending.  They are the leading exponents of the colon's reduced
+    basis, and the first one is its minimal valuation.
+    """
+    hi = b + max(frobenius_brute(gens), 0)
+    member = set(members_upto(gens, hi))
+    cols = sorted(member)
+    norm = (lambda x: x % p) if p else (lambda x: x)
+    uinv = [norm(1)] + [norm(0)] * hi
+    for n in range(1, hi + 1):
+        uinv[n] = norm(-sum(v * uinv[n - i] for i, v in tail.items() if i <= n))
+    checked = [j for j in range(hi + 1) if j < b or j - b not in member]
+    rows = []
+    for s in sorted(exact_sums(gens, g, hi)):
+        for j in checked:
+            if j >= s:
+                row = {c: uinv[j - s - c] for c in cols if c <= j - s and uinv[j - s - c]}
+                rows.append(row)
+    return free_columns_descending(rows, cols, p)
+
+
+def free_columns_descending(rows, cols, p=0):
+    """Columns without a pivot when Gaussian elimination over Fraction
+    (p = 0) or mod p takes the columns in descending order, ascending.
+    Column c is free exactly when it lies in the span of the larger ones."""
+    if p:
+        div = lambda x, y: x * pow(y, -1, p) % p
+        norm = lambda x: x % p
+    else:
+        div = lambda x, y: Fraction(x) / y
+        norm = lambda x: x
+    rows = [dict(row) for row in rows]
+    free = []
+    for c in sorted(cols, reverse=True):
+        pivot = next((row for row in rows if row.get(c)), None)
+        if pivot is None:
+            free.append(c)
+            continue
+        rows = [row for row in rows if row is not pivot]
+        for row in rows:
+            if row.get(c):
+                factor = div(row[c], pivot[c])
+                for k, v in pivot.items():
+                    row[k] = norm(row.get(k, 0) - factor * v)
+        rows = [{k: v for k, v in row.items() if v} for row in rows]
+        rows = [row for row in rows if row]
+    return sorted(free)
+
+
+def goto_number_literal(gens, b, tail, p=0):
+    """Goto number of (x^b * u): the last g before the literal system's
+    first free column drops below b."""
+    cap = frobenius_brute(gens) // min(gens) + 2
+    for g in range(1, cap + 1):
+        free = colon_free_columns_literal(gens, b, tail, g, p)
+        if free and free[0] < b:
+            return g - 1
+    raise AssertionError("colon chain never dropped below the valuation")

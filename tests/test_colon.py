@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from gotonum.errors import (
     NotInSemigroup,
     TruncationTooSmall,
 )
-from gotonum.fields import RATIONALS
+from gotonum.fields import RATIONALS, PrimeField
 from gotonum.ring import CanonicalIdeal, canonicalize, parse_element
 
 from conftest import semigroup
@@ -157,8 +158,6 @@ class TestGotoNumber:
         assert goto_number(CanonicalIdeal(S, 3)) == 0
 
     def test_prime_field_matches_rationals(self):
-        from gotonum.fields import PrimeField
-
         for p in (2, 5, 101):
             fp = PrimeField(p)
             S = semigroup(5, 11)
@@ -217,35 +216,123 @@ class TestGotoMonomial:
     def test_fast_paths_match_generic_kernel(self):
         # the rank-only scan and the full kernel basis see the same minimal
         # valuations, on monomials and on seeded non-monomial tails; the
-        # basis read off the descending elimination is already reduced
-        from gotonum.colon import _colon_min_valuation
+        # basis read off the descending elimination is already reduced.
+        # Tails with denominators 2, 7 and 12 take the scan through the
+        # x -> Dx rescaling, and F_p tails through its mod-p branch.
+        from gotonum.colon import _colon_min_valuation, _integer_series
 
         rng = random.Random(20261018)
         cases = []
         for gens in [(3, 5), (4, 6, 7), (7, 9, 20)]:
             S = semigroup(*gens)
-            cases += [(S, b, {}) for b in S.members(1, S.frobenius + S.multiplicity + 1)]
-        for gens in [(4, 7, 9), (9, 19, 21)]:
-            S = semigroup(*gens)
-            bs = S.members(1, S.frobenius + S.multiplicity + 1)
-            for _ in range(12):
-                b = rng.choice(bs)
-                positions = [i for i in range(1, S.frobenius + 1) if S.contains(b + i)]
-                tail = {
-                    i: Fraction(rng.choice([1, -1, 2, 3]))
-                    for i in rng.sample(positions, rng.randint(1, min(3, len(positions))))
-                }
-                cases.append((S, b, tail))
-        for S, b, tail in cases:
-            Q = CanonicalIdeal(S, b, tail)
+            cases += [
+                (S, b, {}, RATIONALS) for b in S.members(1, S.frobenius + S.multiplicity + 1)
+            ]
+
+        def seeded_tails(coefficient, count):
+            for gens in [(4, 7, 9), (9, 19, 21)]:
+                S = semigroup(*gens)
+                bs = S.members(1, S.frobenius + S.multiplicity + 1)
+                for _ in range(count):
+                    b = rng.choice(bs)
+                    positions = [i for i in range(1, S.frobenius + 1) if S.contains(b + i)]
+                    tail = {
+                        i: coefficient()
+                        for i in rng.sample(positions, rng.randint(1, min(3, len(positions))))
+                    }
+                    yield S, b, tail
+
+        for S, b, tail in seeded_tails(lambda: Fraction(rng.choice([1, -1, 2, 3])), 12):
+            cases.append((S, b, tail, RATIONALS))
+        for den in (2, 7, 12):
+            coefficient = lambda: Fraction(rng.choice([1, -1, 5, -7, 11]), den)
+            for S, b, tail in seeded_tails(coefficient, 3):
+                cases.append((S, b, tail, RATIONALS))
+        for p in (2, 3, 2147483647):
+            fp = PrimeField(p)
+            for S, b, tail in seeded_tails(lambda: rng.randrange(1, p), 3):
+                cases.append((S, b, tail, fp))
+        for S, b, tail, fld in cases:
+            Q = CanonicalIdeal(S, b, tail, fld)
+            # the scan's integer series is u^(-1) itself over F_p, and over Q
+            # its rescaling by x -> Dx, D the lcm of the tail denominators
+            series, p = _integer_series(Q)
+            uinv = Q.unit_inverse(Q.truncation)
+            D = 1 if p else math.lcm(*(v.denominator for v in tail.values()))
+            assert series == {k: D**k * v for k, v in uinv.items()}, (tail, fld)
             for g in range(S.frobenius // S.multiplicity + 2):
                 V = colon_power(Q, g)
                 assert _colon_min_valuation(Q, g) == V.min_valuation(), (
-                    S.generators, b, tail, g
+                    S.generators, b, tail, fld, g
                 )
                 assert TruncatedSubspace.span(
-                    S, RATIONALS, V.truncation, V.basis
-                ) == V, (S.generators, b, tail, g)
+                    S, fld, V.truncation, V.basis
+                ) == V, (S.generators, b, tail, fld, g)
+
+    def test_rank_scan_matches_literal_system(self):
+        # the distinct-shift integer scan and the kernel basis against the
+        # literal one-row-per-(s, j) system of oracles, over Q and F_101
+        from gotonum.colon import _colon_min_valuation
+
+        rng = random.Random(5011)
+        for gens in [(4, 7, 9), (9, 19, 21), (5, 11)]:
+            S = semigroup(*gens)
+            bs = S.members(1, S.frobenius + S.multiplicity + 1)
+            for p in (0, 0, 0, 101):
+                fld = PrimeField(p) if p else RATIONALS
+                b = rng.choice(bs)
+                positions = [i for i in range(1, S.frobenius + 1) if S.contains(b + i)]
+                tail = {
+                    i: fld.of(Fraction(rng.choice([1, -1, 2, -3, 5]), rng.choice([1, 2, 7, 12])))
+                    for i in rng.sample(positions, rng.randint(1, min(3, len(positions))))
+                }
+                Q = CanonicalIdeal(S, b, tail, fld)
+                for g in range(S.frobenius // S.multiplicity + 3):
+                    free = oracles.colon_free_columns_literal(gens, b, Q.unit_coeffs, g, p)
+                    where = (gens, b, tail, p, g)
+                    assert [min(v) for v in colon_power(Q, g).basis] == free, where
+                    assert _colon_min_valuation(Q, g) == (free[0] if free else None), where
+
+    def test_integer_pivots_match_fraction_elimination(self):
+        # low-rank integer systems force non-unit leads and cancellations,
+        # which generic membership systems rarely show
+        from gotonum.colon import _pivot_columns
+
+        rng = random.Random(461)
+        cols = range(9)
+        for p in (0, 0, 2, 3, 101):
+            for _ in range(40):
+                basis = [
+                    {c: v for c in cols if (v := rng.randint(-4, 4))}
+                    for _ in range(rng.randint(1, 6))
+                ]
+                rows = []
+                for _ in range(rng.randint(1, 10)):
+                    row = {}
+                    for vec in basis:
+                        k = rng.randint(-3, 3)
+                        for c, v in vec.items():
+                            row[c] = row.get(c, 0) + k * v
+                    row = {c: v % p if p else v for c, v in row.items()}
+                    rows.append({c: v for c, v in row.items() if v})
+                free = oracles.free_columns_descending(rows, cols, p)
+                pivots = _pivot_columns([dict(r) for r in rows if r], p)
+                assert sorted(pivots) == [c for c in cols if c not in free], (p, rows)
+
+    def test_scan_runs_without_field_arithmetic(self, monkeypatch):
+        # the rank-only scan eliminates on Python ints: no Rationals
+        # operation may run on a rational tail
+        from gotonum.fields import Rationals
+
+        Q = ideal((9, 19, 21), "x^30 + 1/2*x^36 - 7/12*x^38 + 5/3*x^49")
+        expected = oracles.goto_number_literal((9, 19, 21), Q.b, Q.unit_coeffs)
+
+        def forbidden(*args):
+            raise AssertionError("field arithmetic in the rank-only scan")
+
+        for name in ("add", "sub", "mul", "inv"):
+            monkeypatch.setattr(Rationals, name, forbidden)
+        assert goto_number(Q) == expected
 
 
 class TestColonByMonomials:

@@ -29,3 +29,14 @@ def test_no_floating_point():
             elif isinstance(node, ast.Name) and node.id == "float":
                 found.append(f"{path.name}:{node.lineno}: float")
     assert found == []
+
+
+def test_no_true_division():
+    # integer code must never pick up a float from `/`; exact quotients
+    # are Fraction(a, b) and integer ones //
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -22,6 +22,7 @@ from gotonum.ring import (
     parse_element,
 )
 
+import oracles
 from conftest import semigroup
 
 
@@ -179,6 +180,33 @@ class TestInvertUnit:
                 if e1 + e2 < 4:
                     prod[e1 + e2] = fp.add(prod.get(e1 + e2, 0), fp.mul(v1, v2))
         assert {e: v for e, v in prod.items() if v} == {0: 1}
+
+
+class TestPrimality:
+    def test_matches_trial_division(self):
+        from gotonum.fields import _is_prime
+
+        assert [n for n in range(-3, 20000) if _is_prime(n)] == [
+            n for n in range(-3, 20000) if oracles.is_prime_trial(n)
+        ]
+
+    def test_rejects_strong_pseudoprimes(self):
+        # 2047 fools base 2, 1373653 bases 2 and 3, 25326001 bases 2, 3, 5
+        from gotonum.fields import _is_prime
+
+        for n in (2047, 1373653, 25326001):
+            assert not _is_prime(n)
+            with pytest.raises(ValueError):
+                PrimeField(n)
+
+    def test_near_the_cap(self):
+        assert PrimeField(2**31 - 1).p == 2147483647
+        # 46327 * 46337: no factor below 46327, so trial division by the
+        # small witnesses alone would not reject it
+        with pytest.raises(ValueError):
+            PrimeField(46327 * 46337)
+        with pytest.raises(ValueError):
+            PrimeField(2**31 + 11)
 
 
 class TestCanonicalize:
