@@ -38,7 +38,6 @@ from .explorer import (
     SearchResult,
     monomial_table,
     search,
-    verify_monomial_lower_bound,
     verify_product_inequality,
 )
 from .fields import PrimeField, RATIONALS, Rationals, field_from_label
@@ -102,6 +101,5 @@ __all__ = [
     "run_golden_checks",
     "search",
     "stable_goto",
-    "verify_monomial_lower_bound",
     "verify_product_inequality",
 ]

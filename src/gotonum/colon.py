@@ -11,21 +11,28 @@ d = j - s, so the system holds one row per distinct shift.
 
 The Goto number is the last g whose colon stays inside the integral
 closure, i.e. has no element of valuation below b.  For a monomial Q that
-is read off escape orders (``goto_monomial``).  For every other Q one
-forward elimination per g decides it: with the largest column taken as
-pivot, a kernel vector led by column c exists exactly when c gets no
-pivot, so the colon's minimal valuation is the smallest free column and
-no kernel basis is built.  That scan runs on Python ints: over F_p the
-rows are reduced mod p, and over Q the substitution x -> Dx (D the lcm
-of the tail denominators) makes u^(-1) integral without moving a pivot,
-so the elimination is fraction-free.  ``colon_power`` and duality, which
-need the subspace itself, read the reduced kernel basis off a descending
-elimination over the field, on the same rows.
+is read off escape orders (``goto_monomial``).  For every other Q the
+scan starts at the monomial floor g(x^b) + 1, and one forward elimination
+per g decides it: with the largest column taken as pivot, a kernel vector
+led by column c exists exactly when c gets no pivot, so the colon's
+minimal valuation is the smallest free column and no kernel basis is
+built.  That scan runs on Python ints: over F_p the rows are reduced mod
+p, and over Q the substitution x -> Dx (D the lcm of the tail
+denominators) makes u^(-1) integral without moving a pivot, so the
+elimination is fraction-free.  ``colon_power`` and ``colon_by_monomials``,
+which need the subspace itself, read the reduced kernel basis off a
+descending elimination over the field, on the same rows.
+
+Duality works in R/Q, embedded by the same coefficients: phi(r) is r * u^(-1)
+read at the checked exponents.  m^i + Q maps onto the span of the images
+of the monomials of m-adic order at least i, so one integer echelon,
+filled by descending order, gives the largest i with a subspace inside
+m^i + Q for every i at once.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from math import gcd, lcm
 
 from .errors import (
@@ -145,29 +152,6 @@ class TruncatedSubspace:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def reduce_vector(self, vec):
-        """Residual of vec after elimination against the basis."""
-        zero = self.field.zero
-        out = dict(vec)
-        for row in self.basis:
-            p = min(row)
-            factor = out.get(p)
-            if factor is None:
-                continue
-            for c, v in row.items():
-                nv = self.field.sub(out.get(c, zero), self.field.mul(factor, v))
-                if nv == zero:
-                    out.pop(c, None)
-                else:
-                    out[c] = nv
-        return out
-
-    def contains_vector(self, vec) -> bool:
-        return not self.reduce_vector(vec)
-
-    def contains_subspace(self, other) -> bool:
-        return all(self.contains_vector(v) for v in other.basis)
-
     def __eq__(self, other):
         return (
             isinstance(other, TruncatedSubspace)
@@ -229,19 +213,20 @@ def _membership_rows(Q, multipliers, series):
 
 def _integer_series(Q):
     """The unit inverse as Python ints, with the modulus the scan reduces
-    by (0 over Q), cached.
+    by (0 over Q) and the scale D, cached.
 
-    Over F_p the coefficients of u^(-1) already are ints mod p.  Over Q,
-    with D the lcm of the tail denominators, w = (1 + sum u_i D^i x^i)^(-1)
-    has integer coefficients w_k = D^k uinv_k.  Entry c of the row of
-    shift d becomes D^(d - c) uinv_(d - c): the row scaled by D^d and
-    column c by D^(-c), which moves no pivot.
+    Over F_p the coefficients of u^(-1) already are ints mod p, and D = 1.
+    Over Q, with D the lcm of the tail denominators,
+    w = (1 + sum u_i D^i x^i)^(-1) has integer coefficients
+    w_k = D^k uinv_k.  Entry c of the row of shift d becomes
+    D^(d - c) uinv_(d - c): the row scaled by D^d and column c by D^(-c),
+    which moves no pivot.
     """
     cached = Q._engine_cache.get("zseries")
     if cached is None:
         hi = _context(Q)[0]
         if isinstance(Q.field, PrimeField):
-            cached = (Q.unit_inverse(hi + 1), Q.field.p)
+            cached = (Q.unit_inverse(hi + 1), Q.field.p, 1)
         else:
             tail = Q.unit_coeffs
             D = lcm(*(v.denominator for v in tail.values()))
@@ -254,54 +239,65 @@ def _integer_series(Q):
                 acc = sum(t * w[n - k] for k, t in scaled.items() if n - k in w)
                 if acc:
                     w[n] = -acc
-            cached = (w, 0)
+            cached = (w, 0, D)
         Q._engine_cache["zseries"] = cached
     return cached
+
+
+def _reduce(row, pivots, p):
+    """Residual of an integer row against stored pivot rows, the largest
+    column first; empty exactly when the row lies in their span.
+
+    Over F_p (p prime) reductions run mod p and a residual is scaled to
+    leading entry 1.  Over Q (p = 0) they stay in Z: the row is
+    cross-multiplied against the pivot row by their leading entries, and a
+    residual is divided by the gcd of its entries.  Consumes the row.
+    """
+    while row:
+        j = max(row)
+        prow = pivots.get(j)
+        if prow is None:
+            break
+        factor = row.pop(j)
+        if not p:
+            common = gcd(prow[j], factor)
+            scale = prow[j] // common
+            factor //= common
+            if scale != 1:
+                row = {c: scale * v for c, v in row.items()}
+        for c, v in prow.items():
+            if c == j:
+                continue
+            nv = row.get(c, 0) - factor * v
+            if p:
+                nv %= p
+            if nv:
+                row[c] = nv
+            else:
+                row.pop(c, None)
+    if row and p:
+        inv = pow(row[max(row)], -1, p)
+        if inv != 1:
+            row = {c: v * inv % p for c, v in row.items()}
+    elif row:
+        content = gcd(*row.values())
+        if content != 1:
+            row = {c: v // content for c, v in row.items()}
+    return row
 
 
 def _pivot_columns(rows, p):
     """Pivot columns of an integer system, the largest column taken as pivot.
 
-    Over F_p (p prime) each pivot row is scaled to leading entry 1 and
-    reductions run mod p.  Over Q (p = 0) the elimination stays in Z:
-    a row is cross-multiplied against the pivot row by their leading
-    entries, and every stored row is divided by the gcd of its entries.
-    Either way the pivot set is the field's rank profile.  Consumes rows.
+    Each row is reduced against the pivot rows stored so far and, if a
+    residual is left, stored under its largest column.  The pivot set is
+    the field's rank profile.  Consumes rows.
     """
     pivots = {}
     for row in rows:
-        while row:
-            j = max(row)
-            prow = pivots.get(j)
-            if prow is None:
-                lead = row[j]
-                if p:
-                    if lead != 1:
-                        inv = pow(lead, -1, p)
-                        row = {c: v * inv % p for c, v in row.items()}
-                else:
-                    content = gcd(*row.values())
-                    if content != 1:
-                        row = {c: v // content for c, v in row.items()}
-                pivots[j] = row
-                break
-            factor = row.pop(j)
-            if not p:
-                common = gcd(prow[j], factor)
-                scale = prow[j] // common
-                factor //= common
-                if scale != 1:
-                    row = {c: scale * v for c, v in row.items()}
-            for c, v in prow.items():
-                if c == j:
-                    continue
-                nv = row.get(c, 0) - factor * v
-                if p:
-                    nv %= p
-                if nv:
-                    row[c] = nv
-                else:
-                    row.pop(c, None)
+        row = _reduce(row, pivots, p)
+        if row:
+            pivots[max(row)] = row
     return pivots
 
 
@@ -350,7 +346,7 @@ def _colon_min_valuation(Q, g):
     ``_integer_series``, so the elimination makes no field calls.
     """
     hi, cols, _ = _context(Q)
-    series, p = _integer_series(Q)
+    series, p, _ = _integer_series(Q)
     rows = _membership_rows(Q, Q.semigroup._sums_upto(g, hi), series)
     pivots = _pivot_columns(rows, p)
     return next((c for c in cols if c not in pivots), None)
@@ -360,16 +356,19 @@ def goto_number(Q: CanonicalIdeal) -> int:
     """Largest g such that Q : m^g stays inside the integral closure of Q.
 
     A monomial Q goes to ``goto_monomial`` (escape orders).  Every other Q
-    is scanned over ascending g, one rank-only elimination per g, up to
-    the first colon that reaches below valuation b; the scan cannot
-    legitimately pass floor(f/a_1) + 1, so reaching floor(f/a_1) + 2
-    raises an internal error.
+    is scanned over ascending g from g(x^b) + 1, one rank-only elimination
+    per g, up to the first colon that reaches below valuation b.  That
+    floor holds since r in Q : m^g of valuation c < b puts x^c in
+    x^b R : m^g (compare valuations in r x^e in qR), and the colons grow
+    with g.  The scan cannot legitimately pass floor(f/a_1) + 1, so
+    reaching floor(f/a_1) + 2 raises an internal error.
     """
     S = Q.semigroup
+    floor = goto_monomial(S, Q.b)
     if not Q.unit_coeffs:
-        return goto_monomial(S, Q.b)
+        return floor
     cap = S.frobenius // S.multiplicity + 1
-    for g in range(1, cap + 2):
+    for g in range(floor + 1, cap + 2):
         mv = _colon_min_valuation(Q, g)
         if mv is not None and mv < Q.b:
             return g - 1
@@ -420,23 +419,93 @@ def ideal_image(Q: CanonicalIdeal, truncation=None) -> TruncatedSubspace:
     return TruncatedSubspace.span(S, fld, T, vectors)
 
 
-def is_integrally_closed(Q: CanonicalIdeal) -> bool:
-    """Compare the image of Q with the span of {x^e : e in G, e >= b}."""
+def _monomial_images(Q):
+    """The images phi(x^e) for e in G, e <= b + f, as integer rows, cached.
+
+    phi_j(r) is the coefficient of x^j in r * u^(-1) at a checked exponent
+    j; their common kernel is Q, so phi embeds R/Q.  Entry j of phi(x^e)
+    is series[j - e] for ``_integer_series``, whose rescaling x -> Dx
+    scales coordinate j and x^e and so moves no span.  Entry j is keyed
+    b + f - j, so that the echelon's largest key is the smallest exponent
+    and the images stay nearly triangular.
+    """
+    images = Q._engine_cache.get("images")
+    if images is None:
+        hi, cols, checked = _context(Q)
+        series = _integer_series(Q)[0]
+        images = {}
+        for e in cols:
+            above = checked[bisect_left(checked, e):]
+            images[e] = {hi - j: v for j in above if (v := series.get(j - e)) is not None}
+        Q._engine_cache["images"] = images
+    return images
+
+
+def _image(Q, vec):
+    """phi of a vector over Q's field as an integer row, up to a nonzero
+    factor: the sum of v_c phi(x^c) with the denominators of the v_c and
+    the D^c cleared over Q, and reduced mod p over F_p.  Exponents above
+    b + f have image 0."""
+    _, p, D = _integer_series(Q)
+    images = _monomial_images(Q)
+    coeffs = {c: v for c, v in vec.items() if c in images}
+    if not p:
+        N = lcm(*(v.denominator for v in coeffs.values()))
+        coeffs = {c: v.numerator * (N // v.denominator) * D**c for c, v in coeffs.items()}
+    row = {}
+    for c, k in coeffs.items():
+        for j, v in images[c].items():
+            row[j] = row.get(j, 0) + k * v
+    if p:
+        row = {j: v % p for j, v in row.items()}
+    return {j: v for j, v in row.items() if v}
+
+
+def _level(Q, vectors):
+    """Largest i with the span of the vectors (over Q's field) inside
+    m^i + Q; None when they lie in Q, hence in every m^i + Q.
+
+    m^i is spanned by the x^e with m-adic order at least i, so phi maps
+    m^i + Q onto L_i, the span of those images.  Inserting the images into
+    one integer echelon by descending order builds L_i for each order i in
+    turn, and the residuals of the vectors' images only ever shrink; the
+    first order at which they all vanish is the answer, and 0 when none
+    does.
+    """
+    p = _integer_series(Q)[1]
+    residuals = [row for vec in vectors if (row := _image(Q, vec))]
+    if not residuals:
+        return None
     S = Q.semigroup
-    T = Q.truncation
-    one = Q.field.one
-    closure = TruncatedSubspace.span(
-        S, Q.field, T, [{e: one} for e in S.members(Q.b, T - 1)]
-    )
-    return ideal_image(Q) == closure
+    by_order = {}
+    for e, row in _monomial_images(Q).items():
+        if e and row:
+            by_order.setdefault(S.madic_order(e), []).append(row)
+    pivots = {}
+    for i in sorted(by_order, reverse=True):
+        for row in by_order[i]:
+            row = _reduce(dict(row), pivots, p)
+            if row:
+                pivots[max(row)] = row
+        residuals = [row for r in residuals if (row := _reduce(r, pivots, p))]
+        if not residuals:
+            return i
+    return 0
+
+
+def is_integrally_closed(Q: CanonicalIdeal) -> bool:
+    """Q is inside its closure, spanned by {x^e : e in G, e >= b}; they are
+    equal exactly when every such x^e with e <= b + f lies in Q, i.e. has
+    image 0 in R/Q."""
+    return not any(row for e, row in _monomial_images(Q).items() if e >= Q.b)
 
 
 def contained_in_power_sum(V: TruncatedSubspace, i: int, Q: CanonicalIdeal) -> bool:
-    """Decide V <= m^i + Q inside R / x^T R.
+    """Decide V <= m^i + Q, as "the level of V in R/Q is at least i".
 
     Needs T >= max(b, i*a_1) + f + 1: elements of valuation at least
     i*a_1 + f + 1 factor as x^(i*a_1) times a conductor element, hence lie
-    in m^i, so the truncated comparison decides the real containment.
+    in m^i, so the truncated subspace decides the real containment.
     """
     if i < 0:
         raise ValueError(f"need i >= 0, got {i}")
@@ -448,23 +517,10 @@ def contained_in_power_sum(V: TruncatedSubspace, i: int, Q: CanonicalIdeal) -> b
         raise TruncationTooSmall(
             f"containment at i = {i} needs truncation >= {needed}, got {T}"
         )
-    if i == 0 or not V.basis:
+    if i == 0:
         return True
-    fld = Q.field
-    one = fld.one
-    vectors = [
-        {e: one}
-        for e in S.members(1, T - 1)
-        if S.madic_order(e) >= i
-    ]
-    for e in S.members(0, T - 1 - Q.b):
-        vec = {Q.b + e: one}
-        for pos, v in Q.unit_coeffs.items():
-            if Q.b + e + pos < T:
-                vec[Q.b + e + pos] = v
-        vectors.append(vec)
-    W = TruncatedSubspace.span(S, fld, T, vectors)
-    return W.contains_subspace(V)
+    level = _level(Q, V.basis)
+    return level is None or level >= i
 
 
 def _closure_generator_exponents(Q):
@@ -488,7 +544,8 @@ def dual_goto(Q: CanonicalIdeal) -> int:
 
     With J = Q : (integral closure of Q), the Goto number equals
     max{i : J <= m^i + Q} whenever the semigroup is symmetric and Q is
-    strictly smaller than its closure.
+    strictly smaller than its closure.  J is built once, at the default
+    truncation: what a wider one adds lies in x^b times the conductor.
     """
     S = Q.semigroup
     if not S.is_symmetric():
@@ -497,21 +554,14 @@ def dual_goto(Q: CanonicalIdeal) -> int:
         )
     if is_integrally_closed(Q):
         raise ClosedIdeal("duality requires Q strictly inside its closure")
-    a1 = S.multiplicity
-    f = max(S.frobenius, 0)
-    closure_exps = _closure_generator_exponents(Q)
-    cap = S.frobenius // a1 + 2
-    best = 0
-    for i in range(1, cap + 1):
-        T_i = max(Q.b, i * a1) + f + 1
-        J = colon_by_monomials(Q, closure_exps, truncation=T_i)
-        if contained_in_power_sum(J, i, Q):
-            best = i
-        else:
-            return best
-    raise BoundViolation(
-        f"duality value for ({Q}) escaped the bound {cap}"
-    )
+    J = colon_by_monomials(Q, _closure_generator_exponents(Q))
+    cap = S.frobenius // S.multiplicity + 2
+    level = _level(Q, J.basis)
+    if level is None or level >= cap:
+        raise BoundViolation(
+            f"duality value for ({Q}) escaped the bound {cap}"
+        )
+    return level
 
 
 def conductor_dual_goto(Q: CanonicalIdeal) -> int:
@@ -528,19 +578,12 @@ def conductor_dual_goto(Q: CanonicalIdeal) -> int:
         )
     one = Q.field.one
     hard_cap = (Q.b + max(f, 0)) // S.multiplicity + 3
-    best = 0
-    for i in range(1, hard_cap + 1):
-        T_i = max(Q.b, i * S.multiplicity) + max(f, 0) + 1
-        V = TruncatedSubspace.span(
-            S, Q.field, T_i, [{e: one} for e in S.conductor_generators]
+    level = _level(Q, [{e: one} for e in S.conductor_generators])
+    if level is None or level >= hard_cap:
+        raise BoundViolation(
+            f"conductor containment for ({Q}) never failed up to i = {hard_cap}"
         )
-        if contained_in_power_sum(V, i, Q):
-            best = i
-        else:
-            return best
-    raise BoundViolation(
-        f"conductor containment for ({Q}) never failed up to i = {hard_cap}"
-    )
+    return level
 
 
 def index_of_nilpotency(Q: CanonicalIdeal) -> int:

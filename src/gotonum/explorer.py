@@ -218,49 +218,6 @@ def verify_product_inequality(S, pairs) -> ProductInequalityReport:
     return ProductInequalityReport(checks)
 
 
-@dataclass(frozen=True)
-class LowerBoundCheck:
-    b: int
-    goto: int
-    monomial_goto: int
-    ok: bool
-    strict: bool
-
-
-@dataclass
-class MonomialLowerBoundReport:
-    checks: list
-
-    @property
-    def all_ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    @property
-    def strict_witnesses(self):
-        return [c for c in self.checks if c.strict]
-
-
-def verify_monomial_lower_bound(S, result: SearchResult) -> MonomialLowerBoundReport:
-    """Check g(Q) >= g(x^b) for every record of a search run."""
-    checks = []
-    cache = {}
-    for rec in result.records:
-        gm = cache.get(rec.b)
-        if gm is None:
-            gm = goto_monomial(S, rec.b)
-            cache[rec.b] = gm
-        checks.append(
-            LowerBoundCheck(
-                b=rec.b,
-                goto=rec.goto,
-                monomial_goto=gm,
-                ok=rec.goto >= gm,
-                strict=rec.goto > gm,
-            )
-        )
-    return MonomialLowerBoundReport(checks)
-
-
 def check_search_envelope(S, result: SearchResult):
     """Every observed Goto number must lie between the stable value and the
     global bound.  Returns (stable, bound); raises BoundViolation on the

@@ -9,12 +9,22 @@ non-monomial ideals come from the literal membership system, one row per
 (multiplier, checked exponent) pair, eliminated over Fraction or mod p;
 primes from trial division.  Pure-power Goto numbers in a regular local
 ring come from the staircase of Q : m^g, one dilation step per g.
+Duality values come from the per-i span route: for every i the colon
+J = Q : closure at a truncation wide enough for m^i, the span of
+m^i + Q over the field, and a reduction of each basis vector of J.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd, isqrt
 
+from gotonum.colon import (
+    TruncatedSubspace,
+    _closure_generator_exponents,
+    colon_by_monomials,
+    ideal_image,
+)
+from gotonum.errors import BoundViolation, ClosedIdeal, NotGorenstein, NotInConductor
 from gotonum.regular import MonomialIdeal, pure_power_integral
 
 
@@ -260,3 +270,81 @@ def goto_number_literal(gens, b, tail, p=0):
         if free and free[0] < b:
             return g - 1
     raise AssertionError("colon chain never dropped below the valuation")
+
+
+def reduce_vector(basis, vec, field):
+    """Residual of vec after elimination against a reduced echelon basis
+    (sparse vectors, each led by its smallest exponent)."""
+    out = dict(vec)
+    for row in basis:
+        factor = out.get(min(row))
+        if factor is None:
+            continue
+        for c, v in row.items():
+            nv = field.sub(out.get(c, field.zero), field.mul(factor, v))
+            if nv == field.zero:
+                out.pop(c, None)
+            else:
+                out[c] = nv
+    return out
+
+
+def contains_subspace(W, V):
+    """V <= W for truncated subspaces over one field."""
+    return all(not reduce_vector(W.basis, v, W.field) for v in V.basis)
+
+
+def contained_in_power_sum_spans(V, i, Q):
+    """V <= m^i + Q inside R / x^T, T the truncation of V, by spanning the
+    monomials of order >= i and the shifts of the generator over the field
+    and reducing every basis vector of V against that span."""
+    if i == 0 or not V.basis:
+        return True
+    S, T, fld = V.semigroup, V.truncation, Q.field
+    vectors = [{e: fld.one} for e in S.members(1, T - 1) if S.madic_order(e) >= i]
+    for e in S.members(0, T - 1 - Q.b):
+        vec = {Q.b + e: fld.one}
+        for pos, v in Q.unit_coeffs.items():
+            if Q.b + e + pos < T:
+                vec[Q.b + e + pos] = v
+        vectors.append(vec)
+    return contains_subspace(TruncatedSubspace.span(S, fld, T, vectors), V)
+
+
+def dual_goto_spans(Q):
+    """The duality value max{i : Q : closure <= m^i + Q}, one colon and one
+    span per i, with the library's errors and messages."""
+    S = Q.semigroup
+    if not S.is_symmetric():
+        raise NotGorenstein(f"duality requires a symmetric semigroup, {S.generators} is not")
+    closure = TruncatedSubspace.span(
+        S, Q.field, Q.truncation, [{e: Q.field.one} for e in S.members(Q.b, Q.truncation - 1)]
+    )
+    if ideal_image(Q) == closure:
+        raise ClosedIdeal("duality requires Q strictly inside its closure")
+    a1, f = S.multiplicity, max(S.frobenius, 0)
+    closure_exps = _closure_generator_exponents(Q)
+    cap = S.frobenius // a1 + 2
+    for i in range(1, cap + 1):
+        J = colon_by_monomials(Q, closure_exps, truncation=max(Q.b, i * a1) + f + 1)
+        if not contained_in_power_sum_spans(J, i, Q):
+            return i - 1
+    raise BoundViolation(f"duality value for ({Q}) escaped the bound {cap}")
+
+
+def conductor_dual_goto_spans(Q):
+    """max{i : conductor <= m^i + Q} for b > f, one span per i, with the
+    library's errors and messages."""
+    S = Q.semigroup
+    f = S.frobenius
+    if Q.b <= f:
+        raise NotInConductor(f"generator valuation {Q.b} must exceed the Frobenius number {f}")
+    hard_cap = (Q.b + max(f, 0)) // S.multiplicity + 3
+    for i in range(1, hard_cap + 1):
+        T = max(Q.b, i * S.multiplicity) + max(f, 0) + 1
+        V = TruncatedSubspace.span(
+            S, Q.field, T, [{e: Q.field.one} for e in S.conductor_generators]
+        )
+        if not contained_in_power_sum_spans(V, i, Q):
+            return i - 1
+    raise BoundViolation(f"conductor containment for ({Q}) never failed up to i = {hard_cap}")

@@ -20,12 +20,14 @@ from gotonum.colon import (
 )
 from gotonum.errors import (
     ClosedIdeal,
+    GotoNumberError,
     NotAReduction,
     NotGorenstein,
     NotInConductor,
     NotInSemigroup,
     TruncationTooSmall,
 )
+from gotonum.explorer import SearchConfig, search
 from gotonum.fields import RATIONALS, PrimeField
 from gotonum.ring import CanonicalIdeal, canonicalize, parse_element
 
@@ -91,7 +93,7 @@ class TestColonPower:
             for g in range(cap + 1):
                 lo = colon_power(Q, g)
                 hi = colon_power(Q, g + 1)
-                assert hi.contains_subspace(lo), (gens, text, g)
+                assert oracles.contains_subspace(hi, lo), (gens, text, g)
 
     def test_integrality_monotone(self):
         Q = ideal((5, 11), "x^40 + x^44")
@@ -163,6 +165,73 @@ class TestGotoNumber:
             S = semigroup(5, 11)
             Q = canonicalize(parse_element("x^40+x^44", S, fp))
             assert goto_number(Q) == 5, p
+
+
+def _seeded_tails(rng, gens, count, fields):
+    """count seeded ideals x^b(1 + tail) over <gens>, b up to f + a_1 + 1,
+    with one to three tail terms; the field cycles through fields."""
+    S = semigroup(*gens)
+    bs = S.members(1, S.frobenius + S.multiplicity + 1)
+    out = []
+    while len(out) < count:
+        fld = fields[len(out) % len(fields)]
+        b = rng.choice(bs)
+        positions = [i for i in range(1, S.frobenius + 1) if S.contains(b + i)]
+        if not positions:
+            continue
+        tail = {
+            i: fld.of(Fraction(rng.choice([1, -1, 2, 3, -5]), rng.choice([1, 1, 5, 7])))
+            for i in rng.sample(positions, rng.randint(1, min(3, len(positions))))
+        }
+        Q = CanonicalIdeal(S, b, tail, fld)
+        if Q.unit_coeffs:
+            out.append(Q)
+    return out
+
+
+class TestMonomialFloor:
+    def _ideals(self):
+        # a seeded sample of the 0/1 forms over <4,7,9> at b = 7, 9 (a
+        # quarter of all of them lie strictly above the floor), and seeded
+        # tails over Q and F_101 on three more semigroups
+        rng = random.Random(7049)
+        S = semigroup(4, 7, 9)
+        records = search(SearchConfig(semigroup=S, b_values=(7, 9))).records
+        ideals = [rec.ideal(S) for rec in rng.sample(records, 60) if rec.coeffs]
+        ideals.append(ideal((5, 11), "x^40+x^44"))
+        fields = [RATIONALS, RATIONALS, PrimeField(101)]
+        for gens in [(5, 11), (9, 19, 21), (4, 6, 7)]:
+            ideals += _seeded_tails(rng, gens, 10, fields)
+        return ideals
+
+    def test_matches_literal_oracle_above_the_floor(self):
+        # the scan starts at g(x^b) + 1; the literal oracle scans from
+        # g = 1 and shares no code with gotonum.colon
+        above = 0
+        for Q in self._ideals():
+            gens, p = Q.semigroup.generators, getattr(Q.field, "p", 0)
+            g = goto_number(Q)
+            assert g == oracles.goto_number_literal(gens, Q.b, Q.unit_coeffs, p), Q
+            above += g > goto_monomial(Q.semigroup, Q.b)
+        assert above >= 10
+
+    def test_scan_starts_at_the_floor(self, monkeypatch):
+        import gotonum.colon as colon
+
+        seen = []
+        original = colon._colon_min_valuation
+
+        def recording(Q, g):
+            seen.append(g)
+            return original(Q, g)
+
+        monkeypatch.setattr(colon, "_colon_min_valuation", recording)
+        for Q in self._ideals():
+            seen.clear()
+            g = goto_number(Q)
+            floor = goto_monomial(Q.semigroup, Q.b)
+            assert seen and seen[0] == floor + 1, (Q, seen)
+            assert seen == list(range(floor + 1, g + 2)), (Q, seen)
 
 
 class TestGotoMonomial:
@@ -256,7 +325,7 @@ class TestGotoMonomial:
             Q = CanonicalIdeal(S, b, tail, fld)
             # the scan's integer series is u^(-1) itself over F_p, and over Q
             # its rescaling by x -> Dx, D the lcm of the tail denominators
-            series, p = _integer_series(Q)
+            series, p, _ = _integer_series(Q)
             uinv = Q.unit_inverse(Q.truncation)
             D = 1 if p else math.lcm(*(v.denominator for v in tail.values()))
             assert series == {k: D**k * v for k, v in uinv.items()}, (tail, fld)
@@ -420,6 +489,41 @@ class TestDuality:
         assert not is_integrally_closed(ideal((3, 5), "x^5"))
         assert not is_integrally_closed(ideal((5, 11), "x^40+x^44"))
         assert is_integrally_closed(CanonicalIdeal(semigroup(1), 2))
+
+    def test_matches_span_route_oracle(self):
+        # one echelon in R/Q against the per-i route of oracles (a colon
+        # at the truncation T_i, the span of m^i + Q over the field and a
+        # reduction of every basis vector), on values and on errors, for
+        # dual_goto, conductor_dual_goto and contained_in_power_sum
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except GotoNumberError as exc:
+                return type(exc).__name__, str(exc)
+
+        rng = random.Random(6151)
+        fields = [RATIONALS, PrimeField(2), PrimeField(3), PrimeField(101)]
+        ideals = [CanonicalIdeal(semigroup(1), b, None, fld) for b in (1, 4) for fld in fields]
+        for gens in [(3, 5), (5, 7), (4, 5, 6), (5, 11), (3, 7), (7, 9), (4, 7, 9), (4, 5, 11)]:
+            S = semigroup(*gens)
+            ideals += [CanonicalIdeal(S, b, None, fields[b % 4]) for b in S.members(1, 2 * S.frobenius)[::3]]
+            ideals += _seeded_tails(rng, gens, 8, fields)
+        kinds = set()
+        for Q in ideals:
+            got = outcome(dual_goto, Q)
+            assert got == outcome(oracles.dual_goto_spans, Q), Q
+            kinds.add(got if isinstance(got, tuple) else "value")
+            assert outcome(conductor_dual_goto, Q) == outcome(
+                oracles.conductor_dual_goto_spans, Q
+            ), Q
+            S = Q.semigroup
+            V = colon_power(Q, 1, truncation=Q.truncation + 2 * S.multiplicity)
+            for i in (1, 2, 3):
+                assert contained_in_power_sum(V, i, Q) == oracles.contained_in_power_sum_spans(
+                    V, i, Q
+                ), (Q, i)
+        assert {kind[0] for kind in kinds if kind != "value"} == {"ClosedIdeal", "NotGorenstein"}
+        assert "value" in kinds
 
 
 class TestConductorDuality:
