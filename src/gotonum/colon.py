@@ -20,8 +20,9 @@ built.  That scan runs on Python ints: over F_p the rows are reduced mod
 p, and over Q the substitution x -> Dx (D the lcm of the tail
 denominators) makes u^(-1) integral without moving a pivot, so the
 elimination is fraction-free.  ``colon_power`` and ``colon_by_monomials``,
-which need the subspace itself, read the reduced kernel basis off a
-descending elimination over the field, on the same rows.
+which need the subspace itself, finish the same integer echelon with a
+back substitution and read the reduced kernel basis off it, and
+``TruncatedSubspace.span`` runs it on exponents keyed in reverse.
 
 Duality works in R/Q, embedded by the same coefficients: phi(r) is r * u^(-1)
 read at the checked exponents.  m^i + Q maps onto the span of the images
@@ -33,91 +34,128 @@ m^i + Q for every i at once.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import (
     BoundViolation,
     ClosedIdeal,
+    MixedField,
+    MixedSemigroup,
     NotAReduction,
     NotGorenstein,
     NotInConductor,
     NotInSemigroup,
     TruncationTooSmall,
 )
-from .fields import PrimeField
-from .ring import CanonicalIdeal, RingElement
+from .ring import CanonicalIdeal
 
-# -- exact sparse row echelon --------------------------------------------
+# -- exact integer row echelon ---------------------------------------------
 
 
-def _forward_eliminate(rows, field, lead):
-    """Sparse forward elimination, taking ``lead(row)`` as each row's pivot
-    column (``min`` for spans, ``max`` for kernels).  Returns {pivot column
-    -> row} with each stored row normalized to pivot coefficient 1."""
-    zero = field.zero
-    pivots = {}
-    for incoming in rows:
-        row = dict(incoming)
-        while row:
-            j = lead(row)
-            prow = pivots.get(j)
-            if prow is None:
-                lead_coef = row[j]
-                if lead_coef != field.one:
-                    inv = field.inv(lead_coef)
-                    row = {c: field.mul(inv, v) for c, v in row.items()}
-                pivots[j] = row
-                break
-            factor = row.pop(j)
-            for c, v in prow.items():
-                if c == j:
-                    continue
-                nv = field.sub(row.get(c, zero), field.mul(factor, v))
-                if nv == zero:
-                    row.pop(c, None)
-                else:
-                    row[c] = nv
+def _eliminate(row, j, prow, p):
+    """The row with column j cleared by the pivot row prow, as an integer
+    row.  Over F_p (p prime) prow has entry 1 at j and the update runs
+    mod p.  Over Q (p = 0) the row is first scaled by prow[j] over its gcd
+    with row[j] (a cross-multiplication), so the result stays in Z.
+    Consumes the row."""
+    factor = row.pop(j)
+    if not p:
+        common = gcd(prow[j], factor)
+        scale = prow[j] // common
+        factor //= common
+        if scale != 1:
+            row = {c: scale * v for c, v in row.items()}
+    for c, v in prow.items():
+        if c == j:
+            continue
+        nv = row.get(c, 0) - factor * v
+        if p:
+            nv %= p
+        if nv:
+            row[c] = nv
+        else:
+            row.pop(c, None)
+    return row
+
+
+def _reduce(row, pivots, p):
+    """Residual of an integer row against stored pivot rows, the largest
+    column first; empty exactly when the row lies in their span.
+
+    A residual is scaled to leading entry 1 over F_p and divided by the
+    gcd of its entries over Q.  Consumes the row.
+    """
+    while row:
+        j = max(row)
+        prow = pivots.get(j)
+        if prow is None:
+            break
+        row = _eliminate(row, j, prow, p)
+    if row and p:
+        inv = pow(row[max(row)], -1, p)
+        if inv != 1:
+            row = {c: v * inv % p for c, v in row.items()}
+    elif row:
+        content = gcd(*row.values())
+        if content != 1:
+            row = {c: v // content for c, v in row.items()}
+    return row
+
+
+def _pivot_columns(rows, p, pivots=None):
+    """Pivot columns of an integer system, the largest column taken as pivot.
+
+    Each row is reduced against the pivot rows stored so far (those of
+    ``pivots`` first, when given, which is then extended) and, if a
+    residual is left, stored under its largest column.  The pivot set is
+    the field's rank profile.  Consumes rows.
+    """
+    pivots = {} if pivots is None else pivots
+    for row in rows:
+        row = _reduce(row, pivots, p)
+        if row:
+            pivots[max(row)] = row
     return pivots
 
 
-def _back_substitute(pivots, field):
-    """Clear each pivot column from every other row (full RREF), in place.
+def _back_substitute(pivots, p):
+    """Clear each pivot column from every other pivot row, in place.
 
-    The result does not depend on the order.  Taking rows shortest first
-    finishes each row before it is subtracted from the others, in an
-    echelon form of either direction.
+    Every row holds its pivot q and columns below q.  Taking the pivots
+    ascending, row q is already free of the smaller pivot columns when it
+    clears column q from the larger rows, so it brings no pivot column
+    back.  Afterwards row q holds q and free columns only; its leading
+    entry is still 1 over F_p.
     """
-    zero = field.zero
-    for j in sorted(pivots, key=lambda p: len(pivots[p])):
-        prow = pivots[j]
-        for j2, row in pivots.items():
-            factor = row.get(j)
-            if factor is None or j2 == j:
-                continue
-            for c, v in prow.items():
-                nv = field.sub(row.get(c, zero), field.mul(factor, v))
-                if nv == zero:
-                    row.pop(c, None)
-                else:
-                    row[c] = nv
+    order = sorted(pivots)
+    for k, q in enumerate(order):
+        prow = pivots[q]
+        for r in order[k + 1:]:
+            if q in pivots[r]:
+                pivots[r] = _eliminate(pivots[r], q, prow, p)
     return pivots
 
 
-def _kernel_basis(rows, cols, field):
-    """Reduced basis of the kernel of the system, leading exponents ascending.
+def _kernel_basis(rows, cols, p, D):
+    """Reduced basis of the kernel of an integer system whose column c was
+    scaled by D^(-c) (see ``_integer_series``), leading exponents
+    ascending, with scalars mod p over F_p and Fractions over Q.
 
-    After a descending RREF each pivot row holds its pivot p and free
-    columns below p only.  A free column c therefore gives the kernel
-    vector e_c - sum prow_p[c] e_p with every p > c, and these vectors are
-    already the reduced echelon basis: no other one has a coefficient at c.
+    After the descending echelon and back substitution, a free column c
+    gives the kernel vector x_c = 1, x_q = -prow_q[c] / prow_q[q] for each
+    pivot q > c, in the scaled coordinates; multiplying x_q by
+    D^(c - q) undoes the scaling.  These vectors are already the reduced
+    echelon basis: no other one has a coefficient at c.
     """
-    pivots = _back_substitute(_forward_eliminate(rows, field, max), field)
-    one = field.one
+    pivots = _back_substitute(_pivot_columns(rows, p), p)
+    one = 1 if p else Fraction(1)
     basis = {c: {c: one} for c in cols if c not in pivots}
-    for p, prow in pivots.items():
+    for q, prow in pivots.items():
+        lead = prow[q]
         for c, v in prow.items():
-            if c != p:
-                basis[c][p] = field.neg(v)
+            if c != q:
+                basis[c][q] = -v % p if p else Fraction(-v, lead * D ** (q - c))
     return list(basis.values())
 
 
@@ -139,8 +177,27 @@ class TruncatedSubspace:
 
     @classmethod
     def span(cls, semigroup, field, truncation, vectors):
-        reduced = _back_substitute(_forward_eliminate(vectors, field, min), field)
-        return cls(semigroup, field, truncation, [reduced[j] for j in sorted(reduced)])
+        """The span of sparse vectors over the field, in reduced echelon form.
+
+        Each vector becomes an integer row, its denominators cleared over
+        Q, with exponent c keyed -c, so that the echelon's largest key is
+        the smallest exponent.  Each reduced row is divided by its lead.
+        """
+        p = getattr(field, "p", 0)
+        rows = []
+        for vec in vectors:
+            if p:
+                rows.append({-c: r for c, v in vec.items() if (r := v % p)})
+            else:
+                N = lcm(*(v.denominator for v in vec.values()))
+                rows.append({-c: v.numerator * (N // v.denominator) for c, v in vec.items() if v})
+        pivots = _back_substitute(_pivot_columns(rows, p), p)
+        basis = []
+        for key in sorted(pivots, reverse=True):
+            prow = pivots[key]
+            lead = prow[key]
+            basis.append({-c: v if p else Fraction(v, lead) for c, v in prow.items()})
+        return cls(semigroup, field, truncation, basis)
 
     def min_valuation(self):
         """Smallest pivot exponent; None for the zero subspace."""
@@ -215,90 +272,37 @@ def _integer_series(Q):
     """The unit inverse as Python ints, with the modulus the scan reduces
     by (0 over Q) and the scale D, cached.
 
-    Over F_p the coefficients of u^(-1) already are ints mod p, and D = 1.
-    Over Q, with D the lcm of the tail denominators,
+    Over F_p the coefficients of u^(-1) are ints mod p, and D = 1.  Over
+    Q, with D the lcm of the tail denominators,
     w = (1 + sum u_i D^i x^i)^(-1) has integer coefficients
     w_k = D^k uinv_k.  Entry c of the row of shift d becomes
     D^(d - c) uinv_(d - c): the row scaled by D^d and column c by D^(-c),
-    which moves no pivot.
+    which moves no pivot.  Both run the recurrence w_n = -sum t_k w_(n-k)
+    of the inverse, mod p over F_p.
     """
     cached = Q._engine_cache.get("zseries")
     if cached is None:
         hi = _context(Q)[0]
-        if isinstance(Q.field, PrimeField):
-            cached = (Q.unit_inverse(hi + 1), Q.field.p, 1)
+        tail = Q.unit_coeffs
+        p = getattr(Q.field, "p", 0)
+        if p:
+            D, scaled = 1, tail
         else:
-            tail = Q.unit_coeffs
             D = lcm(*(v.denominator for v in tail.values()))
             scaled = {
                 i: v.numerator * (D // v.denominator) * D ** (i - 1)
                 for i, v in tail.items()
             }
-            w = {0: 1}
-            for n in range(1, hi + 1):
-                acc = sum(t * w[n - k] for k, t in scaled.items() if n - k in w)
-                if acc:
-                    w[n] = -acc
-            cached = (w, 0, D)
+        w = {0: 1}
+        for n in range(1, hi + 1):
+            acc = -sum(t * w[n - k] for k, t in scaled.items() if n - k in w)
+            if p:
+                acc %= p
+            if acc:
+                w[n] = acc
+        cached = (w, p, D)
         Q._engine_cache["zseries"] = cached
     return cached
-
-
-def _reduce(row, pivots, p):
-    """Residual of an integer row against stored pivot rows, the largest
-    column first; empty exactly when the row lies in their span.
-
-    Over F_p (p prime) reductions run mod p and a residual is scaled to
-    leading entry 1.  Over Q (p = 0) they stay in Z: the row is
-    cross-multiplied against the pivot row by their leading entries, and a
-    residual is divided by the gcd of its entries.  Consumes the row.
-    """
-    while row:
-        j = max(row)
-        prow = pivots.get(j)
-        if prow is None:
-            break
-        factor = row.pop(j)
-        if not p:
-            common = gcd(prow[j], factor)
-            scale = prow[j] // common
-            factor //= common
-            if scale != 1:
-                row = {c: scale * v for c, v in row.items()}
-        for c, v in prow.items():
-            if c == j:
-                continue
-            nv = row.get(c, 0) - factor * v
-            if p:
-                nv %= p
-            if nv:
-                row[c] = nv
-            else:
-                row.pop(c, None)
-    if row and p:
-        inv = pow(row[max(row)], -1, p)
-        if inv != 1:
-            row = {c: v * inv % p for c, v in row.items()}
-    elif row:
-        content = gcd(*row.values())
-        if content != 1:
-            row = {c: v // content for c, v in row.items()}
-    return row
-
-
-def _pivot_columns(rows, p):
-    """Pivot columns of an integer system, the largest column taken as pivot.
-
-    Each row is reduced against the pivot rows stored so far and, if a
-    residual is left, stored under its largest column.  The pivot set is
-    the field's rank profile.  Consumes rows.
-    """
-    pivots = {}
-    for row in rows:
-        row = _reduce(row, pivots, p)
-        if row:
-            pivots[max(row)] = row
-    return pivots
 
 
 def _colon(Q, multipliers, truncation):
@@ -310,9 +314,10 @@ def _colon(Q, multipliers, truncation):
             f"colon needs truncation >= {Q.truncation}, got {truncation}"
         )
     S = Q.semigroup
-    rows = _membership_rows(Q, multipliers, Q.unit_inverse(_context(Q)[0] + 1))
+    series, p, D = _integer_series(Q)
+    rows = _membership_rows(Q, multipliers, series)
     cols = S.members(0, truncation - 1)
-    return TruncatedSubspace(S, Q.field, truncation, _kernel_basis(rows, cols, Q.field))
+    return TruncatedSubspace(S, Q.field, truncation, _kernel_basis(rows, cols, p, D))
 
 
 def colon_power(Q: CanonicalIdeal, g: int, truncation=None) -> TruncatedSubspace:
@@ -342,8 +347,7 @@ def _colon_min_valuation(Q, g):
     With the largest column taken as pivot, column c gets no pivot exactly
     when it lies in the span of the larger columns, i.e. when some kernel
     vector is led by x^c.  So the smallest free column is the answer, with
-    no back substitution and no kernel basis.  The rows are built from
-    ``_integer_series``, so the elimination makes no field calls.
+    no back substitution and no kernel basis.
     """
     hi, cols, _ = _context(Q)
     series, p, _ = _integer_series(Q)
@@ -406,17 +410,14 @@ def goto_monomial(S, b: int) -> int:
 
 def ideal_image(Q: CanonicalIdeal, truncation=None) -> TruncatedSubspace:
     """The image of Q in R / x^T R, spanned by the shifts q * x^e."""
-    S = Q.semigroup
+    S, b = Q.semigroup, Q.b
     T = truncation if truncation is not None else Q.truncation
-    fld = Q.field
-    vectors = []
-    for e in S.members(0, T - 1 - Q.b):
-        vec = {Q.b + e: fld.one}
-        for i, v in Q.unit_coeffs.items():
-            if Q.b + e + i < T:
-                vec[Q.b + e + i] = v
-        vectors.append(vec)
-    return TruncatedSubspace.span(S, fld, T, vectors)
+    unit = {0: Q.field.one, **Q.unit_coeffs}
+    vectors = [
+        {b + e + i: v for i, v in unit.items() if b + e + i < T}
+        for e in S.members(0, T - 1 - b)
+    ]
+    return TruncatedSubspace.span(S, Q.field, T, vectors)
 
 
 def _monomial_images(Q):
@@ -456,9 +457,7 @@ def _image(Q, vec):
     for c, k in coeffs.items():
         for j, v in images[c].items():
             row[j] = row.get(j, 0) + k * v
-    if p:
-        row = {j: v % p for j, v in row.items()}
-    return {j: v for j, v in row.items() if v}
+    return {j: r for j, v in row.items() if (r := v % p if p else v)}
 
 
 def _level(Q, vectors):
@@ -480,13 +479,10 @@ def _level(Q, vectors):
     by_order = {}
     for e, row in _monomial_images(Q).items():
         if e and row:
-            by_order.setdefault(S.madic_order(e), []).append(row)
+            by_order.setdefault(S.madic_order(e), []).append(dict(row))
     pivots = {}
     for i in sorted(by_order, reverse=True):
-        for row in by_order[i]:
-            row = _reduce(dict(row), pivots, p)
-            if row:
-                pivots[max(row)] = row
+        _pivot_columns(by_order[i], p, pivots)
         residuals = [row for r in residuals if (row := _reduce(r, pivots, p))]
         if not residuals:
             return i
@@ -507,6 +503,10 @@ def contained_in_power_sum(V: TruncatedSubspace, i: int, Q: CanonicalIdeal) -> b
     i*a_1 + f + 1 factor as x^(i*a_1) times a conductor element, hence lie
     in m^i, so the truncated subspace decides the real containment.
     """
+    if V.semigroup != Q.semigroup:
+        raise MixedSemigroup("subspace and ideal over different semigroups")
+    if V.field != Q.field:
+        raise MixedField("subspace and ideal over different fields")
     if i < 0:
         raise ValueError(f"need i >= 0, got {i}")
     S = V.semigroup
@@ -525,18 +525,10 @@ def contained_in_power_sum(V: TruncatedSubspace, i: int, Q: CanonicalIdeal) -> b
 
 def _closure_generator_exponents(Q):
     """Monomial generators of the integral closure of Q as an ideal:
-    exponents e in G with b <= e <= b + f + 1 (higher monomials are
-    x^(a_1)-multiples of lower ones; checked below on a window)."""
+    exponents e in G with b <= e <= b + f + 1.  Every larger member e has
+    e - b > f in G, so x^e is a multiple of x^b."""
     S = Q.semigroup
-    gens = S.members(Q.b, Q.b + max(S.frobenius, 0) + 1)
-    if not all(
-        any(S.contains(e - c) for c in gens)
-        for e in S.members(Q.b, Q.b + 2 * max(S.frobenius, 1))
-    ):
-        raise BoundViolation(
-            f"closure generators of ({Q}) up to x^{gens[-1]} miss a monomial"
-        )
-    return gens
+    return S.members(Q.b, Q.b + max(S.frobenius, 0) + 1)
 
 
 def dual_goto(Q: CanonicalIdeal) -> int:
@@ -576,9 +568,8 @@ def conductor_dual_goto(Q: CanonicalIdeal) -> int:
         raise NotInConductor(
             f"generator valuation {Q.b} must exceed the Frobenius number {f}"
         )
-    one = Q.field.one
     hard_cap = (Q.b + max(f, 0)) // S.multiplicity + 3
-    level = _level(Q, [{e: one} for e in S.conductor_generators])
+    level = _level(Q, [{e: Q.field.one} for e in S.conductor_generators])
     if level is None or level >= hard_cap:
         raise BoundViolation(
             f"conductor containment for ({Q}) never failed up to i = {hard_cap}"
@@ -589,9 +580,10 @@ def conductor_dual_goto(Q: CanonicalIdeal) -> int:
 def index_of_nilpotency(Q: CanonicalIdeal) -> int:
     """Least i with m^(i+1) <= Q, for Q a reduction of m (valuation a_1).
 
-    Containment is checked on the monomial generators of m^(i+1) with
-    exponent at most b + f; larger products fall into x^b times the
-    conductor automatically.
+    m^(i+1) is spanned by the x^e of m-adic order above i, and those with
+    e > b + f lie in x^b times the conductor, hence in Q.  So the answer
+    is the largest order of an x^e, e <= b + f, with nonzero image in
+    R/Q; x^0 always counts, since 1 is not in Q.
     """
     S = Q.semigroup
     if Q.b != S.multiplicity:
@@ -599,12 +591,4 @@ def index_of_nilpotency(Q: CanonicalIdeal) -> int:
             f"generator valuation {Q.b} differs from the multiplicity "
             f"{S.multiplicity}"
         )
-    hi = Q.b + max(S.frobenius, 0)
-    cap = hi // S.multiplicity + 2
-    for i in range(cap + 1):
-        gens = S._sums_upto(i + 1, hi)
-        if all(
-            Q.contains(RingElement.monomial(S, s, Q.field)) for s in gens
-        ):
-            return i
-    raise BoundViolation(f"m^(i+1) never entered ({Q}) up to i = {cap}")
+    return max(S.madic_order(e) for e, row in _monomial_images(Q).items() if row)

@@ -9,21 +9,21 @@ non-monomial ideals come from the literal membership system, one row per
 (multiplier, checked exponent) pair, eliminated over Fraction or mod p;
 primes from trial division.  Pure-power Goto numbers in a regular local
 ring come from the staircase of Q : m^g, one dilation step per g.
-Duality values come from the per-i span route: for every i the colon
-J = Q : closure at a truncation wide enough for m^i, the span of
-m^i + Q over the field, and a reduction of each basis vector of J.
+Colon subspaces, ideal images and spans come from a field-generic
+elimination (every operation through the field descriptor) on rows built
+from ``CanonicalIdeal.unit_inverse``.  Duality values come from the
+per-i span route: for every i the colon J = Q : closure at a truncation
+wide enough for m^i, the span of m^i + Q over the field, and a reduction
+of each basis vector of J.  Colons over F_2 and F_3 also come from the
+definition alone: every element of R/x^T and an explicit set of the
+elements of Q mod x^T.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import gcd, isqrt
 
-from gotonum.colon import (
-    TruncatedSubspace,
-    _closure_generator_exponents,
-    colon_by_monomials,
-    ideal_image,
-)
+from gotonum.colon import TruncatedSubspace
 from gotonum.errors import BoundViolation, ClosedIdeal, NotGorenstein, NotInConductor
 from gotonum.regular import MonomialIdeal, pure_power_integral
 
@@ -272,6 +272,174 @@ def goto_number_literal(gens, b, tail, p=0):
     raise AssertionError("colon chain never dropped below the valuation")
 
 
+# -- field-generic elimination ---------------------------------------------
+
+
+def _forward_eliminate(rows, field, lead):
+    """Sparse forward elimination, taking ``lead(row)`` as each row's pivot
+    column (``min`` for spans, ``max`` for kernels).  Returns {pivot column
+    -> row} with each stored row normalized to pivot coefficient 1."""
+    zero = field.zero
+    pivots = {}
+    for incoming in rows:
+        row = dict(incoming)
+        while row:
+            j = lead(row)
+            prow = pivots.get(j)
+            if prow is None:
+                lead_coef = row[j]
+                if lead_coef != field.one:
+                    inv = field.inv(lead_coef)
+                    row = {c: field.mul(inv, v) for c, v in row.items()}
+                pivots[j] = row
+                break
+            factor = row.pop(j)
+            for c, v in prow.items():
+                if c == j:
+                    continue
+                nv = field.sub(row.get(c, zero), field.mul(factor, v))
+                if nv == zero:
+                    row.pop(c, None)
+                else:
+                    row[c] = nv
+    return pivots
+
+
+def _back_substitute(pivots, field):
+    """Clear each pivot column from every other row (full RREF), in place.
+
+    The result does not depend on the order.  Taking rows shortest first
+    finishes each row before it is subtracted from the others, in an
+    echelon form of either direction.
+    """
+    zero = field.zero
+    for j in sorted(pivots, key=lambda p: len(pivots[p])):
+        prow = pivots[j]
+        for j2, row in pivots.items():
+            factor = row.get(j)
+            if factor is None or j2 == j:
+                continue
+            for c, v in prow.items():
+                nv = field.sub(row.get(c, zero), field.mul(factor, v))
+                if nv == zero:
+                    row.pop(c, None)
+                else:
+                    row[c] = nv
+    return pivots
+
+
+def _kernel_basis(rows, cols, field):
+    """Reduced basis of the kernel of the system, leading exponents ascending.
+
+    After a descending RREF each pivot row holds its pivot p and free
+    columns below p only.  A free column c therefore gives the kernel
+    vector e_c - sum prow_p[c] e_p with every p > c, and these vectors are
+    already the reduced echelon basis: no other one has a coefficient at c.
+    """
+    pivots = _back_substitute(_forward_eliminate(rows, field, max), field)
+    one = field.one
+    basis = {c: {c: one} for c in cols if c not in pivots}
+    for p, prow in pivots.items():
+        for c, v in prow.items():
+            if c != p:
+                basis[c][p] = field.neg(v)
+    return list(basis.values())
+
+
+def span_generic(S, field, T, vectors):
+    """The span of sparse vectors over the field, in reduced echelon form
+    with pivot exponents ascending."""
+    reduced = _back_substitute(_forward_eliminate(vectors, field, min), field)
+    return TruncatedSubspace(S, field, T, [reduced[j] for j in sorted(reduced)])
+
+
+def colon_generic(Q, multipliers, T=None):
+    """{r mod x^T : r x^s in Q for every s in multipliers}, T = b + f + 1
+    by default.  For each shift d = j - s, with j <= b + f an exponent
+    below b or at b plus a gap, the row {c: coefficient of x^(d - c) in
+    u^(-1)} over the members c <= d; the colon is its kernel."""
+    S, fld, b = Q.semigroup, Q.field, Q.b
+    T = Q.truncation if T is None else T
+    hi = b + max(S.frobenius, 0)
+    uinv = Q.unit_inverse(hi + 1)
+    members = S.members(0, hi)
+    checked = [j for j in range(hi + 1) if j < b or not S.contains(j - b)]
+    shifts = sorted({j - s for s in multipliers for j in checked if s <= j})
+    rows = [{c: uinv[d - c] for c in members if d - c in uinv} for d in shifts]
+    return TruncatedSubspace(S, fld, T, _kernel_basis(rows, S.members(0, T - 1), fld))
+
+
+def colon_power_generic(Q, g, T=None):
+    """Q : m^g, the colon by the sums of exactly g generators."""
+    hi = Q.b + max(Q.semigroup.frobenius, 0)
+    return colon_generic(Q, exact_sums(Q.semigroup.generators, g, hi), T)
+
+
+def ideal_image_generic(Q, T=None):
+    """The image of Q in R / x^T R, spanned by the shifts q x^e."""
+    S, fld = Q.semigroup, Q.field
+    T = Q.truncation if T is None else T
+    vectors = []
+    for e in S.members(0, T - 1 - Q.b):
+        vec = {Q.b + e: fld.one}
+        for i, v in Q.unit_coeffs.items():
+            if Q.b + e + i < T:
+                vec[Q.b + e + i] = v
+        vectors.append(vec)
+    return span_generic(S, fld, T, vectors)
+
+
+# -- colons from the definition ----------------------------------------------
+
+
+def colon_sets_definition(gens, b, tail, p, g_max):
+    """The colons Q : m^g over F_p for g = 0..g_max, Q generated by
+    q = x^b (1 + sum tail[i] x^i), from the definition alone.
+
+    With T = b + f + 1 everything of valuation >= T lies in Q, so r x^s is
+    in Q exactly when it is modulo x^T.  Q mod x^T is listed as the set of
+    all F_p-combinations of the shifts q x^e mod x^T, and every r in R/x^T
+    is tried against every sum s of exactly g generators, which span m^g.
+    Elements are coefficient tuples over the members below T, ascending;
+    returns the colons and those members.
+    """
+    T = b + max(frobenius_brute(gens), 0) + 1
+    members = members_upto(gens, T - 1)
+    where = {e: k for k, e in enumerate(members)}
+    q = {b: 1, **{b + i: v % p for i, v in tail.items()}}
+    shifts = []
+    for e in members:
+        vec = [0] * len(members)
+        for j, v in q.items():
+            if e + j < T:
+                vec[where[e + j]] = v
+        if any(vec):
+            shifts.append(vec)
+    ideal = {
+        tuple(sum(k * vec[n] for k, vec in zip(combo, shifts)) % p for n in range(len(members)))
+        for combo in product(range(p), repeat=len(shifts))
+    }
+    elements = list(product(range(p), repeat=len(members)))
+    colons = []
+    for g in range(g_max + 1):
+        moves = [
+            [(where[e], where[e + s]) for e in members if e + s < T]
+            for s in exact_sums(gens, g, T - 1)
+        ]
+        colon = set()
+        for r in elements:
+            for move in moves:
+                shifted = [0] * len(members)
+                for k, k2 in move:
+                    shifted[k2] = r[k]
+                if tuple(shifted) not in ideal:
+                    break
+            else:
+                colon.add(r)
+        colons.append(colon)
+    return colons, members
+
+
 def reduce_vector(basis, vec, field):
     """Residual of vec after elimination against a reduced echelon basis
     (sparse vectors, each led by its smallest exponent)."""
@@ -308,7 +476,7 @@ def contained_in_power_sum_spans(V, i, Q):
             if Q.b + e + pos < T:
                 vec[Q.b + e + pos] = v
         vectors.append(vec)
-    return contains_subspace(TruncatedSubspace.span(S, fld, T, vectors), V)
+    return contains_subspace(span_generic(S, fld, T, vectors), V)
 
 
 def dual_goto_spans(Q):
@@ -317,16 +485,16 @@ def dual_goto_spans(Q):
     S = Q.semigroup
     if not S.is_symmetric():
         raise NotGorenstein(f"duality requires a symmetric semigroup, {S.generators} is not")
-    closure = TruncatedSubspace.span(
+    closure = span_generic(
         S, Q.field, Q.truncation, [{e: Q.field.one} for e in S.members(Q.b, Q.truncation - 1)]
     )
-    if ideal_image(Q) == closure:
+    if ideal_image_generic(Q) == closure:
         raise ClosedIdeal("duality requires Q strictly inside its closure")
     a1, f = S.multiplicity, max(S.frobenius, 0)
-    closure_exps = _closure_generator_exponents(Q)
+    closure_exps = S.members(Q.b, Q.b + f + 1)
     cap = S.frobenius // a1 + 2
     for i in range(1, cap + 1):
-        J = colon_by_monomials(Q, closure_exps, truncation=max(Q.b, i * a1) + f + 1)
+        J = colon_generic(Q, closure_exps, max(Q.b, i * a1) + f + 1)
         if not contained_in_power_sum_spans(J, i, Q):
             return i - 1
     raise BoundViolation(f"duality value for ({Q}) escaped the bound {cap}")
@@ -342,9 +510,7 @@ def conductor_dual_goto_spans(Q):
     hard_cap = (Q.b + max(f, 0)) // S.multiplicity + 3
     for i in range(1, hard_cap + 1):
         T = max(Q.b, i * S.multiplicity) + max(f, 0) + 1
-        V = TruncatedSubspace.span(
-            S, Q.field, T, [{e: Q.field.one} for e in S.conductor_generators]
-        )
+        V = span_generic(S, Q.field, T, [{e: Q.field.one} for e in S.conductor_generators])
         if not contained_in_power_sum_spans(V, i, Q):
             return i - 1
     raise BoundViolation(f"conductor containment for ({Q}) never failed up to i = {hard_cap}")

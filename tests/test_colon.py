@@ -21,6 +21,8 @@ from gotonum.colon import (
 from gotonum.errors import (
     ClosedIdeal,
     GotoNumberError,
+    MixedField,
+    MixedSemigroup,
     NotAReduction,
     NotGorenstein,
     NotInConductor,
@@ -29,9 +31,9 @@ from gotonum.errors import (
 )
 from gotonum.explorer import SearchConfig, search
 from gotonum.fields import RATIONALS, PrimeField
-from gotonum.ring import CanonicalIdeal, canonicalize, parse_element
+from gotonum.ring import CanonicalIdeal, RingElement, canonicalize, parse_element
 
-from conftest import semigroup
+from conftest import full_family, semigroup
 
 
 def ideal(gens, text):
@@ -389,19 +391,124 @@ class TestGotoMonomial:
                 assert sorted(pivots) == [c for c in cols if c not in free], (p, rows)
 
     def test_scan_runs_without_field_arithmetic(self, monkeypatch):
-        # the rank-only scan eliminates on Python ints: no Rationals
-        # operation may run on a rational tail
+        # every routine of gotonum.colon eliminates on Python ints: no
+        # operation of either field descriptor may run once the ideals,
+        # the subspaces and the expected values are built
         from gotonum.fields import Rationals
 
         Q = ideal((9, 19, 21), "x^30 + 1/2*x^36 - 7/12*x^38 + 5/3*x^49")
         expected = oracles.goto_number_literal((9, 19, 21), Q.b, Q.unit_coeffs)
+        F = PrimeField(101)
+        Qp = canonicalize(parse_element("x^30 + 3*x^36 - 7*x^38", Q.semigroup, F))
+        expected_p = oracles.goto_number_literal((9, 19, 21), Qp.b, Qp.unit_coeffs, 101)
+        D = ideal((5, 11), "x^40 + 1/2*x^44 - 3/7*x^46")
+        N = ideal((5, 11), "x^5 - 2/3*x^11")
+        T = max(D.b, 2 * 5) + 39 + 1
+        V = colon_power(D, 1, truncation=T)
+        vectors = [{e: Fraction(e, 3) for e in (5, 10, 11)}, {10: Fraction(-1, 2), 15: Fraction(1)}]
+        want = {
+            "colon_power": oracles.colon_power_generic(D, 2),
+            "colon_by_monomials": oracles.colon_generic(D, [5, 11], T),
+            "ideal_image": oracles.ideal_image_generic(D, T),
+            "span": oracles.span_generic(D.semigroup, RATIONALS, T, vectors),
+            "contained_in_power_sum": oracles.contained_in_power_sum_spans(V, 2, D),
+            "dual_goto": oracles.dual_goto_spans(D),
+            "conductor_dual_goto": oracles.conductor_dual_goto_spans(D),
+            "index_of_nilpotency": goto_number(N),
+        }
 
         def forbidden(*args):
-            raise AssertionError("field arithmetic in the rank-only scan")
+            raise AssertionError("field arithmetic in gotonum.colon")
 
-        for name in ("add", "sub", "mul", "inv"):
-            monkeypatch.setattr(Rationals, name, forbidden)
+        for cls in (Rationals, PrimeField):
+            for name in ("add", "sub", "mul", "neg", "inv", "of", "parse"):
+                monkeypatch.setattr(cls, name, forbidden)
         assert goto_number(Q) == expected
+        assert goto_number(Qp) == expected_p
+        got = {
+            "colon_power": colon_power(D, 2),
+            "colon_by_monomials": colon_by_monomials(D, [5, 11], T),
+            "ideal_image": ideal_image(D, T),
+            "span": TruncatedSubspace.span(D.semigroup, RATIONALS, T, vectors),
+            "contained_in_power_sum": contained_in_power_sum(V, 2, D),
+            "dual_goto": dual_goto(D),
+            "conductor_dual_goto": conductor_dual_goto(D),
+            "index_of_nilpotency": index_of_nilpotency(N),
+        }
+        assert got == want
+
+
+class TestFieldGenericOracle:
+    def test_bases_equal_the_generic_elimination(self):
+        # the integer echelon against the field-generic elimination of
+        # oracles, basis for basis: colons at truncations up to
+        # b + f + 2*a_1 + 1, ideal images, and spans of seeded vectors
+        rng = random.Random(7121)
+        fields = [RATIONALS, PrimeField(2), PrimeField(3), PrimeField(101)]
+        cases = 0
+        for gens in [(3, 5), (4, 7, 9), (5, 11), (4, 6, 7), (9, 10), (4, 5, 6)]:
+            S = semigroup(*gens)
+            a1, f = S.multiplicity, S.frobenius
+            ideals = _seeded_tails(rng, gens, 8, fields)
+            ideals += [CanonicalIdeal(S, b, None, fields[b % 4]) for b in S.members(1, f)[:4]]
+            for Q in ideals:
+                T = Q.truncation + rng.choice([0, a1, 2 * a1])
+                g = rng.randint(0, f // a1 + 2)
+                where = (Q, Q.field, g, T)
+                assert colon_power(Q, g, T) == oracles.colon_power_generic(Q, g, T), where
+                exps = rng.sample(S.members(0, Q.truncation + a1), 3)
+                assert colon_by_monomials(Q, exps, T) == oracles.colon_generic(Q, exps, T), where
+                assert ideal_image(Q, T) == oracles.ideal_image_generic(Q, T), where
+                fld = Q.field
+                cols = S.members(0, T - 1)
+                vectors = [
+                    {c: fld.of(Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 5, 7]))) for c in rng.sample(cols, 4)}
+                    for _ in range(rng.randint(1, 6))
+                ]
+                vectors = [{c: v for c, v in vec.items() if v != fld.zero} for vec in vectors]
+                assert TruncatedSubspace.span(S, fld, T, vectors) == oracles.span_generic(
+                    S, fld, T, vectors
+                ), where
+                cases += 4
+        assert cases >= 150
+
+
+class TestDefinitionOracle:
+    def test_colons_and_goto_numbers_from_the_definition(self):
+        # every r in R/x^T over F_2 and F_3, with T = b + f + 1, tried
+        # against Q mod x^T listed element by element: no unit inverse and
+        # no checked exponents.  The colon is the span of colon_power's
+        # basis exactly when every basis vector lies in it and it has
+        # p^dim elements; goto_number is the last g before it reaches
+        # below valuation b.  Cases are kept to at most 3^9 elements.
+        rng = random.Random(3)
+        count = 0
+        for gens in [(3, 4, 5), (3, 5, 7), (4, 5, 7), (3, 5), (4, 5, 6)]:
+            S = semigroup(*gens)
+            f, a1 = S.frobenius, S.multiplicity
+            for p in (2, 3):
+                for b in S.members(1, f + a1):
+                    if p ** len(S.members(0, b + f)) > 3**9:
+                        continue
+                    positions = [i for i in range(1, f + 1) if S.contains(b + i)]
+                    tails = [{}] + [
+                        {i: rng.randrange(1, p) for i in rng.sample(positions, rng.randint(1, len(positions)))}
+                        for _ in range(2 if positions else 0)
+                    ]
+                    for tail in tails:
+                        Q = CanonicalIdeal(S, b, tail, PrimeField(p))
+                        colons, members = oracles.colon_sets_definition(gens, b, tail, p, f // a1 + 2)
+                        for g, colon in enumerate(colons):
+                            V = colon_power(Q, g)
+                            vectors = [tuple(vec.get(e, 0) for e in members) for vec in V.basis]
+                            where = (gens, b, tail, p, g)
+                            assert all(v in colon for v in vectors), where
+                            assert len(colon) == p**V.dimension, where
+                        below = [e for e in members if e < b]
+                        drops = [g for g, colon in enumerate(colons) if any(any(r[: len(below)]) for r in colon)]
+                        assert goto_number(Q) == drops[0] - 1, (gens, b, tail, p)
+                        count += 1
+        assert count >= 100
 
 
 class TestColonByMonomials:
@@ -457,6 +564,20 @@ class TestContainedInPowerSum:
         V = ideal_image(Q)   # truncation b + f + 1 = 11
         with pytest.raises(TruncationTooSmall):
             contained_in_power_sum(V, 4, Q)   # needs 4*3 + 7 + 1 = 20
+
+    def test_rejects_mixed_operands(self):
+        # V over <4,7,9> against Q over <5,11>, and either field against
+        # the other; each is refused before any containment is computed
+        Q = ideal((5, 11), "x^40 + x^44")
+        V = colon_power(ideal((4, 7, 9), "x^7+x^8"), 1, truncation=Q.truncation)
+        with pytest.raises(MixedSemigroup):
+            contained_in_power_sum(V, 1, Q)
+        F3 = PrimeField(3)
+        Q3 = canonicalize(parse_element("x^40 + x^44", Q.semigroup, F3))
+        with pytest.raises(MixedField):
+            contained_in_power_sum(ideal_image(Q3), 1, Q)
+        with pytest.raises(MixedField):
+            contained_in_power_sum(ideal_image(Q), 1, Q3)
 
 
 class TestDuality:
@@ -526,6 +647,29 @@ class TestDuality:
         assert "value" in kinds
 
 
+class TestClosureGenerators:
+    def test_generate_every_member_above_b(self):
+        # the members b <= c <= b + f + 1 generate every member e >= b,
+        # checked up to b + 2f + 2 on membership from oracles, for every b
+        # up to f + 2*a_1 over the whole family; a bitmask of the members
+        # shifted by each c gives the sums c + G at once
+        from gotonum.colon import _closure_generator_exponents
+
+        for S in full_family():
+            f, a1 = S.frobenius, S.multiplicity
+            members = oracles.members_upto(list(S.generators), 3 * f + 2 * a1 + 2)
+            mask = sum(1 << e for e in members)
+            low = mask & ((1 << (2 * f + 3)) - 1)
+            for b in members:
+                if not 1 <= b <= f + 2 * a1:
+                    continue
+                reach = 0
+                for c in _closure_generator_exponents(CanonicalIdeal(S, b)):
+                    reach |= low << c
+                window = mask >> b << b & ((1 << (b + 2 * f + 3)) - 1)
+                assert window & ~reach == 0, (S.generators, b)
+
+
 class TestConductorDuality:
     def test_example_values(self):
         assert conductor_dual_goto(ideal((5, 11), "x^40")) == 4
@@ -569,6 +713,26 @@ class TestIndexOfNilpotency:
     def test_rejects_higher_valuation(self):
         with pytest.raises(NotAReduction):
             index_of_nilpotency(monomial_ideal((3, 5), 5))
+
+    def test_matches_membership_of_the_powers(self):
+        # the least i with every generator x^s of m^(i+1), s <= b + f, in
+        # Q by CanonicalIdeal.contains, on seeded reductions over Q and F_3
+        rng = random.Random(907)
+        for gens in [(3, 5), (4, 7, 9), (5, 6, 13), (7, 9, 20)]:
+            S = semigroup(*gens)
+            f, a1 = S.frobenius, S.multiplicity
+            positions = [i for i in range(1, f + 1) if S.contains(a1 + i)]
+            for fld in (RATIONALS, PrimeField(3)):
+                for _ in range(4):
+                    tail = {i: fld.of(rng.choice([1, -1, 2])) for i in rng.sample(positions, 2)}
+                    Q = CanonicalIdeal(S, a1, tail, fld)
+                    i = 0
+                    while not all(
+                        Q.contains(RingElement.monomial(S, s, fld))
+                        for s in oracles.exact_sums(gens, i + 1, a1 + f)
+                    ):
+                        i += 1
+                    assert index_of_nilpotency(Q) == i, (gens, tail, fld)
 
 
 class TestRandomizedNonMonomial:
