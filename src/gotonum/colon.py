@@ -48,7 +48,7 @@ from .errors import (
     NotInSemigroup,
     TruncationTooSmall,
 )
-from .ring import CanonicalIdeal
+from .ring import CanonicalIdeal, integer_scale, integer_tail
 
 # -- exact integer row echelon ---------------------------------------------
 
@@ -284,15 +284,8 @@ def _integer_series(Q):
     if cached is None:
         hi = _context(Q)[0]
         tail = Q.unit_coeffs
-        p = getattr(Q.field, "p", 0)
-        if p:
-            D, scaled = 1, tail
-        else:
-            D = lcm(*(v.denominator for v in tail.values()))
-            scaled = {
-                i: v.numerator * (D // v.denominator) * D ** (i - 1)
-                for i, v in tail.items()
-            }
+        p, D = integer_scale(Q.field, tail.values())
+        scaled = integer_tail(tail, p, D)
         w = {0: 1}
         for n in range(1, hi + 1):
             acc = -sum(t * w[n - k] for k, t in scaled.items() if n - k in w)

@@ -3,6 +3,8 @@
 Canonical forms x^b(1 + sum u_i x^i) are enumerated over a finite
 coefficient set; the resulting Goto numbers are exact for the chosen
 field and coefficient set and say nothing about other coefficients.
+Many forms generate the same ideal; the search computes the Goto number
+once per distinct ideal, keyed on its normal form.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from .bounds import bound_global, stable_goto
 from .colon import goto_monomial, goto_number
 from .errors import BoundViolation, SearchSpaceTooLarge
 from .fields import RATIONALS
-from .ring import CanonicalIdeal, canonicalize
+from .ring import CanonicalIdeal, canonicalize, integer_scale, integer_tail, normal_tail
 
 
 def monomial_table(S, e_max: int) -> dict:
@@ -29,8 +31,9 @@ class SearchConfig:
     """Enumeration space for a canonical-form search.
 
     coefficients must contain 0 (absent positions); positions, when given,
-    restricts which tail indices i may carry a nonzero coefficient.
-    Enumeration order is lexicographic in (b, coefficient vector).
+    restricts which tail indices i in [1, f] may carry a nonzero
+    coefficient.  Enumeration order is lexicographic in (b, coefficient
+    vector).
     """
 
     semigroup: object
@@ -58,6 +61,10 @@ class SearchConfig:
                     raise ValueError(f"b = {b} is not a valid valuation")
         if self.positions is not None:
             self.positions = tuple(sorted(set(self.positions)))
+            f = S.frobenius
+            outside = [i for i in self.positions if not 1 <= i <= f]
+            if outside:
+                raise ValueError(f"tail positions {outside} outside [1, {f}]")
 
     def admissible_positions(self, b: int) -> tuple:
         S = self.semigroup
@@ -124,17 +131,32 @@ class SearchResult:
 
 
 def _search_one_b(config, b):
+    """The records at valuation b, one Goto number per distinct ideal.
+
+    Forms are enumerated as index vectors into the coefficient set, whose
+    integer images (one D for the whole set over Q, see ``integer_tail``)
+    give each form's integer normal tail.  For a fixed D that tail
+    determines the ideal, so it keys the memo; only a miss builds the
+    form's ``CanonicalIdeal`` and scans it.
+    """
     S = config.semigroup
     fld = config.field
-    zero = fld.zero
+    coeffs = config.coefficients
+    zero = coeffs.index(fld.zero)
+    p, D = integer_scale(fld, coeffs)
     positions = config.admissible_positions(b)
+    scaled = [integer_tail(dict.fromkeys(positions, c), p, D) for c in coeffs]
+    memo = {}
     records = []
-    for vector in product(config.coefficients, repeat=len(positions)):
-        tail = {
-            i: c for i, c in zip(positions, vector) if c != zero
-        }
-        Q = CanonicalIdeal(S, b, tail, fld)
-        records.append(SearchRecord(b, tuple(sorted(tail.items())), goto_number(Q)))
+    for vector in product(range(len(coeffs)), repeat=len(positions)):
+        key = normal_tail(
+            S, {i: scaled[k][i] for i, k in zip(positions, vector) if k != zero}, p
+        )
+        tail = tuple((i, coeffs[k]) for i, k in zip(positions, vector) if k != zero)
+        goto = memo.get(key)
+        if goto is None:
+            goto = memo[key] = goto_number(CanonicalIdeal(S, b, dict(tail), fld))
+        records.append(SearchRecord(b, tail, goto))
     return records
 
 

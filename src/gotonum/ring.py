@@ -8,11 +8,19 @@ principal ideal has a canonical generator x^b * (1 + sum u_i x^i) with
 the tail supported on positions i in [1, f]; coefficients above b + f
 never change the ideal, because elements of valuation > b + f lie in
 x^b times the conductor, which the ideal absorbs.
+
+That generator is not unique: an R-unit 1 - c x^i with i in G clears the
+tail at a position i in G without changing the ideal.  Clearing every such
+position in ascending order (``normal_tail``) leaves the tail on the
+gaps i with b + i in G, and that normal form is unique: two ideals are
+equal exactly when their normal forms are.
 """
 
 from __future__ import annotations
 
 import re
+from fractions import Fraction
+from math import lcm
 
 from .errors import (
     MixedField,
@@ -234,12 +242,65 @@ def invert_unit_mod(coeffs, T, field=RATIONALS):
     return inv
 
 
+def integer_scale(field, values):
+    """The modulus p of the field's integer arithmetic (0 over Q) and the
+    scale D that makes a tail with these values integral: 1 over F_p, the
+    lcm of their denominators over Q."""
+    p = getattr(field, "p", 0)
+    return p, 1 if p else lcm(*(v.denominator for v in values))
+
+
+def integer_tail(tail, p, D):
+    """A tail {i: u_i} as Python ints: u_i itself over F_p (p prime, D = 1),
+    and t_i = D^i u_i over Q (p = 0, D a multiple of every denominator),
+    the tail of u(Dx)."""
+    if p:
+        return dict(tail)
+    return {i: v.numerator * (D // v.denominator) * D ** (i - 1) for i, v in tail.items()}
+
+
+def normal_tail(S, tail, p):
+    """The normal tail of x^b(1 + sum t_i x^i), t an integer tail, as
+    ascending ((i, t_i), ...) pairs.
+
+    Sweeps i = 1..f ascending: wherever i is in G and t_i != 0, it
+    multiplies the unit by the R-unit 1 - t_i x^i, which clears i and
+    touches only larger positions, and drops positions above f.  The tail
+    ends up on the gaps i with b + i in G.  The sweep runs mod p over F_p;
+    over Q (p = 0) t is the tail of u(Dx) (``integer_tail``), and sweeping
+    u(Dx) is sweeping u with x -> Dx, so it stays in Z.  Two tails give
+    the same ideal exactly when their normal tails agree: where an R-unit
+    quotient of the two first differs from 1, at a position in G, so would
+    the normal tails, which vanish there.
+    """
+    f = S.frobenius
+    t = dict(tail)
+    for i in range(1, f + 1):
+        v = t.get(i)
+        if not v or not S.contains(i):
+            continue
+        for j, w in list(t.items()):
+            k = i + j
+            if k <= f:
+                nv = t.get(k, 0) - v * w
+                if p:
+                    nv %= p
+                if nv:
+                    t[k] = nv
+                else:
+                    t.pop(k, None)
+        del t[i]
+    return tuple(sorted(t.items()))
+
+
 class CanonicalIdeal:
     """A parameter ideal in canonical form x^b * (1 + sum u_i x^i) R.
 
     b is the valuation of the generator (b in G, b >= 1) and the tail
     coefficients u_i sit at positions i in [1, f] with b + i in G.  The
-    generator written this way is an exact polynomial.
+    generator written this way is an exact polynomial.  Many generators
+    give the same ideal; ``==`` and ``hash`` compare the ideals, through
+    ``normal_form``.
     """
 
     __slots__ = (
@@ -250,6 +311,7 @@ class CanonicalIdeal:
         "_uinv_cap",
         "_uinv",
         "_engine_cache",
+        "_normal",
     )
 
     def __init__(self, semigroup, b, unit_coeffs=None, field=RATIONALS):
@@ -279,6 +341,7 @@ class CanonicalIdeal:
         self._uinv_cap = -1            # unit_inverse memo: exact below x^cap
         self._uinv = None
         self._engine_cache = {}        # colon-engine memo, see colon._context
+        self._normal = None            # normal_form memo
 
     @property
     def truncation(self) -> int:
@@ -347,19 +410,27 @@ class CanonicalIdeal:
             return True
         return r.valuation() >= self.b
 
+    def normal_form(self) -> tuple:
+        """The tail of the ideal's normal generator, as ascending
+        ((i, u_i), ...) pairs in field scalars, cached (see ``normal_tail``)."""
+        if self._normal is None:
+            p, D = integer_scale(self.field, self.unit_coeffs.values())
+            tail = normal_tail(self.semigroup, integer_tail(self.unit_coeffs, p, D), p)
+            self._normal = tail if p else tuple((i, Fraction(t, D**i)) for i, t in tail)
+        return self._normal
+
     def __eq__(self, other):
+        """Ideal equality: same semigroup, field, valuation and normal form."""
         return (
             isinstance(other, CanonicalIdeal)
             and self.semigroup == other.semigroup
             and self.field == other.field
             and self.b == other.b
-            and self.unit_coeffs == other.unit_coeffs
+            and self.normal_form() == other.normal_form()
         )
 
     def __hash__(self):
-        return hash(
-            (self.semigroup, self.field, self.b, tuple(sorted(self.unit_coeffs.items())))
-        )
+        return hash((self.semigroup, self.field, self.b, self.normal_form()))
 
     def __str__(self):
         return str(self.generator())
@@ -373,8 +444,11 @@ def canonicalize(r: RingElement) -> CanonicalIdeal:
 
     Scales the leading coefficient to 1 and truncates at x^(b+f+1): every
     unit factor (1 - c x^j) that would clear a tail coefficient at j > f
-    only touches exponents above b + f, so the truncation already is the
-    canonical representative.  Idempotent on canonical generators.
+    only touches exponents above b + f, so dropping those coefficients
+    keeps the ideal.  The result is one generator of the ideal, not a
+    unique one: tails at positions in G can still differ between
+    generators of the same ideal (see ``CanonicalIdeal.normal_form``).
+    Idempotent on canonical generators.
     """
     if r.is_zero():
         raise ZeroElement("cannot canonicalize the zero element")

@@ -173,6 +173,13 @@ class TestErrors:
         code, _ = run_cli("frobble")
         assert code == 2
 
+    def test_search_position_outside_range_exits_two(self, capsys):
+        # positions outside [1, f] used to be dropped without a word
+        for extra in (["--positions", "100"], ["--positions", "0", "--positions", "-3"]):
+            code, out = run_cli("search", "4", "6", "7", "--b", "8", *extra)
+            assert code == 2 and out == ""
+            assert "outside [1, 9]" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_search_byte_identical(self):

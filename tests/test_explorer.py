@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from gotonum.bounds import stable_goto
-from gotonum.colon import goto_monomial
+from gotonum.colon import goto_monomial, goto_number
 from gotonum.errors import BoundViolation, SearchSpaceTooLarge
 from gotonum.explorer import (
     SearchConfig,
@@ -13,7 +14,7 @@ from gotonum.explorer import (
     search,
     verify_product_inequality,
 )
-from gotonum.fields import PrimeField
+from gotonum.fields import RATIONALS, PrimeField
 from gotonum.ring import CanonicalIdeal, canonicalize, parse_element
 
 from conftest import semigroup
@@ -112,6 +113,54 @@ class TestSearch:
     def test_cap_enforced(self):
         with pytest.raises(SearchSpaceTooLarge):
             search(SearchConfig(semigroup=semigroup(5, 11), cap=10))
+
+    def test_positions_outside_range_rejected(self):
+        S = semigroup(4, 6, 7)
+        for positions in [(100,), (0, -3), (2, 10)]:
+            with pytest.raises(ValueError, match=r"outside \[1, 9\]"):
+                SearchConfig(semigroup=S, b_values=(8,), positions=positions)
+        assert SearchConfig(semigroup=S, positions=(9, 1)).positions == (1, 9)
+
+    @pytest.mark.parametrize(
+        "field, coefficients",
+        [(RATIONALS, (0, Fraction(1, 2), Fraction(-1, 3))), (PrimeField(3), (0, 1, 2))],
+    )
+    def test_memo_never_mixes_up_ideals(self, monkeypatch, field, coefficients):
+        # every record's Goto number is that of its own form, computed
+        # fresh, and the search scans each distinct ideal exactly once
+        import gotonum.explorer as explorer
+
+        scanned = []
+        original = explorer.goto_number
+
+        def counting(Q):
+            scanned.append(Q)
+            return original(Q)
+
+        monkeypatch.setattr(explorer, "goto_number", counting)
+        rng = random.Random(8)
+        cases = []
+        for gens in [(3, 5, 7), (4, 5, 7), (3, 5), (4, 5, 6), (3, 7, 8)]:
+            config = SearchConfig(semigroup(*gens))
+            cases += [(gens, b, None) for b in config.b_values[:4]]
+        for gens in [(4, 7, 9), (5, 6, 13), (5, 11)]:
+            config = SearchConfig(semigroup(*gens))
+            for b in rng.sample(config.b_values, 2):
+                cases.append((gens, b, rng.sample(config.admissible_positions(b), 5)))
+        distinct = 0
+        for gens, b, positions in rng.sample(cases, 12):
+            S = semigroup(*gens)
+            config = SearchConfig(S, field, coefficients, b_values=(b,), positions=positions)
+            result = search(config)
+            ideals = set()
+            for rec in result.records:
+                Q = rec.ideal(S, field)
+                assert rec.goto == goto_number(Q), (gens, rec)
+                ideals.add(Q)
+            assert len(scanned) == len(ideals) < result.count, (gens, b)
+            distinct += len(ideals)
+            scanned.clear()
+        assert distinct > 100
 
     def test_coefficients_must_contain_zero(self):
         with pytest.raises(ValueError):

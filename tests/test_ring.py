@@ -1,8 +1,10 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gotonum.colon import goto_number
 from gotonum.errors import (
     MixedField,
     MixedSemigroup,
@@ -235,6 +237,7 @@ class TestCanonicalize:
         Q = canonicalize(elem((5, 11), "x^40 + x^44"))
         again = canonicalize(Q.generator())
         assert again == Q
+        assert again.unit_coeffs == Q.unit_coeffs
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroElement):
@@ -332,3 +335,96 @@ class TestCanonicalIdealValidation:
             CanonicalIdeal(semigroup(3, 5), 3, {1: Fraction(1)})
         with pytest.raises(ValueError):
             CanonicalIdeal(semigroup(3, 5), 3, {9: Fraction(1)})
+
+
+def _image_key(Q):
+    """The reduced basis of Q's image in R / x^T R, from the oracle."""
+    basis = oracles.ideal_image_generic(Q).basis
+    return tuple(tuple(sorted(vec.items())) for vec in basis)
+
+
+class TestNormalForm:
+    def test_unit_multiple_is_the_same_ideal(self):
+        # 1 + x^8 is an R-unit of <4,6,7>, so x^8 and x^8 + x^16 generate
+        # the same ideal although their canonical tails differ
+        S = semigroup(4, 6, 7)
+        Q = CanonicalIdeal(S, 8)
+        P = canonicalize(elem((4, 6, 7), "x^8 + x^16"))
+        assert P.unit_coeffs == {8: Fraction(1)}
+        assert P == Q
+        assert hash(P) == hash(Q)
+        assert P.normal_form() == ()
+        assert canonicalize(elem((4, 6, 7), "x^8 + x^10")) != Q
+
+    def test_fields_and_valuations_stay_apart(self):
+        S = semigroup(4, 6, 7)
+        assert CanonicalIdeal(S, 8) != CanonicalIdeal(S, 8, field=PrimeField(3))
+        assert CanonicalIdeal(S, 8) != CanonicalIdeal(S, 12)
+
+    def test_normal_tail_lies_on_gaps_above_b(self):
+        S = semigroup(4, 7, 9)
+        Q = canonicalize(elem((4, 7, 9), "x^7 + x^8 + 1/2*x^9 - 3*x^11 + x^14"))
+        for i, v in Q.normal_form():
+            assert not S.contains(i) and S.contains(Q.b + i), i
+        assert Q == CanonicalIdeal(S, Q.b, dict(Q.normal_form()))
+
+    @pytest.mark.parametrize(
+        "gens, p",
+        [(gens, p) for gens in [(3, 4, 5), (3, 5), (4, 5, 7), (4, 6, 7)] for p in (2, 3)]
+        + [((5, 6, 9), 2)],
+    )
+    def test_classes_are_the_ideal_images(self, gens, p):
+        # every tail on the admissible positions, at every valuation up to
+        # f + a_1 with at most 3^7 tails: two tails share a normal form
+        # exactly when the oracle's elimination gives the same image, and
+        # there are p^|N(b)| classes
+        S = semigroup(*gens)
+        F = PrimeField(p)
+        f = S.frobenius
+        checked = 0
+        for b in S.members(1, f + S.multiplicity):
+            positions = [i for i in range(1, f + 1) if S.contains(b + i)]
+            if p ** len(positions) > 3**7:
+                continue
+            checked += 1
+            pairs = set()
+            for vector in product(range(p), repeat=len(positions)):
+                tail = {i: v for i, v in zip(positions, vector) if v}
+                Q = CanonicalIdeal(S, b, tail, F)
+                pairs.add((Q.normal_form(), _image_key(Q)))
+            normal = {n for n, _ in pairs}
+            images = {k for _, k in pairs}
+            gaps = [i for i in positions if not S.contains(i)]
+            assert len(normal) == len(images) == len(pairs) == p ** len(gaps), (gens, b)
+        assert checked
+
+    @given(
+        case=st.sampled_from(
+            [((4, 6, 7), 8), ((4, 7, 9), 7), ((3, 5), 6), ((5, 6, 13), 11), ((5, 11), 15)]
+        ),
+        tail=st.dictionaries(st.integers(1, 25), st.integers(-3, 3), max_size=4),
+        unit=st.dictionaries(st.integers(1, 30), st.integers(-3, 3), min_size=1, max_size=4),
+        p=st.sampled_from([0, 2, 3, 101]),
+        dens=st.tuples(st.sampled_from([1, 2, 3, 10]), st.sampled_from([1, 3, 7])),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_unit_invariance(self, case, tail, unit, p, dens):
+        # Q times an R-unit 1 + sum r_i x^i (i in G), canonicalized, is Q;
+        # over Q the tail and the unit carry denominators
+        gens, b = case
+        S = semigroup(*gens)
+        F = PrimeField(p) if p else RATIONALS
+        d_tail, d_unit = (1, 1) if p else dens
+        tail = {
+            i: F.of(Fraction(v, d_tail))
+            for i, v in tail.items()
+            if i <= S.frobenius and S.contains(b + i)
+        }
+        Q = CanonicalIdeal(S, b, tail, F)
+        r_tail = {i: F.of(Fraction(v, d_unit)) for i, v in unit.items() if S.contains(i)}
+        r = RingElement(S, {0: F.one, **r_tail}, None, F)
+        P = canonicalize((Q.generator() * r).truncate(Q.truncation))
+        assert P == Q and hash(P) == hash(Q)
+        g = goto_number(Q)
+        assert goto_number(P) == g
+        assert oracles.goto_number_literal(gens, b, P.unit_coeffs, p) == g
