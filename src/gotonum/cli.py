@@ -14,7 +14,7 @@ import sys
 
 from . import bounds
 from .colon import dual_goto, goto_monomial, goto_number
-from .errors import GotoNumberError, NotGorenstein
+from .errors import GotoNumberError
 from .explorer import SearchConfig, monomial_table, search
 from .fields import field_from_label
 from .golden import run_golden_checks
@@ -239,9 +239,6 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args, sys.stdout)
-    except NotGorenstein as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (GotoNumberError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

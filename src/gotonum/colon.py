@@ -16,24 +16,26 @@ scan starts at the monomial floor g(x^b) + 1, and one forward elimination
 per g decides it: with the largest column taken as pivot, a kernel vector
 led by column c exists exactly when c gets no pivot, so the colon's
 minimal valuation is the smallest free column and no kernel basis is
-built.  That scan runs on Python ints: over F_p the rows are reduced mod
-p, and over Q the substitution x -> Dx (D the lcm of the tail
-denominators) makes u^(-1) integral without moving a pivot, so the
-elimination is fraction-free.  ``colon_power`` and ``colon_by_monomials``,
-which need the subspace itself, finish the same integer echelon with a
-back substitution and read the reduced kernel basis off it, and
+built.  That scan runs on Python ints, on the ideal's integer model
+(``ring.integer_model``): over F_p the rows are reduced mod p, and over Q
+the substitution x -> Dx (D the lcm of the tail denominators) makes
+u^(-1) integral without moving a pivot, so the elimination is
+fraction-free.  ``colon_power`` and ``colon_by_monomials``, which need
+the subspace itself, finish the same integer echelon with a back
+substitution and read the reduced kernel basis off it, and
 ``TruncatedSubspace.span`` runs it on exponents keyed in reverse.
 
-Duality works in R/Q, embedded by the same coefficients: phi(r) is r * u^(-1)
-read at the checked exponents.  m^i + Q maps onto the span of the images
-of the monomials of m-adic order at least i, so one integer echelon,
-filled by descending order, gives the largest i with a subspace inside
-m^i + Q for every i at once.
+Duality works in R/Q, embedded by the same coefficients: phi(r) is
+r * u^(-1) read at the checked exponents (``ring.image``, on the same
+model).  m^i + Q maps onto the span of the images of the monomials of
+m-adic order at least i, so one integer echelon, filled by descending
+order, gives the largest i with a subspace inside m^i + Q for every i at
+once.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -48,7 +50,7 @@ from .errors import (
     NotInSemigroup,
     TruncationTooSmall,
 )
-from .ring import CanonicalIdeal, integer_scale, integer_tail
+from .ring import CanonicalIdeal, image, integer_model, monomial_images
 
 # -- exact integer row echelon ---------------------------------------------
 
@@ -139,7 +141,7 @@ def _back_substitute(pivots, p):
 
 def _kernel_basis(rows, cols, p, D):
     """Reduced basis of the kernel of an integer system whose column c was
-    scaled by D^(-c) (see ``_integer_series``), leading exponents
+    scaled by D^(-c) (see ``ring.integer_model``), leading exponents
     ascending, with scalars mod p over F_p and Fractions over Q.
 
     After the descending echelon and back substitution, a free column c
@@ -228,22 +230,6 @@ class TruncatedSubspace:
 # -- the membership linear system ------------------------------------------
 
 
-def _context(Q):
-    """Per-ideal memo: the largest exponent b + f that carries a condition,
-    the semigroup members up to it (ascending), and the exponents
-    j <= b + f where membership in qR imposes a condition."""
-    ctx = Q._engine_cache.get("ctx")
-    if ctx is None:
-        S = Q.semigroup
-        b = Q.b
-        hi = b + max(S.frobenius, 0)
-        cols = S.members(0, hi)
-        checked = [j for j in range(hi + 1) if j < b or not S.contains(j - b)]
-        ctx = (hi, cols, checked)
-        Q._engine_cache["ctx"] = ctx
-    return ctx
-
-
 def _membership_rows(Q, multipliers, series):
     """Rows forcing r * x^s in Q for every s in multipliers, one per shift.
 
@@ -254,7 +240,7 @@ def _membership_rows(Q, multipliers, series):
     d >= 0 gives the one row {c: series[d - c] : c in G, c <= d}.  Every
     such c is at most b + f, whatever the truncation.
     """
-    _, cols, checked = _context(Q)
+    _, cols, checked = integer_model(Q)[:3]
     shifts = {j - s for s in multipliers for j in checked if j >= s}
     rows = []
     for d in sorted(shifts):
@@ -268,36 +254,6 @@ def _membership_rows(Q, multipliers, series):
     return rows
 
 
-def _integer_series(Q):
-    """The unit inverse as Python ints, with the modulus the scan reduces
-    by (0 over Q) and the scale D, cached.
-
-    Over F_p the coefficients of u^(-1) are ints mod p, and D = 1.  Over
-    Q, with D the lcm of the tail denominators,
-    w = (1 + sum u_i D^i x^i)^(-1) has integer coefficients
-    w_k = D^k uinv_k.  Entry c of the row of shift d becomes
-    D^(d - c) uinv_(d - c): the row scaled by D^d and column c by D^(-c),
-    which moves no pivot.  Both run the recurrence w_n = -sum t_k w_(n-k)
-    of the inverse, mod p over F_p.
-    """
-    cached = Q._engine_cache.get("zseries")
-    if cached is None:
-        hi = _context(Q)[0]
-        tail = Q.unit_coeffs
-        p, D = integer_scale(Q.field, tail.values())
-        scaled = integer_tail(tail, p, D)
-        w = {0: 1}
-        for n in range(1, hi + 1):
-            acc = -sum(t * w[n - k] for k, t in scaled.items() if n - k in w)
-            if p:
-                acc %= p
-            if acc:
-                w[n] = acc
-        cached = (w, p, D)
-        Q._engine_cache["zseries"] = cached
-    return cached
-
-
 def _colon(Q, multipliers, truncation):
     """The subspace {r mod x^T : r * x^s in Q for every s in multipliers}."""
     if truncation is None:
@@ -307,7 +263,7 @@ def _colon(Q, multipliers, truncation):
             f"colon needs truncation >= {Q.truncation}, got {truncation}"
         )
     S = Q.semigroup
-    series, p, D = _integer_series(Q)
+    series, p, D = integer_model(Q)[3:]
     rows = _membership_rows(Q, multipliers, series)
     cols = S.members(0, truncation - 1)
     return TruncatedSubspace(S, Q.field, truncation, _kernel_basis(rows, cols, p, D))
@@ -317,7 +273,7 @@ def colon_power(Q: CanonicalIdeal, g: int, truncation=None) -> TruncatedSubspace
     """The subspace {r mod x^T : r * m^g <= Q} at T = b + f + 1 by default."""
     if g < 0:
         raise ValueError(f"need g >= 0, got {g}")
-    hi = _context(Q)[0]
+    hi = integer_model(Q)[0]
     return _colon(Q, Q.semigroup._sums_upto(g, hi), truncation)
 
 
@@ -329,7 +285,7 @@ def colon_by_monomials(Q: CanonicalIdeal, exponents, truncation=None) -> Truncat
             raise NotInSemigroup(
                 f"multiplier exponent {e} is not in the semigroup {S.generators}"
             )
-    hi = _context(Q)[0]
+    hi = integer_model(Q)[0]
     return _colon(Q, sorted(e for e in set(exponents) if e <= hi), truncation)
 
 
@@ -342,8 +298,7 @@ def _colon_min_valuation(Q, g):
     vector is led by x^c.  So the smallest free column is the answer, with
     no back substitution and no kernel basis.
     """
-    hi, cols, _ = _context(Q)
-    series, p, _ = _integer_series(Q)
+    hi, cols, _, series, p, _ = integer_model(Q)
     rows = _membership_rows(Q, Q.semigroup._sums_upto(g, hi), series)
     pivots = _pivot_columns(rows, p)
     return next((c for c in cols if c not in pivots), None)
@@ -413,46 +368,6 @@ def ideal_image(Q: CanonicalIdeal, truncation=None) -> TruncatedSubspace:
     return TruncatedSubspace.span(S, Q.field, T, vectors)
 
 
-def _monomial_images(Q):
-    """The images phi(x^e) for e in G, e <= b + f, as integer rows, cached.
-
-    phi_j(r) is the coefficient of x^j in r * u^(-1) at a checked exponent
-    j; their common kernel is Q, so phi embeds R/Q.  Entry j of phi(x^e)
-    is series[j - e] for ``_integer_series``, whose rescaling x -> Dx
-    scales coordinate j and x^e and so moves no span.  Entry j is keyed
-    b + f - j, so that the echelon's largest key is the smallest exponent
-    and the images stay nearly triangular.
-    """
-    images = Q._engine_cache.get("images")
-    if images is None:
-        hi, cols, checked = _context(Q)
-        series = _integer_series(Q)[0]
-        images = {}
-        for e in cols:
-            above = checked[bisect_left(checked, e):]
-            images[e] = {hi - j: v for j in above if (v := series.get(j - e)) is not None}
-        Q._engine_cache["images"] = images
-    return images
-
-
-def _image(Q, vec):
-    """phi of a vector over Q's field as an integer row, up to a nonzero
-    factor: the sum of v_c phi(x^c) with the denominators of the v_c and
-    the D^c cleared over Q, and reduced mod p over F_p.  Exponents above
-    b + f have image 0."""
-    _, p, D = _integer_series(Q)
-    images = _monomial_images(Q)
-    coeffs = {c: v for c, v in vec.items() if c in images}
-    if not p:
-        N = lcm(*(v.denominator for v in coeffs.values()))
-        coeffs = {c: v.numerator * (N // v.denominator) * D**c for c, v in coeffs.items()}
-    row = {}
-    for c, k in coeffs.items():
-        for j, v in images[c].items():
-            row[j] = row.get(j, 0) + k * v
-    return {j: r for j, v in row.items() if (r := v % p if p else v)}
-
-
 def _level(Q, vectors):
     """Largest i with the span of the vectors (over Q's field) inside
     m^i + Q; None when they lie in Q, hence in every m^i + Q.
@@ -464,13 +379,13 @@ def _level(Q, vectors):
     first order at which they all vanish is the answer, and 0 when none
     does.
     """
-    p = _integer_series(Q)[1]
-    residuals = [row for vec in vectors if (row := _image(Q, vec))]
+    p = integer_model(Q)[4]
+    residuals = [row for vec in vectors if (row := image(Q, vec))]
     if not residuals:
         return None
     S = Q.semigroup
     by_order = {}
-    for e, row in _monomial_images(Q).items():
+    for e, row in monomial_images(Q).items():
         if e and row:
             by_order.setdefault(S.madic_order(e), []).append(dict(row))
     pivots = {}
@@ -486,7 +401,7 @@ def is_integrally_closed(Q: CanonicalIdeal) -> bool:
     """Q is inside its closure, spanned by {x^e : e in G, e >= b}; they are
     equal exactly when every such x^e with e <= b + f lies in Q, i.e. has
     image 0 in R/Q."""
-    return not any(row for e, row in _monomial_images(Q).items() if e >= Q.b)
+    return not any(row for e, row in monomial_images(Q).items() if e >= Q.b)
 
 
 def contained_in_power_sum(V: TruncatedSubspace, i: int, Q: CanonicalIdeal) -> bool:
@@ -584,4 +499,4 @@ def index_of_nilpotency(Q: CanonicalIdeal) -> int:
             f"generator valuation {Q.b} differs from the multiplicity "
             f"{S.multiplicity}"
         )
-    return max(S.madic_order(e) for e, row in _monomial_images(Q).items() if row)
+    return max(S.madic_order(e) for e, row in monomial_images(Q).items() if row)

@@ -14,11 +14,20 @@ tail at a position i in G without changing the ideal.  Clearing every such
 position in ascending order (``normal_tail``) leaves the tail on the
 gaps i with b + i in G, and that normal form is unique: two ideals are
 equal exactly when their normal forms are.
+
+Each ideal Q = x^b u R carries one integer model (``integer_model``): u^(-1)
+modulo x^(b + f + 1) as Python ints, mod p over F_p and, over Q, after the
+substitution x -> Dx that clears the tail denominators.  r is in Q exactly
+when r * u^(-1) has no coefficient at a checked exponent j <= b + f (j < b,
+or j - b a gap).  Those coefficients phi_j(r) embed R/Q; ``image`` computes
+phi on the model, and membership, the unit inverse and the colon engine of
+``gotonum.colon`` all run on it.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
 
@@ -217,29 +226,35 @@ def parse_element(text, semigroup, field=RATIONALS, truncation=None):
     return RingElement(semigroup, coeffs, truncation, field)
 
 
+def _inverse_series(t, p, n):
+    """The coefficients w_k, k < n, of (1 + sum t_k x^k)^(-1) for an integer
+    tail t, as a sparse {k: w_k} map: the recurrence w_m = -sum t_k w_(m-k),
+    reduced mod p over F_p (p = 0 over Q, where it stays in Z)."""
+    w = {0: 1}
+    for m in range(1, n):
+        acc = -sum(v * w[m - k] for k, v in t.items() if m - k in w)
+        if p:
+            acc %= p
+        if acc:
+            w[m] = acc
+    return w
+
+
 def invert_unit_mod(coeffs, T, field=RATIONALS):
     """Inverse of a unit 1 + c_1 x + c_2 x^2 + ... modulo x^T.
 
     The input is a sparse exponent-to-coefficient map with constant term 1
-    (support need not lie in any semigroup: units live in V).  Uses the
-    standard recurrence for the formal inverse; exact.
+    (support need not lie in any semigroup: units live in V).  Exact: the
+    tail is made integral (``integer_tail``), inverted by
+    ``_inverse_series``, and the w_k mapped back to field scalars, w_k
+    itself over F_p and w_k / D^k over Q.
     """
     if coeffs.get(0) != field.one:
         raise NotAUnit("series must have constant term 1")
     tail = {e: v for e, v in coeffs.items() if 0 < e < T}
-    inv = {0: field.one}
-    if not tail:
-        return inv
-    for n in range(1, T):
-        acc = field.zero
-        for k, v in tail.items():
-            if k <= n:
-                prev = inv.get(n - k)
-                if prev is not None:
-                    acc = field.add(acc, field.mul(v, prev))
-        if acc != field.zero:
-            inv[n] = field.neg(acc)
-    return inv
+    p, D = integer_scale(field, tail.values())
+    w = _inverse_series(integer_tail(tail, p, D), p, T)
+    return w if p else {k: Fraction(v, D**k) for k, v in w.items()}
 
 
 def integer_scale(field, values):
@@ -293,6 +308,68 @@ def normal_tail(S, tail, p):
     return tuple(sorted(t.items()))
 
 
+def integer_model(Q):
+    """The integer model of the ideal Q = x^b u R, cached:
+    (hi, cols, checked, series, p, D).
+
+    hi = b + f is the largest exponent that carries a condition, cols the
+    members of G up to it (ascending), and checked the exponents j <= hi
+    where membership in Q imposes one (j < b, or j - b a gap).  series is
+    u^(-1) as Python ints modulo x^(hi + 1): over F_p its coefficients mod
+    p (p prime, D = 1); over Q, with D the lcm of the tail denominators,
+    those of u(Dx)^(-1), w_k = D^k uinv_k, which are integers.  In a
+    membership row of shift d, entry c then reads D^(d - c) uinv_(d - c):
+    the row scaled by D^d and column c by D^(-c), which moves no pivot.
+    """
+    if Q._model is None:
+        S, b = Q.semigroup, Q.b
+        hi = b + max(S.frobenius, 0)
+        checked = [j for j in range(hi + 1) if j < b or not S.contains(j - b)]
+        p, D = integer_scale(Q.field, Q.unit_coeffs.values())
+        series = _inverse_series(integer_tail(Q.unit_coeffs, p, D), p, hi + 1)
+        Q._model = (hi, S.members(0, hi), checked, series, p, D)
+    return Q._model
+
+
+def monomial_images(Q):
+    """The images phi(x^e) for e in G, e <= b + f, as integer rows, cached.
+
+    phi_j(r) is the coefficient of x^j in r * u^(-1) at a checked exponent
+    j; their common kernel is Q, so phi embeds R/Q.  Entry j of phi(x^e)
+    is series[j - e] of ``integer_model``, whose rescaling x -> Dx scales
+    coordinate j and x^e and so moves no span.  Entry j is keyed
+    b + f - j, so that an echelon's largest key is the smallest exponent
+    and the images stay nearly triangular.
+    """
+    if Q._images is None:
+        hi, cols, checked, series, _, _ = integer_model(Q)
+        images = {}
+        for e in cols:
+            above = checked[bisect_left(checked, e):]
+            images[e] = {hi - j: v for j in above if (v := series.get(j - e)) is not None}
+        Q._images = images
+    return Q._images
+
+
+def image(Q, vec):
+    """phi of a vector {exponent: scalar} over Q's field as an integer row,
+    up to a nonzero factor per coordinate: the sum of v_c phi(x^c) with the
+    denominators of the v_c and the D^c cleared over Q, and reduced mod p
+    over F_p.  Exponents above b + f have image 0.  Empty exactly when the
+    vector lies in Q."""
+    p, D = integer_model(Q)[4:]
+    images = monomial_images(Q)
+    coeffs = {c: v for c, v in vec.items() if c in images}
+    if not p:
+        N = lcm(*(v.denominator for v in coeffs.values()))
+        coeffs = {c: v.numerator * (N // v.denominator) * D**c for c, v in coeffs.items()}
+    row = {}
+    for c, k in coeffs.items():
+        for j, v in images[c].items():
+            row[j] = row.get(j, 0) + k * v
+    return {j: r for j, v in row.items() if (r := v % p if p else v)}
+
+
 class CanonicalIdeal:
     """A parameter ideal in canonical form x^b * (1 + sum u_i x^i) R.
 
@@ -308,9 +385,8 @@ class CanonicalIdeal:
         "field",
         "b",
         "unit_coeffs",
-        "_uinv_cap",
-        "_uinv",
-        "_engine_cache",
+        "_model",
+        "_images",
         "_normal",
     )
 
@@ -338,9 +414,8 @@ class CanonicalIdeal:
         self.field = field
         self.b = b
         self.unit_coeffs = clean
-        self._uinv_cap = -1            # unit_inverse memo: exact below x^cap
-        self._uinv = None
-        self._engine_cache = {}        # colon-engine memo, see colon._context
+        self._model = None             # integer_model memo
+        self._images = None            # monomial_images memo
         self._normal = None            # normal_form memo
 
     @property
@@ -355,22 +430,17 @@ class CanonicalIdeal:
         return RingElement(self.semigroup, coeffs, None, self.field)
 
     def unit_inverse(self, upto: int):
-        """Coefficients of (1 + sum u_i x^i)^(-1) modulo x^upto, cached."""
-        if self._uinv_cap < upto:
-            unit = {0: self.field.one}
-            unit.update(self.unit_coeffs)
-            self._uinv = invert_unit_mod(unit, upto, self.field)
-            self._uinv_cap = upto
-        if upto == self._uinv_cap:
-            return self._uinv
-        return {e: v for e, v in self._uinv.items() if e < upto}
+        """Coefficients of (1 + sum u_i x^i)^(-1) modulo x^upto."""
+        return invert_unit_mod({0: self.field.one, **self.unit_coeffs}, upto, self.field)
 
     def contains(self, w: RingElement) -> bool:
         """Exact membership test w in qR.
 
-        Divides by the generator: w is in qR iff w * u^(-1) * x^(-b) has
-        no coefficient at a gap exponent below f + 1 (positions beyond f
-        land in the conductor, hence in R automatically).
+        w is in qR iff w * u^(-1) has no coefficient at a checked exponent
+        j <= b + f (j < b, or j - b a gap), i.e. iff its image under phi
+        (``image``, on the integer model) is zero.  Exponents above b + f
+        lie in x^b times the conductor, hence in qR, so w must be known
+        below x^(b + f + 1).
         """
         if w.semigroup != self.semigroup:
             raise MixedSemigroup("element and ideal over different semigroups")
@@ -384,25 +454,7 @@ class CanonicalIdeal:
                 f"membership needs coefficients up to x^{needed - 1}, "
                 f"element truncated at x^{w.truncation}"
             )
-        b = self.b
-        if w.valuation() < b:
-            return False
-        fld = self.field
-        f = self.semigroup.frobenius
-        uinv = self.unit_inverse(f + 1) if f >= 0 else {0: fld.one}
-        coeffs = {e: v for e, v in w.coeffs.items() if e < needed}
-        for i in self.semigroup.gaps:
-            target = b + i
-            acc = fld.zero
-            for e, v in coeffs.items():
-                k = target - e
-                if k >= 0:
-                    u = uinv.get(k)
-                    if u is not None:
-                        acc = fld.add(acc, fld.mul(v, u))
-            if acc != fld.zero:
-                return False
-        return True
+        return not image(self, w.coeffs)
 
     def closure_contains(self, r: RingElement) -> bool:
         """Integral closure of qR is spanned by x^e with e in G, e >= b."""

@@ -9,9 +9,10 @@ non-monomial ideals come from the literal membership system, one row per
 (multiplier, checked exponent) pair, eliminated over Fraction or mod p;
 primes from trial division.  Pure-power Goto numbers in a regular local
 ring come from the staircase of Q : m^g, one dilation step per g.
-Colon subspaces, ideal images and spans come from a field-generic
-elimination (every operation through the field descriptor) on rows built
-from ``CanonicalIdeal.unit_inverse``.  Duality values come from the
+Unit inverses come from the formal-inverse recurrence run through the
+field descriptor.  Colon subspaces, ideal images and spans come from a
+field-generic elimination (every operation through the field descriptor)
+on rows built from that inverse.  Duality values come from the
 per-i span route: for every i the colon J = Q : closure at a truncation
 wide enough for m^i, the span of m^i + Q over the field, and a reduction
 of each basis vector of J.  Colons over F_2 and F_3 also come from the
@@ -24,8 +25,8 @@ from itertools import combinations_with_replacement, product
 from math import gcd, isqrt
 
 from gotonum.colon import TruncatedSubspace
-from gotonum.errors import BoundViolation, ClosedIdeal, NotGorenstein, NotInConductor
-from gotonum.regular import MonomialIdeal, pure_power_integral
+from gotonum.errors import BoundViolation, ClosedIdeal, NotAUnit, NotGorenstein, NotInConductor
+from gotonum.fields import RATIONALS
 
 
 def representable(n, gens):
@@ -176,19 +177,29 @@ def power_in_shift_brute(gens, t, alpha):
 def pure_power_goto_staircase(exponents):
     """Goto number of (x_1^{n_1}, ..., x_d^{n_d}) by the staircase scan.
 
-    Dilate the staircase complement of Q : m^g one step per g (a point
-    stays outside Q : m^(g+1) when one variable step up stays outside
-    Q : m^g), rebuild the minimal generators of Q : m^g from it, and stop
-    at the first g where a generator fails the Newton-polyhedron test.
+    The staircase of Q (the exponents of the monomials outside it) is the
+    whole box prod [0, n_i).  Dilate it one step per g (a point stays
+    outside Q : m^(g+1) when one variable step up stays outside Q : m^g),
+    read the minimal generators of Q : m^g off it, and stop at the first g
+    where a generator x^p fails the Newton-polyhedron test sum p_i/n_i >= 1.
+    A minimal generator is a point off the staircase whose downward
+    neighbours all lie on it: the origin when the staircase is empty, and
+    otherwise one step above a staircase point.
     """
     exponents = tuple(exponents)
-    Q = MonomialIdeal.pure_powers(exponents)
-    d = Q.dimension
-    box = Q._primary_box()
-    std = Q._staircase(box)
+    d = len(exponents)
+    std = set(product(*map(range, exponents)))
     for g in range(sum(exponents) + 3):
-        current = MonomialIdeal._from_staircase(d, box, std)
-        if any(not pure_power_integral(exponents, p) for p in current.generators):
+        if std:
+            above = {s[:i] + (s[i] + 1,) + s[i + 1:] for s in std for i in range(d)}
+            generators = [
+                q
+                for q in above - std
+                if all(q[:i] + (q[i] - 1,) + q[i + 1:] in std for i in range(d) if q[i])
+            ]
+        else:
+            generators = [(0,) * d]
+        if any(sum(Fraction(q_i, n_i) for q_i, n_i in zip(q, exponents)) < 1 for q in generators):
             return g - 1
         std = {
             point
@@ -273,6 +284,28 @@ def goto_number_literal(gens, b, tail, p=0):
 
 
 # -- field-generic elimination ---------------------------------------------
+
+
+def invert_unit_generic(coeffs, T, field=RATIONALS):
+    """Inverse of a unit 1 + c_1 x + c_2 x^2 + ... modulo x^T, by the
+    recurrence for the formal inverse with every operation through the
+    field descriptor."""
+    if coeffs.get(0) != field.one:
+        raise NotAUnit("series must have constant term 1")
+    tail = {e: v for e, v in coeffs.items() if 0 < e < T}
+    inv = {0: field.one}
+    if not tail:
+        return inv
+    for n in range(1, T):
+        acc = field.zero
+        for k, v in tail.items():
+            if k <= n:
+                prev = inv.get(n - k)
+                if prev is not None:
+                    acc = field.add(acc, field.mul(v, prev))
+        if acc != field.zero:
+            inv[n] = field.neg(acc)
+    return inv
 
 
 def _forward_eliminate(rows, field, lead):
@@ -361,7 +394,7 @@ def colon_generic(Q, multipliers, T=None):
     S, fld, b = Q.semigroup, Q.field, Q.b
     T = Q.truncation if T is None else T
     hi = b + max(S.frobenius, 0)
-    uinv = Q.unit_inverse(hi + 1)
+    uinv = invert_unit_generic({0: fld.one, **Q.unit_coeffs}, hi + 1, fld)
     members = S.members(0, hi)
     checked = [j for j in range(hi + 1) if j < b or not S.contains(j - b)]
     shifts = sorted({j - s for s in multipliers for j in checked if s <= j})

@@ -3,7 +3,7 @@ import json
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import gotonum
@@ -162,8 +162,14 @@ class TestErrors:
         assert code == 2
 
     def test_dual_on_asymmetric_exits_two(self):
-        code, _ = run_cli("goto", "4", "5", "11", "--ideal", "x^12", "--dual")
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli("goto", "4", "5", "11", "--ideal", "x^12", "--dual")
         assert code == 2
+        assert out == ""
+        assert err.getvalue() == (
+            "error: duality requires a symmetric semigroup, (4, 5, 11) is not\n"
+        )
 
     def test_usage_error_exits_two(self):
         code, _ = run_cli("goto", "3", "5")

@@ -40,3 +40,20 @@ def test_no_true_division():
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_ideal_private_slots_stay_in_ring():
+    # the integer model and the other memos of an ideal are ring.py's to
+    # build and read; other modules go through integer_model, image and
+    # monomial_images
+    from gotonum.ring import CanonicalIdeal
+
+    private = {name for name in CanonicalIdeal.__slots__ if name.startswith("_")}
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "ring.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                found.append(f"{path.name}:{node.lineno}: {node.attr}")
+    assert found == []

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -184,6 +185,35 @@ class TestInvertUnit:
         assert {e: v for e, v in prod.items() if v} == {0: 1}
 
 
+    def test_matches_field_generic_recurrence(self):
+        # the integer recurrence against the oracle's copy of the recurrence
+        # through the field descriptor, for every T up to 30: over Q with
+        # tail denominators 2, 7 and 12 (and all three at once), over F_p
+        # with reduced, unreduced and negative tail values.  At T = 0 the
+        # inverse stays {0: 1}.
+        rng = random.Random(20261018)
+        cases = [({0: Fraction(1)}, RATIONALS)]
+        for dens in ([2], [7], [12], [2, 7, 12]):
+            for _ in range(4):
+                tail = {
+                    e: Fraction(rng.choice([1, -1, 5, -7, 11]), rng.choice(dens))
+                    for e in rng.sample(range(1, 13), rng.randint(1, 4))
+                }
+                cases.append(({0: Fraction(1), **tail}, RATIONALS))
+        for p in (2, 5, 101):
+            for _ in range(4):
+                tail = {
+                    e: rng.choice([rng.randrange(1, p), p + 1, -1])
+                    for e in rng.sample(range(1, 13), rng.randint(1, 4))
+                }
+                cases.append(({0: 1, **tail}, PrimeField(p)))
+        for unit, fld in cases:
+            assert invert_unit_mod(unit, 0, fld) == {0: fld.one}
+            for T in range(31):
+                got = invert_unit_mod(unit, T, fld)
+                assert got == oracles.invert_unit_generic(unit, T, fld), (unit, fld, T)
+
+
 class TestPrimality:
     def test_matches_trial_division(self):
         from gotonum.fields import _is_prime
@@ -296,6 +326,73 @@ class TestMembership:
         w = elem((3, 5), "x^8 + 2*x^9")
         with_tail = w + elem((3, 5), "x^14")   # beyond b + f = 12
         assert Q.contains(w) == Q.contains(with_tail)
+
+
+    def test_matches_ideal_image_oracle(self):
+        # w = q * r truncated at b + f + 1 is in Q; one more monomial of
+        # valuation >= b may take it out.  Either way contains(w) must say
+        # whether w reduces to zero against the field-generic span of the
+        # shifts of q, which shares no code with the integer model
+        rng = random.Random(907)
+        fields = [
+            (RATIONALS, lambda: Fraction(rng.choice([1, -1, 3, -5]), rng.choice([1, 2, 7, 12]))),
+            (PrimeField(5), lambda: rng.randrange(1, 5)),
+            (PrimeField(101), lambda: rng.randrange(1, 101)),
+        ]
+        seen = {True: 0, False: 0}
+        for gens in [(3, 5), (5, 11), (4, 6, 7), (4, 7, 9), (5, 6, 13), (7, 9, 20)]:
+            S = semigroup(*gens)
+            f, a1 = S.frobenius, S.multiplicity
+            for fld, coefficient in fields:
+                for _ in range(3):
+                    b = rng.choice(S.members(1, f + a1 + 1))
+                    positions = [i for i in range(1, f + 1) if S.contains(b + i)]
+                    tail = {
+                        i: coefficient()
+                        for i in rng.sample(positions, rng.randint(0, min(3, len(positions))))
+                    }
+                    Q = CanonicalIdeal(S, b, tail, fld)
+                    T = Q.truncation
+                    basis = oracles.ideal_image_generic(Q).basis
+                    for _ in range(4):
+                        support = rng.sample(S.members(0, f + 1), 3)
+                        r = RingElement(S, {c: coefficient() for c in support}, None, fld)
+                        w = (Q.generator() * r).truncate(T)
+                        e = rng.choice(S.members(b, b + f))
+                        bumped = w + RingElement(S, {e: coefficient()}, T, fld)
+                        for v in (w, bumped):
+                            expected = not oracles.reduce_vector(basis, v.coeffs, fld)
+                            assert Q.contains(v) == expected, (gens, fld, b, tail, v)
+                            seen[expected] += 1
+        assert seen[True] >= 200 and seen[False] >= 100, seen
+
+    def test_every_element_against_the_definition(self):
+        # every element of R/x^T over F_2 and F_3, T = b + f + 1, against Q
+        # mod x^T listed element by element (the g = 0 colon of the
+        # definition oracle)
+        rng = random.Random(5)
+        count = 0
+        for gens in [(3, 4, 5), (3, 5), (4, 5, 7)]:
+            S = semigroup(*gens)
+            f, a1 = S.frobenius, S.multiplicity
+            for p in (2, 3):
+                fld = PrimeField(p)
+                for b in S.members(1, f + a1):
+                    if p ** len(S.members(0, b + f)) > 3**7:
+                        continue
+                    positions = [i for i in range(1, f + 1) if S.contains(b + i)]
+                    tails = [{}] + [
+                        {i: rng.randrange(1, p) for i in rng.sample(positions, rng.randint(1, len(positions)))}
+                        for _ in range(2 if positions else 0)
+                    ]
+                    for tail in tails:
+                        Q = CanonicalIdeal(S, b, tail, fld)
+                        (ideal,), members = oracles.colon_sets_definition(gens, b, tail, p, 0)
+                        for r in product(range(p), repeat=len(members)):
+                            w = RingElement(S, dict(zip(members, r)), Q.truncation, fld)
+                            assert Q.contains(w) == (r in ideal), (gens, b, tail, p, r)
+                        count += 1
+        assert count >= 30, count
 
 
 class TestClosure:
