@@ -11,10 +11,12 @@ d = j - s, so the system holds one row per distinct shift.
 
 The Goto number is the last g whose colon stays inside the integral
 closure, i.e. has no element of valuation below b.  For a monomial Q that
-is read off escape orders (``goto_monomial``).  For every other Q the
-scan starts at the monomial floor g(x^b) + 1, and one forward elimination
-per g decides it: with the largest column taken as pivot, a kernel vector
-led by column c exists exactly when c gets no pivot, so the colon's
+is read off escape orders (``goto_monomial``), and so it is for every Q
+the conductor lemma decides, all Q with b > f + a_1 among them
+(``goto_number``).  For every other Q the scan starts at the monomial
+floor g(x^b) + 1, and one forward elimination per g decides it: with the
+largest column taken as pivot, a kernel vector led by column c exists
+exactly when c gets no pivot, so the colon's
 minimal valuation is the smallest free column and no kernel basis is
 built.  That scan runs on Python ints, on the ideal's integer model
 (``ring.integer_model``): over F_p the rows are reduced mod p, and over Q
@@ -307,17 +309,26 @@ def _colon_min_valuation(Q, g):
 def goto_number(Q: CanonicalIdeal) -> int:
     """Largest g such that Q : m^g stays inside the integral closure of Q.
 
-    A monomial Q goes to ``goto_monomial`` (escape orders).  Every other Q
-    is scanned over ascending g from g(x^b) + 1, one rank-only elimination
-    per g, up to the first colon that reaches below valuation b.  That
-    floor holds since r in Q : m^g of valuation c < b puts x^c in
-    x^b R : m^g (compare valuations in r x^e in qR), and the colons grow
-    with g.  The scan cannot legitimately pass floor(f/a_1) + 1, so
+    The floor is g(x^b) (``goto_monomial``): r in Q : m^g of valuation
+    c < b puts x^c in x^b R : m^g (compare valuations in r x^e in qR), and
+    the colons grow with g.  A monomial Q has exactly that value.
+
+    The conductor lemma bounds g(Q) from above.  With w the escape order
+    and f < c < b, u x^c lies in R (its exponents exceed f), and for every
+    sum s of w(b - c) + 1 generators x^c x^s lies in x^b R, so
+    u x^c x^s = q x^(c + s - b) lies in qR; so g(Q) <= w(b - c).  As
+    w(alpha + a_1) > w(alpha) (``goto_monomial``), g(Q) <= U(b), the least
+    w(alpha) over 1 <= alpha <= min(b - f - 1, a_1).  When U(b) equals the
+    floor, as it does for every b > f + a_1, g(Q) is the floor.
+
+    Every other Q is scanned over ascending g from the floor + 1, one
+    rank-only elimination per g, up to the first colon that reaches below
+    valuation b.  The scan cannot legitimately pass floor(f/a_1) + 1, so
     reaching floor(f/a_1) + 2 raises an internal error.
     """
     S = Q.semigroup
-    floor = goto_monomial(S, Q.b)
-    if not Q.unit_coeffs:
+    floor, settled = _monomial_floor(S, Q.b)
+    if settled or not Q.unit_coeffs:
         return floor
     cap = S.frobenius // S.multiplicity + 1
     for g in range(floor + 1, cap + 2):
@@ -337,20 +348,43 @@ def goto_monomial(S, b: int) -> int:
     of g where some sum escapes is the initial segment [0, w(b - c)] with
     w the escape order, so the Goto number is min over c in G, c < b, of
     the escape order of b - c.
+
+    For b > f + a_1 that minimum is the stable value, the least w(alpha)
+    over alpha in [1, a_1] (``S.stable_goto_via_t_prime``), read in
+    O(a_1).  Each c = b - alpha exceeds f, so lies in G, which bounds the
+    minimum by the stable value.  Conversely w(delta + a_1) > w(delta): a
+    witness x^e of w(delta) gives the witness x^(e + a_1) of
+    w(delta + a_1), of one order more.  So every w(b - c) is at least the
+    w of the representative of b - c in [1, a_1].
     """
     if b < 1:
         raise ValueError(f"need b >= 1, got {b}")
     if not S.contains(b):
         raise NotInSemigroup(f"{b} is not in the semigroup {S.generators}")
-    if S.is_regular:
-        return 0
-    value = min(S.escape_order(b - c) for c in S.members(0, b - 1))
-    cap = S.frobenius // S.multiplicity + 1
-    if value > cap:
+    return _monomial_floor(S, b)[0]
+
+
+def _monomial_floor(S, b):
+    """The pair (g(x^b), U(b) == g(x^b)), the second saying that the
+    conductor lemma decides every ideal of valuation b (``goto_number``).
+    Kept on the semigroup beside its escape orders, one entry per b up to
+    f + a_1 + 1, past which the pair no longer depends on b."""
+    f, a1 = S.frobenius, S.multiplicity
+    key = min(b, f + a1 + 1)
+    known = S._floors.get(key)
+    if known is not None:
+        return known
+    if b > f + a1:
+        value = S.stable_goto_via_t_prime()
+    else:
+        value = min(S.escape_order(b - c) for c in S.members(0, b - 1))
+    if value > f // a1 + 1:
         raise BoundViolation(
-            f"g(x^{b}) = {value} escapes the proven bound {cap}"
+            f"g(x^{b}) = {value} escapes the proven bound {f // a1 + 1}"
         )
-    return value
+    upper = min((S.escape_order(a) for a in range(1, min(b - f - 1, a1) + 1)), default=None)
+    known = S._floors[key] = (value, value == upper)
+    return known
 
 
 # -- duality and nilpotency ---------------------------------------------

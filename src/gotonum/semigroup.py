@@ -103,6 +103,7 @@ class NumericalSemigroup:
         self._sums = [(0,)]         # generator-sum levels S_t, sorted tuples
         self._sums_cap = 0
         self._escape = {}           # delta -> escape_order(delta)
+        self._floors = {}           # min(b, f + a_1 + 1) -> colon._monomial_floor
 
     # -- basic queries ---------------------------------------------------
 

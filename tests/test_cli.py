@@ -142,6 +142,41 @@ class TestBoundsAndRlr:
         assert proc.stdout == run_cli(*argv)[1]
 
 
+class TestDeepValuations:
+    # past f + a_1 every Goto number is the stable value, read off escape
+    # orders; a cost that grows with b again would hit the timeout here
+    # instead of hanging the suite
+    def run_child(self, *argv):
+        src = str(Path(gotonum.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "gotonum", *argv],
+            capture_output=True, text=True, env=env, timeout=5,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_goto_ideal(self):
+        payload = self.run_child("goto", "3", "5", "--ideal", "x^1000000+x^1000001")
+        assert payload["goto_number"] == 2
+
+    def test_goto_monomial(self):
+        assert self.run_child("goto", "3", "5", "--monomial", "1000000")["goto_number"] == 2
+
+    def test_search(self):
+        payload = self.run_child("search", "3", "5", "--b", "100000")
+        assert payload["count"] == 128
+        assert payload["value_counts"] == {"2": 128}
+
+    def test_table(self):
+        table = self.run_child("table", "3", "5", "--max", "20000")["table"]
+        assert len(table) == 20000 - 4
+        assert {g for e, g in table.items() if int(e) > 10} == {2}
+
+
 class TestVerifyPaper:
     def test_passes_and_prints_lines(self):
         code, out = run_cli("verify-paper")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -169,11 +170,12 @@ class TestGotoNumber:
             assert goto_number(Q) == 5, p
 
 
-def _seeded_tails(rng, gens, count, fields):
-    """count seeded ideals x^b(1 + tail) over <gens>, b up to f + a_1 + 1,
-    with one to three tail terms; the field cycles through fields."""
+def _seeded_tails(rng, gens, count, fields, lo=1, hi=None):
+    """count seeded ideals x^b(1 + tail) over <gens>, b in [lo, hi] (hi
+    defaults to f + a_1 + 1), with one to three tail terms; the field
+    cycles through fields."""
     S = semigroup(*gens)
-    bs = S.members(1, S.frobenius + S.multiplicity + 1)
+    bs = S.members(lo, S.frobenius + S.multiplicity + 1 if hi is None else hi)
     out = []
     while len(out) < count:
         fld = fields[len(out) % len(fields)]
@@ -218,6 +220,10 @@ class TestMonomialFloor:
         assert above >= 10
 
     def test_scan_starts_at_the_floor(self, monkeypatch):
+        # the scan runs the levels g(x^b) + 1, ..., g(Q) + 1, unless the
+        # conductor lemma decides Q.  It does exactly when x^b R : m^(g+1),
+        # g = g(x^b), holds some x^c with f < c < b; that predicate is
+        # computed here from the oracles alone
         import gotonum.colon as colon
 
         seen = []
@@ -228,12 +234,91 @@ class TestMonomialFloor:
             return original(Q, g)
 
         monkeypatch.setattr(colon, "_colon_min_valuation", recording)
+        decided = scanned = 0
         for Q in self._ideals():
+            gens, b, f = list(Q.semigroup.generators), Q.b, Q.semigroup.frobenius
+            floor = oracles.goto_monomial_brute(gens, b)
+            lemma = any(c > f for c in oracles.monomial_colon(gens, b, floor + 1, b - 1))
             seen.clear()
             g = goto_number(Q)
-            floor = goto_monomial(Q.semigroup, Q.b)
-            assert seen and seen[0] == floor + 1, (Q, seen)
-            assert seen == list(range(floor + 1, g + 2)), (Q, seen)
+            if lemma:
+                assert g == floor and seen == [], (Q, seen)
+                decided += 1
+            else:
+                assert seen == list(range(floor + 1, g + 2)), (Q, seen)
+                scanned += 1
+        assert decided >= 5 and scanned >= 50, (decided, scanned)
+
+
+class TestConductorLemma:
+    def test_matches_literal_oracle_past_the_conductor(self):
+        # seeded tails with f < b <= f + 2 a_1, where the lemma decides
+        # some ideals and the scan the rest; the ones above g(x^b) come
+        # from the band f + 1 <= b <= f + a_1 of <5,6,13>
+        rng = random.Random(4411)
+        fields = [RATIONALS, PrimeField(2), PrimeField(3), PrimeField(101)]
+        above = 0
+        for gens in [(3, 5), (4, 7, 9), (5, 6, 13), (4, 6, 7), (5, 7, 9), (6, 7, 15), (5, 11)]:
+            S = semigroup(*gens)
+            f, a1 = S.frobenius, S.multiplicity
+            for Q in _seeded_tails(rng, gens, 12, fields, f + 1, f + 2 * a1):
+                p = getattr(Q.field, "p", 0)
+                g = goto_number(Q)
+                assert g == oracles.goto_number_literal(gens, Q.b, Q.unit_coeffs, p), Q
+                above += g > goto_monomial(S, Q.b)
+        assert above >= 2
+
+    def test_band_census_over_f2(self):
+        # over F_2 the ideals of valuation b are the 2^|N(b)| tails on the
+        # gaps i with b + i in G.  On <5,6,13> (f = 14) b = 15, 16 and 17
+        # each give 128 ideals with g = 2 = g(x^b) and 128 with g = 3, so
+        # b > f alone does not fix g(Q); a seeded sample of each value is
+        # checked against the literal oracle
+        S = semigroup(5, 6, 13)
+        F2 = PrimeField(2)
+        rng = random.Random(1513)
+        for b in (15, 16, 17):
+            positions = [i for i in S.gaps if S.contains(b + i)]
+            by_value = {}
+            for bits in itertools.product((0, 1), repeat=len(positions)):
+                tail = {i: F2.one for i, bit in zip(positions, bits) if bit}
+                Q = CanonicalIdeal(S, b, tail, F2)
+                by_value.setdefault(goto_number(Q), []).append(Q)
+            assert {g: len(qs) for g, qs in by_value.items()} == {2: 128, 3: 128}, b
+            assert goto_monomial(S, b) == 2
+            for g, qs in by_value.items():
+                for Q in rng.sample(qs, 3):
+                    assert oracles.goto_number_literal(
+                        S.generators, b, Q.unit_coeffs, 2
+                    ) == g, Q
+
+    def test_deep_valuations_need_no_elimination(self, monkeypatch):
+        # at b = 10^6 no elimination runs, and the floor reads at most
+        # a_1 escape orders, not one per member below b
+        import gotonum.colon as colon
+        from gotonum.semigroup import NumericalSemigroup
+
+        def forbidden(Q, g):
+            raise AssertionError(f"elimination ran on {Q}")
+
+        monkeypatch.setattr(colon, "_colon_min_valuation", forbidden)
+        asked = []
+        escape_order = NumericalSemigroup.escape_order
+        monkeypatch.setattr(
+            NumericalSemigroup,
+            "escape_order",
+            lambda self, delta: asked.append(delta) or escape_order(self, delta),
+        )
+        b = 10**6
+        cases = [((3, 5), RATIONALS), ((5, 6, 13), PrimeField(2)), ((4, 7, 9), PrimeField(101))]
+        for gens, field in cases:
+            S = NumericalSemigroup(gens)
+            stable = S.stable_goto_via_t()
+            asked.clear()
+            assert goto_monomial(S, b) == stable
+            assert set(asked) <= set(range(1, S.multiplicity + 1)), asked
+            for text in ("x^1000000+x^1000001", "x^1000000-3*x^1000001+x^1000003"):
+                assert goto_number(canonicalize(parse_element(text, S, field))) == stable
 
 
 class TestGotoMonomial:
@@ -248,7 +333,8 @@ class TestGotoMonomial:
     def test_brute_force_small(self):
         for gens in [(2, 3), (3, 5), (4, 6, 7), (4, 7, 9)]:
             S = semigroup(*gens)
-            for b in S.members(1, S.frobenius + 2 * S.multiplicity):
+            # past f + a_1, goto_monomial reads the stable value
+            for b in S.members(1, 2 * S.frobenius + 3 * S.multiplicity + 1):
                 assert goto_monomial(S, b) == oracles.goto_monomial_brute(
                     list(gens), b
                 ), (gens, b)

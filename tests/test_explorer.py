@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
+from gotonum import explorer
 from gotonum.bounds import stable_goto
 from gotonum.colon import goto_monomial, goto_number
 from gotonum.errors import BoundViolation, SearchSpaceTooLarge
@@ -52,6 +54,9 @@ class TestMonomialTable:
             window = [g for e, g in table.items() if e >= f + a1 + 1]
             assert len(set(window)) == 1, S.generators
             assert window[0] == stable_goto(S)
+            # goto_monomial takes that value as given past f + a_1; the
+            # literal scan checks it
+            assert window[0] == oracles.goto_monomial_literal(S, f + a1 + 1)
 
     def test_rejects_small_cap(self):
         with pytest.raises(ValueError):
@@ -82,6 +87,28 @@ class TestSearch:
         assert result.min_goto == 4
         assert result.max_goto == 5
         assert result.witnesses[5].coeffs == ((4, Fraction(1)),)
+
+    def test_floor_computed_once_per_valuation(self, monkeypatch):
+        # every ideal of one search --b 7 has the floor g(x^7), the least
+        # escape order w(7 - c) over c in G below 7; it is computed once,
+        # not once per distinct ideal
+        from gotonum.semigroup import NumericalSemigroup
+
+        asked = []
+        escape_order = NumericalSemigroup.escape_order
+        monkeypatch.setattr(
+            NumericalSemigroup,
+            "escape_order",
+            lambda self, delta: asked.append(delta) or escape_order(self, delta),
+        )
+        scans = []
+        monkeypatch.setattr(
+            explorer, "goto_number", lambda Q: scans.append(Q) or goto_number(Q)
+        )
+        S = NumericalSemigroup([4, 7, 9])
+        result = search(SearchConfig(semigroup=S, b_values=(7,)))
+        assert len(scans) > 10 and result.count > len(scans)
+        assert sorted(asked) == [3, 7]
 
     def test_deterministic(self):
         cfg = lambda: SearchConfig(semigroup=semigroup(4, 6, 7), b_values=(4, 6, 7))
