@@ -44,7 +44,6 @@ from .fields import PrimeField, RATIONALS, Rationals, field_from_label
 from .golden import run_golden_checks
 from .regular import (
     MonomialIdeal,
-    goto_ratios,
     pure_power_goto,
     pure_power_integral,
     pure_power_report,
@@ -87,7 +86,6 @@ __all__ = [
     "frobenius_two_generated",
     "goto_monomial",
     "goto_number",
-    "goto_ratios",
     "ideal_image",
     "index_of_nilpotency",
     "invert_unit_mod",

@@ -4,10 +4,12 @@ A parameter ideal Q with canonical generator q = x^b(1 + tail) is handled
 modulo x^T with T = b + f + 1: elements of R with valuation above b + f
 lie in x^b times the conductor, which qR absorbs, so nothing below T is
 ever affected.  The colon Q : m^g is the kernel of a linear system over
-the coordinates {x^e : e in G, e < T}: for each multiplier s and each
-checked exponent j (j - b negative or a gap) the coefficient of x^j in
-r * x^s * u^(-1) must vanish.  That condition depends only on the shift
-d = j - s, so the system holds one row per distinct shift.
+the coordinates {x^e : e in G, e < T}: for each multiplier s, an exponent
+of m-adic order exactly g (a minimal monomial generator of m^g,
+``NumericalSemigroup.power_generators``), and each checked exponent j
+(j - b negative or a gap) the coefficient of x^j in r * x^s * u^(-1) must
+vanish.  That condition depends only on the shift d = j - s, so the
+system holds one row per distinct shift.
 
 The Goto number is the last g whose colon stays inside the integral
 closure, i.e. has no element of valuation below b.  For a monomial Q that
@@ -276,7 +278,7 @@ def colon_power(Q: CanonicalIdeal, g: int, truncation=None) -> TruncatedSubspace
     if g < 0:
         raise ValueError(f"need g >= 0, got {g}")
     hi = integer_model(Q)[0]
-    return _colon(Q, Q.semigroup._sums_upto(g, hi), truncation)
+    return _colon(Q, Q.semigroup.power_generators(g, hi), truncation)
 
 
 def colon_by_monomials(Q: CanonicalIdeal, exponents, truncation=None) -> TruncatedSubspace:
@@ -301,7 +303,7 @@ def _colon_min_valuation(Q, g):
     no back substitution and no kernel basis.
     """
     hi, cols, _, series, p, _ = integer_model(Q)
-    rows = _membership_rows(Q, Q.semigroup._sums_upto(g, hi), series)
+    rows = _membership_rows(Q, Q.semigroup.power_generators(g, hi), series)
     pivots = _pivot_columns(rows, p)
     return next((c for c in cols if c not in pivots), None)
 
@@ -327,7 +329,7 @@ def goto_number(Q: CanonicalIdeal) -> int:
     reaching floor(f/a_1) + 2 raises an internal error.
     """
     S = Q.semigroup
-    floor, settled = _monomial_floor(S, Q.b)
+    floor, settled = S.monomial_floor(Q.b)
     if settled or not Q.unit_coeffs:
         return floor
     cap = S.frobenius // S.multiplicity + 1
@@ -361,30 +363,7 @@ def goto_monomial(S, b: int) -> int:
         raise ValueError(f"need b >= 1, got {b}")
     if not S.contains(b):
         raise NotInSemigroup(f"{b} is not in the semigroup {S.generators}")
-    return _monomial_floor(S, b)[0]
-
-
-def _monomial_floor(S, b):
-    """The pair (g(x^b), U(b) == g(x^b)), the second saying that the
-    conductor lemma decides every ideal of valuation b (``goto_number``).
-    Kept on the semigroup beside its escape orders, one entry per b up to
-    f + a_1 + 1, past which the pair no longer depends on b."""
-    f, a1 = S.frobenius, S.multiplicity
-    key = min(b, f + a1 + 1)
-    known = S._floors.get(key)
-    if known is not None:
-        return known
-    if b > f + a1:
-        value = S.stable_goto_via_t_prime()
-    else:
-        value = min(S.escape_order(b - c) for c in S.members(0, b - 1))
-    if value > f // a1 + 1:
-        raise BoundViolation(
-            f"g(x^{b}) = {value} escapes the proven bound {f // a1 + 1}"
-        )
-    upper = min((S.escape_order(a) for a in range(1, min(b - f - 1, a1) + 1)), default=None)
-    known = S._floors[key] = (value, value == upper)
-    return known
+    return S.monomial_floor(b)[0]
 
 
 # -- duality and nilpotency ---------------------------------------------

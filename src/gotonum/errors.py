@@ -73,7 +73,7 @@ class NotTwoGenerated(GotoNumberError):
 
 
 class SearchSpaceTooLarge(GotoNumberError):
-    """Requested enumeration exceeds the configured cap."""
+    """Requested enumeration exceeds the search cap (``explorer.SEARCH_CAP``)."""
 
 
 class ParseError(GotoNumberError):

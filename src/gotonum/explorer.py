@@ -4,7 +4,8 @@ Canonical forms x^b(1 + sum u_i x^i) are enumerated over a finite
 coefficient set; the resulting Goto numbers are exact for the chosen
 field and coefficient set and say nothing about other coefficients.
 Many forms generate the same ideal; the search computes the Goto number
-once per distinct ideal, keyed on its normal form.
+once per distinct ideal, keyed on its normal form, and not at all at a
+valuation the conductor lemma decides.
 """
 
 from __future__ import annotations
@@ -12,11 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 
-from .bounds import bound_global, stable_goto
 from .colon import goto_monomial, goto_number
-from .errors import BoundViolation, SearchSpaceTooLarge
+from .errors import SearchSpaceTooLarge
 from .fields import RATIONALS
 from .ring import CanonicalIdeal, canonicalize, integer_scale, integer_tail, normal_tail
+
+# most canonical forms one search may enumerate
+SEARCH_CAP = 10_000_000
 
 
 def monomial_table(S, e_max: int) -> dict:
@@ -41,7 +44,6 @@ class SearchConfig:
     coefficients: tuple = (0, 1)
     b_values: tuple | None = None
     positions: tuple | None = None
-    cap: int = 10_000_000
 
     def __post_init__(self):
         fld = self.field
@@ -133,26 +135,33 @@ class SearchResult:
 def _search_one_b(config, b):
     """The records at valuation b, one Goto number per distinct ideal.
 
-    Forms are enumerated as index vectors into the coefficient set, whose
-    integer images (one D for the whole set over Q, see ``integer_tail``)
-    give each form's integer normal tail.  For a fixed D that tail
-    determines the ideal, so it keys the memo; only a miss builds the
-    form's ``CanonicalIdeal`` and scans it.
+    Forms are enumerated as index vectors into the coefficient set.  Where
+    the conductor lemma decides every ideal of valuation b, each form gets
+    the floor g(x^b) and nothing else is built.  Elsewhere the integer
+    images of the coefficients (one D for the whole set over Q, see
+    ``integer_tail``) give each form's integer normal tail.  For a fixed D
+    that tail determines the ideal, so it keys the memo; only a miss builds
+    the form's ``CanonicalIdeal`` and scans it.
     """
     S = config.semigroup
     fld = config.field
     coeffs = config.coefficients
     zero = coeffs.index(fld.zero)
-    p, D = integer_scale(fld, coeffs)
     positions = config.admissible_positions(b)
-    scaled = [integer_tail(dict.fromkeys(positions, c), p, D) for c in coeffs]
+    floor, settled = S.monomial_floor(b)
+    if not settled:
+        p, D = integer_scale(fld, coeffs)
+        scaled = [integer_tail(dict.fromkeys(positions, c), p, D) for c in coeffs]
     memo = {}
     records = []
     for vector in product(range(len(coeffs)), repeat=len(positions)):
+        tail = tuple((i, coeffs[k]) for i, k in zip(positions, vector) if k != zero)
+        if settled:
+            records.append(SearchRecord(b, tail, floor))
+            continue
         key = normal_tail(
             S, {i: scaled[k][i] for i, k in zip(positions, vector) if k != zero}, p
         )
-        tail = tuple((i, coeffs[k]) for i, k in zip(positions, vector) if k != zero)
         goto = memo.get(key)
         if goto is None:
             goto = memo[key] = goto_number(CanonicalIdeal(S, b, dict(tail), fld))
@@ -166,9 +175,9 @@ def search(config: SearchConfig) -> SearchResult:
     total = 0
     for b in config.b_values:
         total += len(config.coefficients) ** len(config.admissible_positions(b))
-        if total > config.cap:
+        if total > SEARCH_CAP:
             raise SearchSpaceTooLarge(
-                f"enumeration would exceed {config.cap} ideals"
+                f"enumeration would exceed {SEARCH_CAP} ideals"
             )
     records = [rec for b in config.b_values for rec in _search_one_b(config, b)]
     value_counts = {}
@@ -208,10 +217,6 @@ class ProductInequalityReport:
     def all_ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    @property
-    def strict_witnesses(self):
-        return [c for c in self.checks if c.strict]
-
 
 def verify_product_inequality(S, pairs) -> ProductInequalityReport:
     """Check g(Q1 Q2) <= min(g(Q1), g(Q2)) on the given ideal pairs.
@@ -239,15 +244,3 @@ def verify_product_inequality(S, pairs) -> ProductInequalityReport:
         )
     return ProductInequalityReport(checks)
 
-
-def check_search_envelope(S, result: SearchResult):
-    """Every observed Goto number must lie between the stable value and the
-    global bound.  Returns (stable, bound); raises BoundViolation on the
-    first record outside."""
-    lo, hi = stable_goto(S), bound_global(S)
-    for rec in result.records:
-        if not lo <= rec.goto <= hi:
-            raise BoundViolation(
-                f"record (b={rec.b}, g={rec.goto}) escapes [{lo}, {hi}]"
-            )
-    return lo, hi

@@ -228,11 +228,6 @@ def pure_power_goto(exponents) -> int:
     return sum(exponents) - max(exponents) - (len(exponents) - 1)
 
 
-def goto_ratios(exponents):
-    """The three ratios g/ord(Q), g/ord(Q:m), g/ord(Q:m^g) for one ideal."""
-    return pure_power_report(exponents)["ratios"]
-
-
 def pure_power_report(exponents) -> dict:
     """Goto number, the three ideal orders, and the ratios, all exact.
 

@@ -4,10 +4,12 @@ A numerical semigroup G is the set of non-negative integer combinations of
 generators a_1 < ... < a_d with gcd 1; its complement in the positive
 integers is finite.  G is held as its Apery set with respect to a_1, the
 least member of G in each residue class mod a_1.  Membership, the
-Frobenius number (largest integer outside G), the gaps and the minimal
-generators are read off it.  This module also computes the conductor
-window, m-adic orders of monomials in the associated semigroup ring, and
-the two combinatorial characterizations of the stable Goto number.
+Frobenius number (largest integer outside G), the gaps, the genus and the
+minimal generators are read off it.  One table of m-adic orders of the
+monomials in the associated semigroup ring gives the minimal monomial
+generators of each power m^g, the escape orders, the monomial Goto
+numbers and the two combinatorial characterizations of the stable Goto
+number.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ class NumericalSemigroup:
     least member of G congruent to r mod a_1), so e is in G iff
     e >= ``_ap[e % a_1]``, and f = max(``_ap``) - a_1.  Instances are
     immutable after construction; the private tables (m-adic orders,
-    generator-sum levels) are memoized lazily and only ever grow.
+    escape orders, monomial floors) are memoized lazily and only ever grow,
+    and no other module reads them.
     """
 
     def __init__(self, raw_generators):
@@ -92,18 +95,13 @@ class NumericalSemigroup:
             and not any(w < a and self.contains(a - w) for w in nonzero)
         )
         self.frobenius = max(ap) - a1
-        self.gaps = tuple(
-            e for e in range(1, self.frobenius + 1) if e < ap[e % a1]
-        )
         # R-module generators of the conductor x^(f+1)V
         self.conductor_generators = tuple(
             range(self.frobenius + 1, self.frobenius + self.generators[0] + 1)
         )
         self._orders = [0]          # m-adic order table, grows on demand
-        self._sums = [(0,)]         # generator-sum levels S_t, sorted tuples
-        self._sums_cap = 0
         self._escape = {}           # delta -> escape_order(delta)
-        self._floors = {}           # min(b, f + a_1 + 1) -> colon._monomial_floor
+        self._floors = {}           # min(b, f + a_1 + 1) -> monomial_floor(b)
 
     # -- basic queries ---------------------------------------------------
 
@@ -114,6 +112,13 @@ class NumericalSemigroup:
     @property
     def embedding_dim(self) -> int:
         return len(self.generators)
+
+    @property
+    def gaps(self) -> tuple:
+        """The integers in [1, f] outside G, ascending: e is one exactly
+        when e < Ap[e mod a_1]."""
+        ap, a1 = self._ap, self._a1
+        return tuple(e for e in range(1, self.frobenius + 1) if e < ap[e % a1])
 
     @property
     def is_regular(self) -> bool:
@@ -151,38 +156,16 @@ class NumericalSemigroup:
 
     # -- generator sums ----------------------------------------------------
 
-    def _sum_levels(self, t: int, cap: int):
-        if cap > self._sums_cap:
-            self._sums = [(0,)] if cap >= 0 else [()]
-            self._sums_cap = cap
-        levels = self._sums
-        limit = self._sums_cap
-        while len(levels) <= t:
-            nxt = set()
-            for s in levels[-1]:
-                for a in self.generators:
-                    v = s + a
-                    if v <= limit:
-                        nxt.add(v)
-            levels.append(tuple(sorted(nxt)))
-        return levels
-
     def generator_sums(self, t: int, cap: int) -> set:
         """Sums of exactly t generators (with repetition), capped at ``cap``."""
         if t < 0:
             raise ValueError(f"need t >= 0, got {t}")
         if cap < 0:
             raise ValueError(f"need cap >= 0, got {cap}")
-        levels = self._sum_levels(t, max(cap, self._sums_cap))
-        return {s for s in levels[t] if s <= cap}
-
-    def _sums_upto(self, t: int, cap: int):
-        """Sorted tuple version of generator_sums, for deterministic loops."""
-        levels = self._sum_levels(t, max(cap, self._sums_cap))
-        row = levels[t]
-        if not row or row[-1] <= cap:
-            return row
-        return tuple(s for s in row if s <= cap)
+        sums = {0}
+        for _ in range(t):
+            sums = {v for s in sums for a in self.generators if (v := s + a) <= cap}
+        return sums
 
     # -- m-adic orders ------------------------------------------------------
 
@@ -212,6 +195,22 @@ class NumericalSemigroup:
             raise NotInSemigroup(f"{e} is not in the semigroup {self.generators}")
         return self._order_table(e)[e]
 
+    def power_generators(self, g: int, cap: int) -> tuple:
+        """Ascending exponents e <= cap of m-adic order exactly g: the
+        minimal monomial generators of m^g.
+
+        Such an e is a sum of g generators, so g a_1 <= e <= g a_d.  Every
+        member of m^g up to cap is one of them plus an element of G: one of
+        order t > g is a sum of t generators, the first g of which give a
+        smaller member of m^g that it exceeds by an element of G, and the
+        descent ends at order g.
+        """
+        if g < 0:
+            raise ValueError(f"need g >= 0, got {g}")
+        hi = min(cap, g * self.generators[-1])
+        orders = self._order_table(max(hi, 0))
+        return tuple(e for e in range(g * self._a1, hi + 1) if orders[e] == g)
+
     def power_contained_in_shift(self, t: int, alpha: int) -> bool:
         """Decide m^t <= x^alpha R as R-modules, for 1 <= alpha <= a_1.
 
@@ -222,10 +221,10 @@ class NumericalSemigroup:
             raise ValueError(f"need t >= 1, got {t}")
         if not (1 <= alpha <= self.multiplicity):
             raise ValueError(f"need 1 <= alpha <= {self.multiplicity}, got {alpha}")
-        for s in self._sums_upto(t, self.frobenius + alpha):
-            if not self.contains(s - alpha):
-                return False
-        return True
+        return all(
+            self.contains(s - alpha)
+            for s in self.generator_sums(t, self.frobenius + alpha)
+        )
 
     def escape_order(self, delta: int) -> int:
         """Largest m-adic order among x^e with e in G, e <= f + delta, and
@@ -281,6 +280,34 @@ class NumericalSemigroup:
             self.escape_order(alpha) for alpha in range(1, self.multiplicity + 1)
         )
 
+    def monomial_floor(self, b: int):
+        """The pair (g(x^b), U(b) == g(x^b)) for b >= 1 in G, with U(b) the
+        least escape order w(alpha) over 1 <= alpha <= min(b - f - 1, a_1):
+        the Goto number of x^b R (``colon.goto_monomial``) and whether the
+        conductor lemma decides every ideal of valuation b
+        (``colon.goto_number``).  Memoized per b up to f + a_1 + 1, past
+        which the pair no longer depends on b.
+        """
+        f, a1 = self.frobenius, self.multiplicity
+        key = min(b, f + a1 + 1)
+        known = self._floors.get(key)
+        if known is not None:
+            return known
+        if b > f + a1:
+            value = self.stable_goto_via_t_prime()
+        else:
+            value = min(self.escape_order(b - c) for c in self.members(0, b - 1))
+        if value > f // a1 + 1:
+            raise BoundViolation(
+                f"g(x^{b}) = {value} escapes the proven bound {f // a1 + 1}"
+            )
+        upper = min(
+            (self.escape_order(a) for a in range(1, min(b - f - 1, a1) + 1)),
+            default=None,
+        )
+        known = self._floors[key] = (value, value == upper)
+        return known
+
     # -- symmetry and conductor ---------------------------------------------
 
     def is_symmetric(self) -> bool:
@@ -288,9 +315,12 @@ class NumericalSemigroup:
 
         n in G puts f - n outside G, since G is closed under addition and
         f is not in G.  So at least half of [0, f] are gaps, and exactly one
-        of each pair is in G iff the gaps number (f + 1)/2.
+        of each pair is in G iff the gaps number (f + 1)/2.  Class r mod a_1
+        holds the Ap[r] // a_1 gaps r, r + a_1, ..., Ap[r] - a_1, so the
+        genus is their sum (Selmer's formula).
         """
-        return 2 * len(self.gaps) == self.frobenius + 1
+        genus = sum(w // self._a1 for w in self._ap)
+        return 2 * genus == self.frobenius + 1
 
     def conductor_order(self) -> int:
         """m-adic order of the conductor ideal x^(f+1)V.

@@ -17,13 +17,15 @@ per-i span route: for every i the colon J = Q : closure at a truncation
 wide enough for m^i, the span of m^i + Q over the field, and a reduction
 of each basis vector of J.  Colons over F_2 and F_3 also come from the
 definition alone: every element of R/x^T and an explicit set of the
-elements of Q mod x^T.
+elements of Q mod x^T.  The search envelope check is no oracle: it holds
+search records against the library's stable value and global bound.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import gcd, isqrt
 
+from gotonum.bounds import bound_global, stable_goto
 from gotonum.colon import TruncatedSubspace
 from gotonum.errors import BoundViolation, ClosedIdeal, NotAUnit, NotGorenstein, NotInConductor
 from gotonum.fields import RATIONALS
@@ -90,6 +92,15 @@ def madic_order_brute(gens, e):
     raise AssertionError("every positive member has order >= 1")
 
 
+def power_generators_brute(gens, g):
+    """Exponents of the minimal monomial generators of m^g, ascending: the
+    sums of g generators that are not another such sum plus a nonzero
+    member."""
+    sums = exact_sums(gens, g, g * max(gens))
+    member = set(members_upto(gens, g * max(gens)))
+    return [s for s in sorted(sums) if not any(s - t in member for t in sums if t < s)]
+
+
 def monomial_colon(gens, b, g, cap):
     """Exponents c <= cap of monomials in (x^b R) : m^g.
 
@@ -123,6 +134,15 @@ def goto_monomial_brute(gens, b):
     raise AssertionError("colon chain never dropped below the valuation")
 
 
+def conductor_lemma_decides(gens, b):
+    """Whether the conductor lemma fixes g(Q) = g(x^b) for every parameter
+    ideal Q of valuation b: exactly when x^b R : m^(g+1), g = g(x^b),
+    holds some x^c with f < c < b."""
+    f = frobenius_brute(gens)
+    g = goto_monomial_brute(gens, b)
+    return any(c > f for c in monomial_colon(gens, b, g + 1, b - 1))
+
+
 def index_of_nilpotency_brute(gens, b):
     """Least i with m^(i+1) inside x^b R, for monomial reductions."""
     f = frobenius_brute(gens)
@@ -149,7 +169,7 @@ def goto_monomial_literal(S, b):
     candidates = S.members(0, b - 1)
     cap = S.frobenius // S.multiplicity + 2
     for g in range(1, cap + 1):
-        sums = S._sums_upto(g, hi)
+        sums = sorted(exact_sums(S.generators, g, hi))
         for c in candidates:
             for s in sums:
                 if c + s > hi:
@@ -547,3 +567,16 @@ def conductor_dual_goto_spans(Q):
         if not contained_in_power_sum_spans(V, i, Q):
             return i - 1
     raise BoundViolation(f"conductor containment for ({Q}) never failed up to i = {hard_cap}")
+
+
+def check_search_envelope(S, result):
+    """Every observed Goto number must lie between the stable value and the
+    global bound.  Returns (stable, bound); raises BoundViolation on the
+    first record outside."""
+    lo, hi = stable_goto(S), bound_global(S)
+    for rec in result.records:
+        if not lo <= rec.goto <= hi:
+            raise BoundViolation(
+                f"record (b={rec.b}, g={rec.goto}) escapes [{lo}, {hi}]"
+            )
+    return lo, hi

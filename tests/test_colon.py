@@ -236,12 +236,11 @@ class TestMonomialFloor:
         monkeypatch.setattr(colon, "_colon_min_valuation", recording)
         decided = scanned = 0
         for Q in self._ideals():
-            gens, b, f = list(Q.semigroup.generators), Q.b, Q.semigroup.frobenius
+            gens, b = list(Q.semigroup.generators), Q.b
             floor = oracles.goto_monomial_brute(gens, b)
-            lemma = any(c > f for c in oracles.monomial_colon(gens, b, floor + 1, b - 1))
             seen.clear()
             g = goto_number(Q)
-            if lemma:
+            if oracles.conductor_lemma_decides(gens, b):
                 assert g == floor and seen == [], (Q, seen)
                 decided += 1
             else:
@@ -613,11 +612,23 @@ class TestColonByMonomials:
             colon_by_monomials(ideal((3, 5), "x^5"), {4})
 
     def test_matches_colon_power_on_sum_set(self):
-        S = semigroup(4, 7, 9)
-        Q = ideal((4, 7, 9), "x^7+x^8")
-        for g in (1, 2, 3):
-            sums = S.generator_sums(g, Q.b + S.frobenius)
-            assert colon_by_monomials(Q, sums) == colon_power(Q, g)
+        # colon_power multiplies by m^g's minimal generators only; every
+        # other sum of g generators is one of them times a monomial, so
+        # the full sum set gives the same colon
+        cases = [
+            ((4, 7, 9), "x^7+x^8", RATIONALS),
+            ((4, 7, 9), "x^9+2*x^11+x^13", PrimeField(3)),
+            ((5, 6, 13), "x^15+x^17+x^18", PrimeField(2)),
+            ((4, 6, 7), "x^6+x^7+x^10", PrimeField(101)),
+            ((5, 11), "x^40+x^44", RATIONALS),
+            ((7, 9, 20), "x^20+x^23-x^25", RATIONALS),
+        ]
+        for gens, text, field in cases:
+            S = semigroup(*gens)
+            Q = canonicalize(parse_element(text, S, field))
+            for g in range(S.frobenius // S.multiplicity + 2):
+                sums = S.generator_sums(g, Q.b + S.frobenius)
+                assert colon_by_monomials(Q, sums) == colon_power(Q, g), (gens, text, g)
 
 
 class TestContainedInPowerSum:

@@ -11,7 +11,6 @@ from gotonum.errors import BoundViolation, SearchSpaceTooLarge
 from gotonum.explorer import (
     SearchConfig,
     SearchRecord,
-    check_search_envelope,
     monomial_table,
     search,
     verify_product_inequality,
@@ -138,8 +137,12 @@ class TestSearch:
             ], gens
 
     def test_cap_enforced(self):
+        # b = 40 alone has 39 admissible positions, 2^39 forms, so the
+        # search refuses before it enumerates anything
+        config = SearchConfig(semigroup=semigroup(5, 11))
+        assert len(config.admissible_positions(40)) == 39
         with pytest.raises(SearchSpaceTooLarge):
-            search(SearchConfig(semigroup=semigroup(5, 11), cap=10))
+            search(config)
 
     def test_positions_outside_range_rejected(self):
         S = semigroup(4, 6, 7)
@@ -154,7 +157,8 @@ class TestSearch:
     )
     def test_memo_never_mixes_up_ideals(self, monkeypatch, field, coefficients):
         # every record's Goto number is that of its own form, computed
-        # fresh, and the search scans each distinct ideal exactly once
+        # fresh; the search scans each distinct ideal exactly once, and
+        # none at a valuation the conductor lemma decides
         import gotonum.explorer as explorer
 
         scanned = []
@@ -174,7 +178,7 @@ class TestSearch:
             config = SearchConfig(semigroup(*gens))
             for b in rng.sample(config.b_values, 2):
                 cases.append((gens, b, rng.sample(config.admissible_positions(b), 5)))
-        distinct = 0
+        distinct = decided = 0
         for gens, b, positions in rng.sample(cases, 12):
             S = semigroup(*gens)
             config = SearchConfig(S, field, coefficients, b_values=(b,), positions=positions)
@@ -184,10 +188,14 @@ class TestSearch:
                 Q = rec.ideal(S, field)
                 assert rec.goto == goto_number(Q), (gens, rec)
                 ideals.add(Q)
-            assert len(scanned) == len(ideals) < result.count, (gens, b)
-            distinct += len(ideals)
+            if oracles.conductor_lemma_decides(list(gens), b):
+                assert scanned == [], (gens, b)
+                decided += 1
+            else:
+                assert len(scanned) == len(ideals) < result.count, (gens, b)
+                distinct += len(ideals)
             scanned.clear()
-        assert distinct > 100
+        assert distinct > 100 and decided > 0, (distinct, decided)
 
     def test_coefficients_must_contain_zero(self):
         with pytest.raises(ValueError):
@@ -195,7 +203,7 @@ class TestSearch:
 
     def test_envelope(self):
         result = search(SearchConfig(semigroup=semigroup(4, 6, 7)))
-        lo, hi = check_search_envelope(semigroup(4, 6, 7), result)
+        lo, hi = oracles.check_search_envelope(semigroup(4, 6, 7), result)
         assert (lo, hi) == (2, 3)
 
     def test_envelope_violation_is_typed(self):
@@ -204,7 +212,7 @@ class TestSearch:
         result = search(SearchConfig(semigroup=S, b_values=(4,)))
         result.records.append(SearchRecord(b=4, coeffs=(), goto=4))
         with pytest.raises(BoundViolation, match="escapes"):
-            check_search_envelope(S, result)
+            oracles.check_search_envelope(S, result)
 
     def test_json_shape(self):
         S = semigroup(3, 5)

@@ -57,3 +57,22 @@ def test_ideal_private_slots_stay_in_ring():
             if isinstance(node, ast.Attribute) and node.attr in private:
                 found.append(f"{path.name}:{node.lineno}: {node.attr}")
     assert found == []
+
+
+def test_semigroup_private_state_stays_in_semigroup():
+    # the Apery set and the memoized tables (m-adic orders, escape orders,
+    # monomial floors) are semigroup.py's to build and read; other modules
+    # go through NumericalSemigroup's public methods
+    from gotonum.semigroup import NumericalSemigroup
+
+    names = set(vars(NumericalSemigroup)) | set(vars(NumericalSemigroup([3, 5])))
+    private = {name for name in names if name.startswith("_") and not name.endswith("__")}
+    assert private
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "semigroup.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                found.append(f"{path.name}:{node.lineno}: {node.attr}")
+    assert found == []

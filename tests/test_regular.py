@@ -8,7 +8,6 @@ import pytest
 import oracles
 from gotonum.regular import (
     MonomialIdeal,
-    goto_ratios,
     pure_power_goto,
     pure_power_integral,
     pure_power_report,
@@ -134,7 +133,7 @@ class TestPurePowerGoto:
 
 class TestRatios:
     def test_example(self):
-        assert goto_ratios((2, 5, 5)) == (
+        assert pure_power_report((2, 5, 5))["ratios"] == (
             Fraction(5, 2),
             Fraction(5, 2),
             Fraction(5, 2),

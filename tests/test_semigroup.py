@@ -204,6 +204,42 @@ class TestMadicOrder:
                 assert S.madic_order(e) >= 1
 
 
+class TestPowerGenerators:
+    def test_paper_values(self):
+        # the pairs of <4,7,9> are 8, 11, 13, 14, 16 and 18, but
+        # 16 = 7 + 9 = 4 + 4 + 4 + 4 and 18 = 9 + 9 = 4 + 7 + 7 lie in m^3
+        S = semigroup(4, 7, 9)
+        assert S.power_generators(2, 100) == (8, 11, 13, 14)
+        assert S.power_generators(2, 13) == (8, 11, 13)
+        assert S.power_generators(0, 10) == (0,)
+        assert S.power_generators(3, 11) == ()
+
+    def test_matches_minimal_sums_on_family(self, family):
+        for S in family:
+            gens = list(S.generators)
+            for g in range(S.frobenius // S.multiplicity + 3):
+                assert S.power_generators(g, g * gens[-1]) == tuple(
+                    oracles.power_generators_brute(gens, g)
+                ), (gens, g)
+
+    def test_matches_brute_orders(self, named_semigroups):
+        # every exponent up to f + 2 a_1 whose order, by partition search,
+        # is exactly g, for 0 <= g <= f // a_1 + 2
+        rng = random.Random(20261018)
+        for S in named_semigroups + rng.sample(full_family(), 60):
+            gens = list(S.generators)
+            f, a1 = S.frobenius, S.multiplicity
+            cap = f + 2 * a1
+            orders = {e: oracles.madic_order_brute(gens, e) for e in S.members(0, cap)}
+            for g in range(f // a1 + 3):
+                want = tuple(e for e, order in orders.items() if order == g)
+                assert S.power_generators(g, cap) == want, (gens, g)
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            semigroup(3, 5).power_generators(-1, 10)
+
+
 class TestPowerContainedInShift:
     def test_small_negative_case(self):
         # 3 - 1 = 2 is a gap of <3,5>
@@ -287,6 +323,8 @@ class TestSymmetry:
             member = set(oracles.members_upto(list(S.generators), max(f, 0)))
             want = all((n in member) != (f - n in member) for n in range(f + 1))
             assert S.is_symmetric() == want, S.generators
+            gaps = tuple(n for n in range(1, f + 1) if n not in member)
+            assert S.gaps == gaps and len(S.gaps) == len(gaps), S.generators
 
 
 class TestConductorOrder:
