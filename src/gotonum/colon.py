@@ -351,13 +351,13 @@ def goto_monomial(S, b: int) -> int:
     w the escape order, so the Goto number is min over c in G, c < b, of
     the escape order of b - c.
 
-    For b > f + a_1 that minimum is the stable value, the least w(alpha)
-    over alpha in [1, a_1] (``S.stable_goto_via_t_prime``), read in
-    O(a_1).  Each c = b - alpha exceeds f, so lies in G, which bounds the
-    minimum by the stable value.  Conversely w(delta + a_1) > w(delta): a
-    witness x^e of w(delta) gives the witness x^(e + a_1) of
-    w(delta + a_1), of one order more.  So every w(b - c) is at least the
-    w of the representative of b - c in [1, a_1].
+    It is the least w(alpha) over alpha in [1, a_1] with b - alpha in G
+    (``S.monomial_floor``, O(a_1)).  A witness x^e of w(delta) gives the
+    witness x^(e + a_1) of w(delta + a_1), so w(delta + a_1) > w(delta).
+    For c in G below b, the alpha in [1, a_1] congruent to b - c has
+    b - alpha = c + k a_1 in G and w(alpha) <= w(b - c); each such alpha
+    is a c = b - alpha.  For b > f + a_1 every alpha qualifies, which
+    gives the stable value (``S.stable_goto_via_t_prime``).
     """
     if b < 1:
         raise ValueError(f"need b >= 1, got {b}")

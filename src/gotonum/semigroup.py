@@ -7,9 +7,9 @@ least member of G in each residue class mod a_1.  Membership, the
 Frobenius number (largest integer outside G), the gaps, the genus and the
 minimal generators are read off it.  One table of m-adic orders of the
 monomials in the associated semigroup ring gives the minimal monomial
-generators of each power m^g, the escape orders, the monomial Goto
-numbers and the two combinatorial characterizations of the stable Goto
-number.
+generators of each power m^g and the escape orders, which are read at the
+a_1 class tops Ap[u] - a_1 + delta; the monomial Goto numbers and the
+stable Goto number are minima of escape orders w(alpha), 1 <= alpha <= a_1.
 """
 
 from __future__ import annotations
@@ -62,10 +62,11 @@ class NumericalSemigroup:
 
     G is stored as its Apery set with respect to a_1 (``_ap[r]`` is the
     least member of G congruent to r mod a_1), so e is in G iff
-    e >= ``_ap[e % a_1]``, and f = max(``_ap``) - a_1.  Instances are
-    immutable after construction; the private tables (m-adic orders,
-    escape orders, monomial floors) are memoized lazily and only ever grow,
-    and no other module reads them.
+    e >= ``_ap[e % a_1]``, f = max(``_ap``) - a_1, and escape orders are
+    read at the a_1 class tops.  Instances are immutable after
+    construction; the private tables (m-adic orders, escape orders,
+    monomial floors) are memoized lazily and only grow, read by no other
+    module.
     """
 
     def __init__(self, raw_generators):
@@ -99,6 +100,7 @@ class NumericalSemigroup:
         self.conductor_generators = tuple(
             range(self.frobenius + 1, self.frobenius + self.generators[0] + 1)
         )
+        self._tops = sorted(ap, reverse=True)
         self._orders = [0]          # m-adic order table, grows on demand
         self._escape = {}           # delta -> escape_order(delta)
         self._floors = {}           # min(b, f + a_1 + 1) -> monomial_floor(b)
@@ -146,13 +148,12 @@ class NumericalSemigroup:
         return [e for e in range(max(lo, 0), hi + 1) if self.contains(e)]
 
     def largest_below(self, a: int) -> int:
-        """Largest semigroup element strictly smaller than a (0 if none)."""
+        """Largest semigroup element strictly smaller than a (0 if none):
+        the largest e in [a - a_1, a - 1] with e >= Ap[e mod a_1], one per
+        class, since G is closed under adding a_1 and 0 is in G."""
         if a < 1:
             raise ValueError(f"need a >= 1, got {a}")
-        for e in range(a - 1, 0, -1):
-            if self.contains(e):
-                return e
-        return 0
+        return next(e for e in range(a - 1, a - self._a1 - 1, -1) if self.contains(e))
 
     # -- generator sums ----------------------------------------------------
 
@@ -173,17 +174,18 @@ class NumericalSemigroup:
         table = self._orders
         if len(table) > cap:
             return table
-        gens = self.generators
+        gens, ap, a1 = self.generators, self._ap, self._a1
         for e in range(len(table), cap + 1):
-            if not self.contains(e):
+            if e < ap[e % a1]:
                 table.append(None)
                 continue
             best = 0
             for a in gens:
-                if a <= e:
-                    rest = table[e - a]
-                    if rest is not None and rest >= best:
-                        best = rest
+                if a > e:
+                    break
+                rest = table[e - a]
+                if rest is not None and rest >= best:
+                    best = rest
             table.append(best + 1)
         return table
 
@@ -230,45 +232,44 @@ class NumericalSemigroup:
         """Largest m-adic order among x^e with e in G, e <= f + delta, and
         e - delta outside G.
 
-        e = 0 always qualifies (delta >= 1), so the value is >= 0.  The
-        descending scan stops once e // a_1 cannot beat the best found,
-        since the order of x^e is at most e // a_1.
+        e = 0 qualifies, so the value is >= 0.  With u = (e - delta) mod
+        a_1, e - delta is outside G iff e <= Ap[u] - a_1 + delta, the top
+        of class u; G and the order only grow along e -> e + a_1 (replace a
+        summand s by s + a_1), so the value is the largest order at a top
+        in G.  Tops go by descending Ap[u] while top // a_1, a bound on the
+        order, can beat the best.
         """
         if delta < 1:
             raise ValueError(f"need delta >= 1, got {delta}")
         cached = self._escape.get(delta)
         if cached is not None:
             return cached
-        hi = self.frobenius + delta
-        a1 = self.multiplicity
-        orders = self._order_table(max(hi, 0))
+        a1 = self._a1
+        orders = self._order_table(self.frobenius + delta)
         best = 0
-        for e in range(hi, 0, -1):
-            if e // a1 <= best:
+        for w in self._tops:
+            top = w - a1 + delta
+            if top // a1 <= best:
                 break
-            if orders[e] is not None and not self.contains(e - delta):
-                if orders[e] > best:
-                    best = orders[e]
+            order = orders[top]
+            if order is not None and order > best:
+                best = order
         self._escape[delta] = best
         return best
 
     # -- stable Goto number characterizations -------------------------------
 
     def stable_goto_via_t(self) -> int:
-        """Largest t with m^t escaping x^alpha R for every alpha in [1, a_1]."""
+        """Largest t with m^t escaping x^alpha R for every alpha in [1, a_1]:
+        ``power_contained_in_shift`` with one level of sums per t."""
         if self.is_regular:
             return 0
-        a1 = self.multiplicity
-        cap = self.frobenius // a1 + 2
-        best = 0
-        for t in range(1, cap + 1):
-            if all(
-                not self.power_contained_in_shift(t, alpha)
-                for alpha in range(1, a1 + 1)
-            ):
-                best = t
-            else:
-                return best
+        a1, gens, cap = self.multiplicity, self.generators, self.frobenius + self.multiplicity
+        level = {0}
+        for t in range(1, self.frobenius // a1 + 3):
+            level = {v for s in level for a in gens if (v := s + a) <= cap}
+            if any(all(self.contains(s - alpha) for s in level) for alpha in range(1, a1 + 1)):
+                return t - 1
         raise BoundViolation("stable value escaped its proven bound")
 
     def stable_goto_via_t_prime(self) -> int:
@@ -286,17 +287,16 @@ class NumericalSemigroup:
         the Goto number of x^b R (``colon.goto_monomial``) and whether the
         conductor lemma decides every ideal of valuation b
         (``colon.goto_number``).  Memoized per b up to f + a_1 + 1, past
-        which the pair no longer depends on b.
+        which the pair no longer depends on b.  g(x^b) is the least w(alpha)
+        over 1 <= alpha <= a_1 with b - alpha in G (``colon.goto_monomial``).
         """
         f, a1 = self.frobenius, self.multiplicity
         key = min(b, f + a1 + 1)
         known = self._floors.get(key)
         if known is not None:
             return known
-        if b > f + a1:
-            value = self.stable_goto_via_t_prime()
-        else:
-            value = min(self.escape_order(b - c) for c in self.members(0, b - 1))
+        alphas = (alpha for alpha in range(1, a1 + 1) if self.contains(b - alpha))
+        value = min(map(self.escape_order, alphas))
         if value > f // a1 + 1:
             raise BoundViolation(
                 f"g(x^{b}) = {value} escapes the proven bound {f // a1 + 1}"

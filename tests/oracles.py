@@ -3,10 +3,11 @@
 Everything here is written for clarity over speed and stays independent
 of the library code paths it checks: membership by coin-problem dynamic
 programming, generator sums by explicit multiset enumeration, m-adic
-orders by exhaustive partition search, monomial colon ideals by direct
-containment scans, and Goto numbers read off those colons.  Colons of
-non-monomial ideals come from the literal membership system, one row per
-(multiplier, checked exponent) pair, eliminated over Fraction or mod p;
+orders by exhaustive partition search, escape orders by trying every
+exponent, monomial colon ideals by direct containment scans, and Goto
+numbers read off those colons.  Colons of non-monomial ideals come from
+the literal membership system, one row per (multiplier, checked
+exponent) pair, eliminated over Fraction or mod p;
 primes from trial division.  Pure-power Goto numbers in a regular local
 ring come from the staircase of Q : m^g, one dilation step per g.
 Unit inverses come from the formal-inverse recurrence run through the
@@ -22,6 +23,7 @@ search records against the library's stable value and global bound.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import gcd, isqrt
 
@@ -90,6 +92,20 @@ def madic_order_brute(gens, e):
         if any(e - s in member for s in exact_sums(gens, t, e)):
             return t
     raise AssertionError("every positive member has order >= 1")
+
+
+@lru_cache(maxsize=None)
+def _madic_order_cached(gens, e):
+    return madic_order_brute(list(gens), e)
+
+
+def escape_order_brute(gens, delta):
+    """Largest m-adic order among members e <= f + delta with e - delta
+    outside the semigroup, every such e tried."""
+    gens = tuple(sorted(gens))
+    f = frobenius_brute(list(gens))
+    member = set(members_upto(gens, f + delta))
+    return max(_madic_order_cached(gens, e) for e in member if e - delta not in member)
 
 
 def power_generators_brute(gens, g):

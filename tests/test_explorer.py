@@ -57,6 +57,25 @@ class TestMonomialTable:
             # literal scan checks it
             assert window[0] == oracles.goto_monomial_literal(S, f + a1 + 1)
 
+    def test_floors_ask_only_alpha_up_to_multiplicity(self, monkeypatch):
+        # g(x^b) is a min of escape orders w(alpha) with 1 <= alpha <= a_1,
+        # not of w(b - c) over every c in G below b
+        from gotonum.semigroup import NumericalSemigroup
+
+        asked = []
+        escape_order = NumericalSemigroup.escape_order
+        monkeypatch.setattr(
+            NumericalSemigroup,
+            "escape_order",
+            lambda self, delta: asked.append(delta) or escape_order(self, delta),
+        )
+        S = NumericalSemigroup([53, 71, 97])
+        f, a1 = S.frobenius, S.multiplicity
+        table = monomial_table(S, f + 2 * a1)
+        assert len(table) > 10 * a1
+        assert asked and set(asked) <= set(range(1, a1 + 1)), sorted(set(asked))
+        assert table[f + a1 + 1] == S.stable_goto_via_t()
+
     def test_rejects_small_cap(self):
         with pytest.raises(ValueError):
             monomial_table(semigroup(4, 7, 9), 3)
@@ -89,8 +108,8 @@ class TestSearch:
 
     def test_floor_computed_once_per_valuation(self, monkeypatch):
         # every ideal of one search --b 7 has the floor g(x^7), the least
-        # escape order w(7 - c) over c in G below 7; it is computed once,
-        # not once per distinct ideal
+        # escape order w(alpha) over 1 <= alpha <= 4 with 7 - alpha in G:
+        # only alpha = 3; it is computed once, not once per distinct ideal
         from gotonum.semigroup import NumericalSemigroup
 
         asked = []
@@ -107,7 +126,7 @@ class TestSearch:
         S = NumericalSemigroup([4, 7, 9])
         result = search(SearchConfig(semigroup=S, b_values=(7,)))
         assert len(scans) > 10 and result.count > len(scans)
-        assert sorted(asked) == [3, 7]
+        assert sorted(asked) == [3]
 
     def test_deterministic(self):
         cfg = lambda: SearchConfig(semigroup=semigroup(4, 6, 7), b_values=(4, 6, 7))

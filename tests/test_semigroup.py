@@ -146,6 +146,13 @@ class TestLargestBelow:
         with pytest.raises(ValueError):
             semigroup(3, 5).largest_below(0)
 
+    def test_matches_descending_scan_on_family(self, family):
+        for S in family:
+            member = set(oracles.members_upto(list(S.generators), S.frobenius + 2 * S.multiplicity))
+            for a in range(1, S.frobenius + 2 * S.multiplicity + 1):
+                want = max(e for e in member if e < a)
+                assert S.largest_below(a) == want, (S.generators, a)
+
 
 class TestGeneratorSums:
     def test_pairs(self):
@@ -238,6 +245,21 @@ class TestPowerGenerators:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             semigroup(3, 5).power_generators(-1, 10)
+
+
+class TestEscapeOrder:
+    def test_matches_brute_on_named_and_family_subset(self, named_semigroups, family):
+        # a fresh instance each, so no memo filled by another test answers
+        sample = random.Random(13).sample(family, 30)
+        for S in [NumericalSemigroup(T.generators) for T in named_semigroups + sample]:
+            for delta in range(1, S.frobenius + 2 * S.multiplicity + 1):
+                assert S.escape_order(delta) == oracles.escape_order_brute(
+                    S.generators, delta
+                ), (S.generators, delta)
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError):
+            semigroup(3, 5).escape_order(0)
 
 
 class TestPowerContainedInShift:
