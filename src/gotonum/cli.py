@@ -225,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rlr)
 
     p = sub.add_parser("verify-paper", help="re-derive the golden corpus")
-    add_common(p, gens=False)
     p.set_defaults(func=_cmd_verify)
 
     return parser

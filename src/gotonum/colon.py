@@ -170,7 +170,9 @@ class TruncatedSubspace:
 
     Basis vectors are sparse maps exponent -> scalar with pivot exponents
     strictly ascending; the smallest pivot is the minimal valuation
-    attained by the subspace.
+    attained by the subspace.  The colons and ideal images of an ideal Q
+    are built at its working truncation T = b + f + 1, where x^T R lies
+    in Q; the subspace then stands for its preimage, V + x^T R.
     """
 
     __slots__ = ("semigroup", "field", "truncation", "basis")
@@ -234,17 +236,17 @@ class TruncatedSubspace:
 # -- the membership linear system ------------------------------------------
 
 
-def _membership_rows(Q, multipliers, series):
+def _membership_rows(Q, multipliers):
     """Rows forcing r * x^s in Q for every s in multipliers, one per shift.
 
     A condition at a checked exponent j reads off the coefficient of x^j
     in r * x^s * u^(-1), the sum of r_c * series[j - s - c] over c in G
-    (series holds the coefficients of u^(-1), or a rescaling of them).  It
-    depends on s and j only through the shift d = j - s, so each distinct
-    d >= 0 gives the one row {c: series[d - c] : c in G, c <= d}.  Every
-    such c is at most b + f, whatever the truncation.
+    (series the integer model's coefficients of u^(-1)).  It depends on s
+    and j only through the shift d = j - s, so each distinct d >= 0 gives
+    the one row {c: series[d - c] : c in G, c <= d}.  Every such c is at
+    most b + f.
     """
-    _, cols, checked = integer_model(Q)[:3]
+    _, cols, checked, series = integer_model(Q)[:4]
     shifts = {j - s for s in multipliers for j in checked if j >= s}
     rows = []
     for d in sorted(shifts):
@@ -258,31 +260,25 @@ def _membership_rows(Q, multipliers, series):
     return rows
 
 
-def _colon(Q, multipliers, truncation):
-    """The subspace {r mod x^T : r * x^s in Q for every s in multipliers}."""
-    if truncation is None:
-        truncation = Q.truncation
-    if truncation < Q.truncation:
-        raise TruncationTooSmall(
-            f"colon needs truncation >= {Q.truncation}, got {truncation}"
-        )
-    S = Q.semigroup
-    series, p, D = integer_model(Q)[3:]
-    rows = _membership_rows(Q, multipliers, series)
-    cols = S.members(0, truncation - 1)
-    return TruncatedSubspace(S, Q.field, truncation, _kernel_basis(rows, cols, p, D))
+def _colon(Q, multipliers):
+    """The subspace {r mod x^T : r * x^s in Q for every s in multipliers},
+    at T = b + f + 1."""
+    _, cols, _, _, p, D = integer_model(Q)
+    basis = _kernel_basis(_membership_rows(Q, multipliers), cols, p, D)
+    return TruncatedSubspace(Q.semigroup, Q.field, Q.truncation, basis)
 
 
-def colon_power(Q: CanonicalIdeal, g: int, truncation=None) -> TruncatedSubspace:
-    """The subspace {r mod x^T : r * m^g <= Q} at T = b + f + 1 by default."""
+def colon_power(Q: CanonicalIdeal, g: int) -> TruncatedSubspace:
+    """The subspace {r mod x^T : r * m^g <= Q} at T = b + f + 1."""
     if g < 0:
         raise ValueError(f"need g >= 0, got {g}")
     hi = integer_model(Q)[0]
-    return _colon(Q, Q.semigroup.power_generators(g, hi), truncation)
+    return _colon(Q, Q.semigroup.power_generators(g, hi))
 
 
-def colon_by_monomials(Q: CanonicalIdeal, exponents, truncation=None) -> TruncatedSubspace:
-    """The subspace {r mod x^T : r * x^e in Q for every e in the set}."""
+def colon_by_monomials(Q: CanonicalIdeal, exponents) -> TruncatedSubspace:
+    """The subspace {r mod x^T : r * x^e in Q for every e in the set} at
+    T = b + f + 1."""
     S = Q.semigroup
     for e in exponents:
         if not S.contains(e):
@@ -290,7 +286,7 @@ def colon_by_monomials(Q: CanonicalIdeal, exponents, truncation=None) -> Truncat
                 f"multiplier exponent {e} is not in the semigroup {S.generators}"
             )
     hi = integer_model(Q)[0]
-    return _colon(Q, sorted(e for e in set(exponents) if e <= hi), truncation)
+    return _colon(Q, sorted(e for e in set(exponents) if e <= hi))
 
 
 def _colon_min_valuation(Q, g):
@@ -302,8 +298,8 @@ def _colon_min_valuation(Q, g):
     vector is led by x^c.  So the smallest free column is the answer, with
     no back substitution and no kernel basis.
     """
-    hi, cols, _, series, p, _ = integer_model(Q)
-    rows = _membership_rows(Q, Q.semigroup.power_generators(g, hi), series)
+    hi, cols, _, _, p, _ = integer_model(Q)
+    rows = _membership_rows(Q, Q.semigroup.power_generators(g, hi))
     pivots = _pivot_columns(rows, p)
     return next((c for c in cols if c not in pivots), None)
 
@@ -369,10 +365,10 @@ def goto_monomial(S, b: int) -> int:
 # -- duality and nilpotency ---------------------------------------------
 
 
-def ideal_image(Q: CanonicalIdeal, truncation=None) -> TruncatedSubspace:
-    """The image of Q in R / x^T R, spanned by the shifts q * x^e."""
-    S, b = Q.semigroup, Q.b
-    T = truncation if truncation is not None else Q.truncation
+def ideal_image(Q: CanonicalIdeal) -> TruncatedSubspace:
+    """The image of Q in R / x^T R at T = b + f + 1, spanned by the shifts
+    q * x^e."""
+    S, b, T = Q.semigroup, Q.b, Q.truncation
     unit = {0: Q.field.one, **Q.unit_coeffs}
     vectors = [
         {b + e + i: v for i, v in unit.items() if b + e + i < T}
@@ -418,11 +414,13 @@ def is_integrally_closed(Q: CanonicalIdeal) -> bool:
 
 
 def contained_in_power_sum(V: TruncatedSubspace, i: int, Q: CanonicalIdeal) -> bool:
-    """Decide V <= m^i + Q, as "the level of V in R/Q is at least i".
+    """Decide V + x^T R <= m^i + Q, T the truncation of V, as "the level of
+    V in R/Q is at least i".
 
-    Needs T >= max(b, i*a_1) + f + 1: elements of valuation at least
-    i*a_1 + f + 1 factor as x^(i*a_1) times a conductor element, hence lie
-    in m^i, so the truncated subspace decides the real containment.
+    Needs T >= b + f + 1, Q's working truncation: then x^T R lies in x^b
+    times the conductor, hence in Q, and so do V's coefficients from
+    x^(b + f + 1) on.  A V built for an ideal of smaller valuation is
+    refused.
     """
     if V.semigroup != Q.semigroup:
         raise MixedSemigroup("subspace and ideal over different semigroups")
@@ -430,13 +428,9 @@ def contained_in_power_sum(V: TruncatedSubspace, i: int, Q: CanonicalIdeal) -> b
         raise MixedField("subspace and ideal over different fields")
     if i < 0:
         raise ValueError(f"need i >= 0, got {i}")
-    S = V.semigroup
-    T = V.truncation
-    f = max(S.frobenius, 0)
-    needed = max(Q.b, i * S.multiplicity) + f + 1
-    if T < needed:
+    if V.truncation < Q.truncation:
         raise TruncationTooSmall(
-            f"containment at i = {i} needs truncation >= {needed}, got {T}"
+            f"containment needs truncation >= {Q.truncation}, got {V.truncation}"
         )
     if i == 0:
         return True
@@ -457,7 +451,7 @@ def dual_goto(Q: CanonicalIdeal) -> int:
 
     With J = Q : (integral closure of Q), the Goto number equals
     max{i : J <= m^i + Q} whenever the semigroup is symmetric and Q is
-    strictly smaller than its closure.  J is built once, at the default
+    strictly smaller than its closure.  J is built once, at Q's working
     truncation: what a wider one adds lies in x^b times the conductor.
     """
     S = Q.semigroup

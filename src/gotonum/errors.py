@@ -46,7 +46,8 @@ class NotParameter(GotoNumberError):
 
 
 class TruncationTooSmall(GotoNumberError):
-    """Element is not known to a high enough exponent for the computation."""
+    """A truncated subspace stops below the working truncation b + f + 1 of
+    the ideal it is compared with (``contained_in_power_sum``)."""
 
 
 class NotGorenstein(GotoNumberError):

@@ -81,12 +81,6 @@ class Rationals:
             raise ZeroDivisionError("inverse of zero")
         return Fraction(1, a)
 
-    def sort_key(self, a):
-        return a
-
-    def to_str(self, a) -> str:
-        return str(a)
-
 
 @dataclass(frozen=True)
 class PrimeField:
@@ -137,12 +131,6 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
-
-    def sort_key(self, a):
-        return a
-
-    def to_str(self, a) -> str:
-        return str(a)
 
 
 RATIONALS = Rationals()

@@ -238,10 +238,9 @@ def _catalogue():
     def conductor_in_power_sum(gens, text, i):
         S = sg(*gens)
         Q = ideal(gens, text)
-        T = max(Q.b, i * S.multiplicity) + max(S.frobenius, 0) + 1
         one = Q.field.one
         V = TruncatedSubspace.span(
-            S, Q.field, T, [{e: one} for e in S.conductor_generators]
+            S, Q.field, Q.truncation, [{e: one} for e in S.conductor_generators]
         )
         return contained_in_power_sum(V, i, Q)
 

@@ -1,13 +1,13 @@
-"""Exact truncated arithmetic in a numerical semigroup ring.
+"""Exact arithmetic in a numerical semigroup ring.
 
 The ring R is spanned by the monomials x^e with e in the semigroup G,
 inside a discrete valuation ring V with uniformizer x.  Elements are
-sparse coefficient vectors over exponents in G; an optional truncation T
-means coefficients at exponents >= T are unknown.  Every nonzero
-principal ideal has a canonical generator x^b * (1 + sum u_i x^i) with
-the tail supported on positions i in [1, f]; coefficients above b + f
-never change the ideal, because elements of valuation > b + f lie in
-x^b times the conductor, which the ideal absorbs.
+exact polynomials: sparse coefficient vectors over exponents in G.
+Every nonzero principal ideal has a canonical generator
+x^b * (1 + sum u_i x^i) with the tail supported on positions i in
+[1, f].  Each ideal Q = x^b u R has one working truncation, b + f + 1:
+elements of valuation > b + f lie in x^b times the conductor, which Q
+absorbs, so no computation on Q reads a coefficient at or above it.
 
 That generator is not unique: an R-unit 1 - c x^i with i in G clears the
 tail at a position i in G without changing the ideal.  Clearing every such
@@ -38,20 +38,17 @@ from .errors import (
     NotInSemigroup,
     NotParameter,
     ParseError,
-    TruncationTooSmall,
     ZeroElement,
 )
 from .fields import RATIONALS
 
 
 class RingElement:
-    """A finitely supported element of R, optionally truncated at x^T."""
+    """A finitely supported element of R: an exact polynomial."""
 
-    __slots__ = ("semigroup", "field", "coeffs", "truncation")
+    __slots__ = ("semigroup", "field", "coeffs")
 
-    def __init__(self, semigroup, coeffs, truncation=None, field=RATIONALS):
-        if truncation is not None and truncation < 0:
-            raise ValueError(f"truncation must be >= 0, got {truncation}")
+    def __init__(self, semigroup, coeffs, field=RATIONALS):
         clean = {}
         for e in sorted(coeffs):
             v = coeffs[e]
@@ -63,20 +60,18 @@ class RingElement:
                 raise NotInSemigroup(
                     f"exponent {e} is not in the semigroup {semigroup.generators}"
                 )
-            if truncation is None or e < truncation:
-                clean[e] = v
+            clean[e] = v
         self.semigroup = semigroup
         self.field = field
         self.coeffs = clean
-        self.truncation = truncation
 
     @classmethod
-    def monomial(cls, semigroup, e, field=RATIONALS, truncation=None):
-        return cls(semigroup, {e: field.one}, truncation, field)
+    def monomial(cls, semigroup, e, field=RATIONALS):
+        return cls(semigroup, {e: field.one}, field)
 
     @classmethod
-    def zero(cls, semigroup, field=RATIONALS, truncation=None):
-        return cls(semigroup, {}, truncation, field)
+    def zero(cls, semigroup, field=RATIONALS):
+        return cls(semigroup, {}, field)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -89,15 +84,6 @@ class RingElement:
     def support(self):
         return tuple(sorted(self.coeffs))
 
-    def known_to(self, bound: int) -> bool:
-        """True when coefficients at all exponents < bound are determined."""
-        return self.truncation is None or self.truncation >= bound
-
-    def truncate(self, T: int) -> "RingElement":
-        cur = self.truncation
-        new_T = T if cur is None else min(cur, T)
-        return RingElement(self.semigroup, self.coeffs, new_T, self.field)
-
     def _check_compatible(self, other):
         if self.semigroup != other.semigroup:
             raise MixedSemigroup(
@@ -109,21 +95,13 @@ class RingElement:
                 f"elements over {self.field.label} and {other.field.label}"
             )
 
-    def _combined_truncation(self, other):
-        a, b = self.truncation, other.truncation
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return min(a, b)
-
     def __add__(self, other):
         self._check_compatible(other)
         fld = self.field
         out = dict(self.coeffs)
         for e, v in other.coeffs.items():
             out[e] = fld.add(out.get(e, fld.zero), v)
-        return RingElement(self.semigroup, out, self._combined_truncation(other), fld)
+        return RingElement(self.semigroup, out, fld)
 
     def __sub__(self, other):
         self._check_compatible(other)
@@ -131,43 +109,35 @@ class RingElement:
         out = dict(self.coeffs)
         for e, v in other.coeffs.items():
             out[e] = fld.sub(out.get(e, fld.zero), v)
-        return RingElement(self.semigroup, out, self._combined_truncation(other), fld)
+        return RingElement(self.semigroup, out, fld)
 
     def __mul__(self, other):
         self._check_compatible(other)
         fld = self.field
-        T = self._combined_truncation(other)
         out = {}
         for e1, v1 in self.coeffs.items():
             for e2, v2 in other.coeffs.items():
                 e = e1 + e2
-                if T is not None and e >= T:
-                    continue
                 out[e] = fld.add(out.get(e, fld.zero), fld.mul(v1, v2))
-        return RingElement(self.semigroup, out, T, fld)
+        return RingElement(self.semigroup, out, fld)
 
     def __eq__(self, other):
         return (
             isinstance(other, RingElement)
             and self.semigroup == other.semigroup
             and self.field == other.field
-            and self.truncation == other.truncation
             and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
-        return hash(
-            (self.semigroup, self.field, self.truncation, tuple(sorted(self.coeffs.items())))
-        )
+        return hash((self.semigroup, self.field, tuple(sorted(self.coeffs.items()))))
 
     def __str__(self):
         if not self.coeffs:
             return "0"
         parts = []
-        fld = self.field
         for e in sorted(self.coeffs):
-            v = self.coeffs[e]
-            text = fld.to_str(v)
+            text = str(self.coeffs[e])
             neg = text.startswith("-")
             if neg:
                 text = text[1:]
@@ -192,7 +162,7 @@ _TERM_RE = re.compile(
 )
 
 
-def parse_element(text, semigroup, field=RATIONALS, truncation=None):
+def parse_element(text, semigroup, field=RATIONALS):
     """Parse expressions like ``x^40 + x^44`` or ``3/2*x^5 - x^8``.
 
     Exponents outside the semigroup are rejected.
@@ -223,7 +193,7 @@ def parse_element(text, semigroup, field=RATIONALS, truncation=None):
             )
         prev = coeffs.get(exp, field.zero)
         coeffs[exp] = field.add(prev, coef)
-    return RingElement(semigroup, coeffs, truncation, field)
+    return RingElement(semigroup, coeffs, field)
 
 
 def _inverse_series(t, p, n):
@@ -420,14 +390,16 @@ class CanonicalIdeal:
 
     @property
     def truncation(self) -> int:
-        """Default working truncation b + f + 1 for all ideal computations."""
+        """The working truncation b + f + 1: every element of valuation at
+        least b + f + 1 lies in the ideal, so no computation on it reads a
+        coefficient from there on."""
         return self.b + max(self.semigroup.frobenius, 0) + 1
 
     def generator(self) -> RingElement:
         coeffs = {self.b: self.field.one}
         for i, v in self.unit_coeffs.items():
             coeffs[self.b + i] = v
-        return RingElement(self.semigroup, coeffs, None, self.field)
+        return RingElement(self.semigroup, coeffs, self.field)
 
     def unit_inverse(self, upto: int):
         """Coefficients of (1 + sum u_i x^i)^(-1) modulo x^upto."""
@@ -439,8 +411,8 @@ class CanonicalIdeal:
         w is in qR iff w * u^(-1) has no coefficient at a checked exponent
         j <= b + f (j < b, or j - b a gap), i.e. iff its image under phi
         (``image``, on the integer model) is zero.  Exponents above b + f
-        lie in x^b times the conductor, hence in qR, so w must be known
-        below x^(b + f + 1).
+        lie in x^b times the conductor, hence in qR, so w's coefficients
+        from x^(b + f + 1) on are never read.
         """
         if w.semigroup != self.semigroup:
             raise MixedSemigroup("element and ideal over different semigroups")
@@ -448,12 +420,6 @@ class CanonicalIdeal:
             raise MixedField("element and ideal over different fields")
         if w.is_zero():
             return True
-        needed = self.truncation
-        if not w.known_to(needed):
-            raise TruncationTooSmall(
-                f"membership needs coefficients up to x^{needed - 1}, "
-                f"element truncated at x^{w.truncation}"
-            )
         return not image(self, w.coeffs)
 
     def closure_contains(self, r: RingElement) -> bool:
@@ -509,11 +475,6 @@ def canonicalize(r: RingElement) -> CanonicalIdeal:
         raise NotParameter("element of valuation 0 generates the unit ideal")
     S = r.semigroup
     needed = b + max(S.frobenius, 0) + 1
-    if not r.known_to(needed):
-        raise TruncationTooSmall(
-            f"canonical form needs coefficients up to x^{needed - 1}, "
-            f"element truncated at x^{r.truncation}"
-        )
     fld = r.field
     lead_inv = fld.inv(r.coeffs[b])
     tail = {

@@ -222,7 +222,58 @@ class TestErrors:
             assert "outside [1, 9]" in capsys.readouterr().err
 
 
+# (argv, exit code): help, usage errors (exit 2 from the parser), input
+# errors (exit 2 from the library) and one valid op per subcommand
+CORPUS = [
+    (["--help"], 0),
+    *[([cmd, "--help"], 0) for cmd in ("info", "goto", "table", "search", "bounds", "rlr", "verify-paper")],
+    ([], 2),
+    (["frobble"], 2),
+    (["info"], 2),
+    (["info", "3", "5", "--format", "xml"], 2),
+    (["goto", "3", "5"], 2),
+    (["goto", "3", "5", "--ideal", "x^5", "--monomial", "5"], 2),
+    (["table", "3", "5"], 2),
+    (["rlr"], 2),
+    (["verify-paper", "--format", "json"], 2),
+    (["info", "4", "6"], 2),
+    (["goto", "3", "5", "--ideal", "x^4"], 2),
+    (["goto", "3", "5", "--ideal", "x^5", "--field", "fp:4"], 2),
+    (["goto", "4", "5", "11", "--ideal", "x^12", "--dual"], 2),
+    (["search", "4", "6", "7", "--b", "8", "--positions", "100"], 2),
+    (["rlr", "--pure-power", "2,x"], 2),
+    (["info", "3", "5"], 0),
+    (["goto", "5", "11", "--ideal", "x^40+1/2*x^44", "--dual"], 0),
+    (["goto", "7", "11", "20", "--monomial", "45", "--format", "human"], 0),
+    (["table", "3", "5", "--max", "10", "--format", "tsv"], 0),
+    (["search", "4", "7", "9", "--b", "7", "--field", "fp:3", "--coeffs", "0,1,2"], 0),
+    (["bounds", "4", "7", "9"], 0),
+    (["rlr", "--pure-power", "2,5,5"], 0),
+    (["verify-paper"], 0),
+]
+
+
+def run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
 class TestDeterminism:
+    def test_corpus_reruns_identical_in_one_process(self):
+        # whatever state main keeps between calls in one process (memos, a
+        # cached parser) must not change a single byte of a later call
+        first = [run_captured(argv) for argv, _ in CORPUS]
+        second = [run_captured(argv) for argv, _ in CORPUS]
+        for (argv, want), (code, out, err) in zip(CORPUS, first):
+            assert code == want, (argv, code, err)
+            if code == 2:
+                assert out == "" and err, argv
+            else:
+                assert out and err == "", argv
+        assert second == first
+
     def test_search_byte_identical(self):
         args = ("search", "4", "6", "7", "--format", "tsv")
         _, first = run_cli(*args)

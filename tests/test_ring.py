@@ -13,7 +13,6 @@ from gotonum.errors import (
     NotInSemigroup,
     NotParameter,
     ParseError,
-    TruncationTooSmall,
     ZeroElement,
 )
 from gotonum.fields import PrimeField, RATIONALS
@@ -29,8 +28,8 @@ import oracles
 from conftest import semigroup
 
 
-def elem(gens, text, truncation=None, field=RATIONALS):
-    return parse_element(text, semigroup(*gens), field, truncation)
+def elem(gens, text, field=RATIONALS):
+    return parse_element(text, semigroup(*gens), field)
 
 
 class TestRingElement:
@@ -47,11 +46,6 @@ class TestRingElement:
         S = semigroup(4, 7, 9)
         got = elem((4, 7, 9), "x^7+x^8+x^9") * elem((4, 7, 9), "x^4")
         assert got == elem((4, 7, 9), "x^11+x^12+x^13")
-
-    def test_truncation_drops_high_terms(self):
-        a = elem((3, 5), "x^3 + x^5", truncation=9)
-        b = elem((3, 5), "x^5")
-        assert (a * b).coeffs == {8: Fraction(1)}
 
     def test_rejects_gap_exponent(self):
         with pytest.raises(NotInSemigroup):
@@ -247,6 +241,11 @@ class TestCanonicalize:
         Q = canonicalize(elem((3, 5), "x^3 + x^100"))
         assert Q.b == 3
         assert Q.unit_coeffs == {}
+        # the boundary: x^(b+f+1) = x^11 is absorbed, x^(b+f) = x^10 is not
+        # (f is a gap, so no R-unit clears it) and changes the ideal
+        Q = canonicalize(elem((3, 5), "x^3 + x^10 + x^11"))
+        assert Q.unit_coeffs == {7: Fraction(1)}
+        assert Q != CanonicalIdeal(semigroup(3, 5), 3)
 
     def test_paper_form_5_11(self):
         Q = canonicalize(elem((5, 11), "x^40 + x^44"))
@@ -276,10 +275,6 @@ class TestCanonicalize:
     def test_unit_rejected(self):
         with pytest.raises(NotParameter):
             canonicalize(elem((3, 5), "1 + x^3"))
-
-    def test_insufficient_truncation_rejected(self):
-        with pytest.raises(TruncationTooSmall):
-            canonicalize(elem((3, 5), "x^3 + x^5", truncation=6))
 
 
 class TestMembership:
@@ -316,11 +311,6 @@ class TestMembership:
                 got = Q.contains(RingElement.monomial(S, e))
                 assert got == S.contains(e - b), (gens, b, e)
 
-    def test_truncation_too_small_rejected(self):
-        Q = canonicalize(elem((3, 5), "x^10"))
-        with pytest.raises(TruncationTooSmall):
-            Q.contains(elem((3, 5), "x^9", truncation=12))
-
     def test_membership_insensitive_to_absorbed_tail(self):
         Q = canonicalize(elem((3, 5), "x^5 + x^6"))
         w = elem((3, 5), "x^8 + 2*x^9")
@@ -329,10 +319,10 @@ class TestMembership:
 
 
     def test_matches_ideal_image_oracle(self):
-        # w = q * r truncated at b + f + 1 is in Q; one more monomial of
-        # valuation >= b may take it out.  Either way contains(w) must say
-        # whether w reduces to zero against the field-generic span of the
-        # shifts of q, which shares no code with the integer model
+        # w = q * r is in Q; one more monomial of valuation >= b may take
+        # it out.  Either way contains(w) must say whether w's coefficients
+        # below b + f + 1 reduce to zero against the field-generic span of
+        # the shifts of q, which shares no code with the integer model
         rng = random.Random(907)
         fields = [
             (RATIONALS, lambda: Fraction(rng.choice([1, -1, 3, -5]), rng.choice([1, 2, 7, 12]))),
@@ -356,12 +346,13 @@ class TestMembership:
                     basis = oracles.ideal_image_generic(Q).basis
                     for _ in range(4):
                         support = rng.sample(S.members(0, f + 1), 3)
-                        r = RingElement(S, {c: coefficient() for c in support}, None, fld)
-                        w = (Q.generator() * r).truncate(T)
+                        r = RingElement(S, {c: coefficient() for c in support}, fld)
+                        w = Q.generator() * r
                         e = rng.choice(S.members(b, b + f))
-                        bumped = w + RingElement(S, {e: coefficient()}, T, fld)
+                        bumped = w + RingElement(S, {e: coefficient()}, fld)
                         for v in (w, bumped):
-                            expected = not oracles.reduce_vector(basis, v.coeffs, fld)
+                            below = {c: x for c, x in v.coeffs.items() if c < T}
+                            expected = not oracles.reduce_vector(basis, below, fld)
                             assert Q.contains(v) == expected, (gens, fld, b, tail, v)
                             seen[expected] += 1
         assert seen[True] >= 200 and seen[False] >= 100, seen
@@ -369,7 +360,8 @@ class TestMembership:
     def test_every_element_against_the_definition(self):
         # every element of R/x^T over F_2 and F_3, T = b + f + 1, against Q
         # mod x^T listed element by element (the g = 0 colon of the
-        # definition oracle)
+        # definition oracle); every other element also carries x^T, which
+        # lies in Q and must not change the answer
         rng = random.Random(5)
         count = 0
         for gens in [(3, 4, 5), (3, 5), (4, 5, 7)]:
@@ -388,8 +380,9 @@ class TestMembership:
                     for tail in tails:
                         Q = CanonicalIdeal(S, b, tail, fld)
                         (ideal,), members = oracles.colon_sets_definition(gens, b, tail, p, 0)
-                        for r in product(range(p), repeat=len(members)):
-                            w = RingElement(S, dict(zip(members, r)), Q.truncation, fld)
+                        for k, r in enumerate(product(range(p), repeat=len(members))):
+                            high = {Q.truncation: fld.one} if k % 2 else {}
+                            w = RingElement(S, {**dict(zip(members, r)), **high}, fld)
                             assert Q.contains(w) == (r in ideal), (gens, b, tail, p, r)
                         count += 1
         assert count >= 30, count
@@ -519,8 +512,8 @@ class TestNormalForm:
         }
         Q = CanonicalIdeal(S, b, tail, F)
         r_tail = {i: F.of(Fraction(v, d_unit)) for i, v in unit.items() if S.contains(i)}
-        r = RingElement(S, {0: F.one, **r_tail}, None, F)
-        P = canonicalize((Q.generator() * r).truncate(Q.truncation))
+        r = RingElement(S, {0: F.one, **r_tail}, F)
+        P = canonicalize(Q.generator() * r)
         assert P == Q and hash(P) == hash(Q)
         g = goto_number(Q)
         assert goto_number(P) == g
