@@ -14,7 +14,7 @@ import sys
 
 from . import bounds
 from .colon import dual_goto, goto_monomial, goto_number
-from .errors import GotoNumberError
+from .errors import GotoNumberError, ParseError
 from .explorer import SearchConfig, monomial_table, search
 from .fields import field_from_label
 from .golden import run_golden_checks
@@ -117,7 +117,12 @@ def _cmd_bounds(args, out):
 
 
 def _cmd_rlr(args, out):
-    exponents = tuple(int(part) for part in args.pure_power.split(","))
+    try:
+        exponents = tuple(int(part) for part in args.pure_power.split(","))
+    except ValueError as exc:
+        raise ParseError(
+            f"--pure-power needs comma-separated integers, got {args.pure_power!r}"
+        ) from exc
     report = pure_power_report(exponents)
     payload = {
         "schema": 1,
@@ -159,14 +164,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, gens=True):
+    def add_common(p, formats=("json", "human"), gens=True):
         if gens:
             p.add_argument(
                 "generators", type=int, nargs="+", help="semigroup generators"
             )
         p.add_argument(
             "--format",
-            choices=("json", "tsv", "human"),
+            choices=formats,
             default="json",
             help="output format (default json)",
         )
@@ -189,12 +194,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_goto)
 
     p = sub.add_parser("table", help="monomial Goto numbers up to a cap")
-    add_common(p)
+    add_common(p, ("json", "tsv", "human"))
     p.add_argument("--max", type=int, required=True, help="largest exponent")
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("search", help="enumerate canonical forms")
-    add_common(p)
+    add_common(p, ("json", "tsv", "human"))
     p.add_argument("--coeffs", default="0,1", help="coefficient set (default 0,1)")
     p.add_argument("--field", default="q", help="coefficient field: q or fp:P")
     p.add_argument(

@@ -218,7 +218,7 @@ class ProductInequalityReport:
         return all(c.ok for c in self.checks)
 
 
-def verify_product_inequality(S, pairs) -> ProductInequalityReport:
+def verify_product_inequality(pairs) -> ProductInequalityReport:
     """Check g(Q1 Q2) <= min(g(Q1), g(Q2)) on the given ideal pairs.
 
     ``canonicalize`` drops the product's coefficients above b1 + b2 + f,

@@ -12,11 +12,12 @@ largest sum is max n_i - 1:
 
     g(Q) = sum n_i - max n_i - (d - 1).
 
-``MonomialIdeal`` keeps the general colon routes, on minimal generators
-(decrement one variable at a time and intersect by pairwise
-componentwise maxima) and, for m-primary ideals, on the staircase
-complement, one dilation step per power; the tests check the closed
-forms against both.
+``MonomialIdeal`` keeps the general colon routes: on minimal generators
+(decrement one variable at a time, intersect by pairwise componentwise
+maxima) and, for m-primary ideals, on the staircase of exponents outside
+the ideal, one dilation step per power, reading the minimal generators
+off as the points above it whose downward neighbours all lie on it.  The
+tests check the closed forms against both.
 """
 
 from __future__ import annotations
@@ -113,45 +114,15 @@ class MonomialIdeal:
             box.append(min(pure))
         return tuple(box)
 
-    def _staircase(self, box):
-        """The monomials outside the ideal, all inside prod [0, B_i)."""
-        return {p for p in product(*map(range, box)) if not self.contains_exponent(p)}
-
-    @staticmethod
-    def _from_staircase(dimension, box, std):
-        """Minimal generators of the ideal whose outside set is std.
-
-        A point is in the ideal when it leaves the box or misses std; a
-        minimal generator is an ideal point all of whose downward
-        neighbours are outside.  Minimal generators never exceed B_i in
-        coordinate i, so the search box is prod [0, B_i].
-        """
-        def in_ideal(q):
-            if any(qi >= bi for qi, bi in zip(q, box)):
-                return True
-            return q not in std
-
-        gens = []
-        for point in product(*(range(b + 1) for b in box)):
-            if not in_ideal(point):
-                continue
-            minimal = True
-            for k in range(dimension):
-                if point[k] > 0:
-                    below = point[:k] + (point[k] - 1,) + point[k + 1:]
-                    if in_ideal(below):
-                        minimal = False
-                        break
-            if minimal:
-                gens.append(point)
-        return MonomialIdeal(dimension, gens)
-
     def colon_power_maximal(self, g: int) -> "MonomialIdeal":
         """I : m^g, iterating the colon g times.
 
-        For m-primary ideals the iteration runs on the staircase: a
-        monomial stays outside I : m^(k+1) exactly when one variable step
-        up stays outside I : m^k.
+        For m-primary ideals the iteration runs on the staircase, the
+        exponents outside the ideal: p stays outside I : m^(k+1) exactly
+        when some step p + e_i stays outside I : m^k.  A minimal generator
+        is a point off the staircase whose downward neighbours all lie on
+        it: the origin when the staircase is empty, and otherwise one step
+        above a staircase point.
         """
         if g < 0:
             raise ValueError(f"need g >= 0, got {g}")
@@ -163,18 +134,21 @@ class MonomialIdeal:
             for _ in range(g):
                 out = out.colon_maximal()
             return out
-        std = self._staircase(box)
         d = self.dimension
+        std = {p for p in product(*map(range, box)) if not self.contains_exponent(p)}
         for _ in range(g):
-            nxt = set()
-            for point in std:
-                for i in range(d):
-                    up = point[:i] + (point[i] + 1,) + point[i + 1:]
-                    if up in std:
-                        nxt.add(point)
-                        break
-            std = nxt
-        return self._from_staircase(d, box, std)
+            std = {
+                p
+                for p in std
+                if any(p[:i] + (p[i] + 1,) + p[i + 1:] in std for i in range(d))
+            }
+        above = {p[:i] + (p[i] + 1,) + p[i + 1:] for p in std for i in range(d)}
+        gens = [
+            q
+            for q in above - std
+            if all(q[:i] + (q[i] - 1,) + q[i + 1:] in std for i in range(d) if q[i])
+        ]
+        return MonomialIdeal(d, gens or [(0,) * d])
 
     def order(self) -> int:
         """Largest power of m containing the ideal: the minimum total

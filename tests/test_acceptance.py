@@ -226,7 +226,7 @@ class TestPropertySuites:
             pairs = [
                 (r.ideal(S), CanonicalIdeal(S, S.multiplicity)) for r in sample
             ]
-            if not verify_product_inequality(S, pairs).all_ok:
+            if not verify_product_inequality(pairs).all_ok:
                 bad += 1
         for S in full_family():
             if S.conductor_order() > S.stable_goto_via_t_prime():

@@ -221,6 +221,14 @@ class TestErrors:
             assert code == 2 and out == ""
             assert "outside [1, 9]" in capsys.readouterr().err
 
+    def test_malformed_pure_power_names_the_option(self, capsys):
+        for value in ("2,,3", "2,x"):
+            code, out = run_cli("rlr", "--pure-power", value)
+            assert code == 2 and out == ""
+            assert capsys.readouterr().err == (
+                f"error: --pure-power needs comma-separated integers, got '{value}'\n"
+            )
+
 
 # (argv, exit code): help, usage errors (exit 2 from the parser), input
 # errors (exit 2 from the library) and one valid op per subcommand
@@ -231,6 +239,11 @@ CORPUS = [
     (["frobble"], 2),
     (["info"], 2),
     (["info", "3", "5", "--format", "xml"], 2),
+    # tsv only where the output is tabular (table, search)
+    (["info", "3", "5", "--format", "tsv"], 2),
+    (["goto", "3", "5", "--monomial", "5", "--format", "tsv"], 2),
+    (["bounds", "3", "5", "--format", "tsv"], 2),
+    (["rlr", "--pure-power", "2,5,5", "--format", "tsv"], 2),
     (["goto", "3", "5"], 2),
     (["goto", "3", "5", "--ideal", "x^5", "--monomial", "5"], 2),
     (["table", "3", "5"], 2),

@@ -58,14 +58,32 @@ class TestMonomialIdeal:
         assert Q.colon_power_maximal(3) == MonomialIdeal(3, want)
 
     def test_staircase_route_matches_iterated_generators(self):
-        for d in (2, 3):
-            for n in range(1, 5):
-                for e in range(1, n + 1):
-                    Q = MonomialIdeal.pure_powers((e,) + (n,) * (d - 1))
-                    slow = Q
-                    for g in range(1, (d - 2) * (n - 1) + e + 1):
-                        slow = slow.colon_maximal()
-                        assert slow == Q.colon_power_maximal(g), (d, e, n, g)
+        # pure powers, then seeded m-primary ideals with mixed generators: one
+        # pure power per variable plus up to three more generators
+        inputs = [
+            MonomialIdeal.pure_powers((e,) + (n,) * (d - 1))
+            for d in (2, 3)
+            for n in range(1, 5)
+            for e in range(1, n + 1)
+        ]
+        rng = random.Random(2008)
+        for d, top, count in ((2, 5, 120), (3, 4, 120)):
+            for _ in range(count):
+                gens = [
+                    tuple(rng.randint(1, top) if k == i else 0 for k in range(d))
+                    for i in range(d)
+                ]
+                gens += [
+                    tuple(rng.randint(0, top) for _ in range(d))
+                    for _ in range(rng.randint(0, 3))
+                ]
+                inputs.append(MonomialIdeal(d, gens))
+        for Q in inputs:
+            unit = MonomialIdeal(Q.dimension, [(0,) * Q.dimension])
+            slow, g = Q, 0
+            while slow != unit:
+                slow, g = slow.colon_maximal(), g + 1
+                assert slow == Q.colon_power_maximal(g), (Q, g)
 
     def test_colon_output_minimal(self):
         I = MonomialIdeal.pure_powers((3, 4, 5))
