@@ -38,6 +38,7 @@ from .explorer import (
     SearchResult,
     monomial_table,
     search,
+    search_records,
     verify_product_inequality,
 )
 from .fields import PrimeField, RATIONALS, Rationals, field_from_label
@@ -98,6 +99,7 @@ __all__ = [
     "rho",
     "run_golden_checks",
     "search",
+    "search_records",
     "stable_goto",
     "verify_product_inequality",
 ]

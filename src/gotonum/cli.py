@@ -15,7 +15,7 @@ import sys
 from . import bounds
 from .colon import dual_goto, goto_monomial, goto_number
 from .errors import GotoNumberError, ParseError
-from .explorer import SearchConfig, monomial_table, search
+from .explorer import SearchConfig, monomial_table, search, search_records
 from .fields import field_from_label
 from .golden import run_golden_checks
 from .regular import pure_power_report
@@ -101,11 +101,14 @@ def _cmd_search(args, out):
         b_values=tuple(args.b) if args.b else None,
         positions=tuple(args.positions) if args.positions else None,
     )
-    result = search(config)
     if args.format == "tsv":
-        out.write(result.to_tsv())
+        records = search_records(config)   # refuses over the cap before the header
+        out.write("b\tcoeffs\tgoto\n")
+        for rec in records:
+            tail = ";".join(f"{i}:{v}" for i, v in rec.coeffs) or "-"
+            out.write(f"{rec.b}\t{tail}\t{rec.goto}\n")
     else:
-        _emit(result.to_json(S, field), args.format, out)
+        _emit(search(config).to_json(), args.format, out)
     return 0
 
 

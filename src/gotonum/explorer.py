@@ -5,13 +5,14 @@ coefficient set; the resulting Goto numbers are exact for the chosen
 field and coefficient set and say nothing about other coefficients.
 Many forms generate the same ideal; the search computes the Goto number
 once per distinct ideal, keyed on its normal form, and not at all at a
-valuation the conductor lemma decides.
+valuation the conductor lemma decides.  Records are streamed: a search
+holds the distinct ideals of one valuation, never one record per form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from itertools import product
+from dataclasses import dataclass
+from itertools import chain, product
 
 from .colon import goto_monomial, goto_number
 from .errors import SearchSpaceTooLarge
@@ -93,47 +94,45 @@ class SearchRecord:
 
 @dataclass
 class SearchResult:
-    """Outcome of one search run, exact for the stated field and
+    """How many forms took each Goto number, and the first form in
+    enumeration order to take it; exact for the configured field and
     coefficient set only."""
 
-    generators: tuple
-    field_label: str
-    coefficients: tuple
-    records: list
-    count: int
-    min_goto: int | None
-    max_goto: int | None
-    value_counts: dict = dc_field(default_factory=dict)
-    witnesses: dict = dc_field(default_factory=dict)   # g -> first record
+    config: SearchConfig
+    value_counts: dict     # g -> number of forms
+    witnesses: dict        # g -> first record
 
-    def to_json(self, semigroup=None, field=RATIONALS):
-        payload = {
+    @property
+    def count(self) -> int:
+        return sum(self.value_counts.values())
+
+    @property
+    def min_goto(self) -> int | None:
+        return min(self.value_counts, default=None)
+
+    @property
+    def max_goto(self) -> int | None:
+        return max(self.value_counts, default=None)
+
+    def to_json(self) -> dict:
+        S, fld = self.config.semigroup, self.config.field
+        return {
             "schema": 1,
-            "generators": list(self.generators),
-            "field": self.field_label,
-            "coefficients": [str(c) for c in self.coefficients],
+            "generators": list(S.generators),
+            "field": fld.label,
+            "coefficients": [str(c) for c in self.config.coefficients],
             "count": self.count,
             "min_goto": self.min_goto,
             "max_goto": self.max_goto,
             "value_counts": {str(g): n for g, n in sorted(self.value_counts.items())},
+            "witnesses": {
+                str(g): rec.element_text(S, fld) for g, rec in sorted(self.witnesses.items())
+            },
         }
-        if semigroup is not None:
-            payload["witnesses"] = {
-                str(g): rec.element_text(semigroup, field)
-                for g, rec in sorted(self.witnesses.items())
-            }
-        return payload
-
-    def to_tsv(self) -> str:
-        lines = ["b\tcoeffs\tgoto"]
-        for rec in self.records:
-            tail = ";".join(f"{i}:{v}" for i, v in rec.coeffs) or "-"
-            lines.append(f"{rec.b}\t{tail}\t{rec.goto}")
-        return "\n".join(lines) + "\n"
 
 
 def _search_one_b(config, b):
-    """The records at valuation b, one Goto number per distinct ideal.
+    """Yield the records at valuation b, one Goto number per distinct ideal.
 
     Forms are enumerated as index vectors into the coefficient set.  Where
     the conductor lemma decides every ideal of valuation b, each form gets
@@ -153,11 +152,10 @@ def _search_one_b(config, b):
         p, D = integer_scale(fld, coeffs)
         scaled = [integer_tail(dict.fromkeys(positions, c), p, D) for c in coeffs]
     memo = {}
-    records = []
     for vector in product(range(len(coeffs)), repeat=len(positions)):
         tail = tuple((i, coeffs[k]) for i, k in zip(positions, vector) if k != zero)
         if settled:
-            records.append(SearchRecord(b, tail, floor))
+            yield SearchRecord(b, tail, floor)
             continue
         key = normal_tail(
             S, {i: scaled[k][i] for i, k in zip(positions, vector) if k != zero}, p
@@ -165,38 +163,29 @@ def _search_one_b(config, b):
         goto = memo.get(key)
         if goto is None:
             goto = memo[key] = goto_number(CanonicalIdeal(S, b, dict(tail), fld))
-        records.append(SearchRecord(b, tail, goto))
-    return records
+        yield SearchRecord(b, tail, goto)
 
 
-def search(config: SearchConfig) -> SearchResult:
-    """Enumerate the configured canonical forms and collect Goto numbers."""
-    S = config.semigroup
+def search_records(config: SearchConfig):
+    """An iterator over every configured form's record, in enumeration
+    order.  The cap is checked here, before any form is enumerated."""
     total = 0
     for b in config.b_values:
         total += len(config.coefficients) ** len(config.admissible_positions(b))
         if total > SEARCH_CAP:
-            raise SearchSpaceTooLarge(
-                f"enumeration would exceed {SEARCH_CAP} ideals"
-            )
-    records = [rec for b in config.b_values for rec in _search_one_b(config, b)]
+            raise SearchSpaceTooLarge(f"enumeration would exceed {SEARCH_CAP} ideals")
+    return chain.from_iterable(_search_one_b(config, b) for b in config.b_values)
+
+
+def search(config: SearchConfig) -> SearchResult:
+    """Count the Goto numbers of the configured forms in one pass over
+    ``search_records``, keeping the first witness of each value."""
     value_counts = {}
     witnesses = {}
-    for rec in records:
+    for rec in search_records(config):
         value_counts[rec.goto] = value_counts.get(rec.goto, 0) + 1
         witnesses.setdefault(rec.goto, rec)
-    gotos = sorted(value_counts)
-    return SearchResult(
-        generators=S.generators,
-        field_label=config.field.label,
-        coefficients=config.coefficients,
-        records=records,
-        count=len(records),
-        min_goto=gotos[0] if gotos else None,
-        max_goto=gotos[-1] if gotos else None,
-        value_counts=value_counts,
-        witnesses=witnesses,
-    )
+    return SearchResult(config, value_counts, witnesses)
 
 
 @dataclass(frozen=True)

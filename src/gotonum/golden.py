@@ -22,7 +22,7 @@ from .colon import (
     goto_number,
     TruncatedSubspace,
 )
-from .explorer import SearchConfig, search
+from .explorer import SearchConfig, search, search_records
 from .regular import (
     MonomialIdeal,
     pure_power_goto,
@@ -302,13 +302,11 @@ def _catalogue():
     yield ("<4,6,7> exhaustive 0/1 search min and max", (2, 2), exhaustive_467)
 
     def witness_479():
-        res = search(SearchConfig(semigroup=sg(4, 7, 9), b_values=(7,)))
-        attaining = [
-            rec.element_text(sg(4, 7, 9))
-            for rec in res.records
-            if rec.goto == res.max_goto
-        ]
-        return (res.max_goto, "x^7 + x^8 + x^9" in attaining)
+        S = sg(4, 7, 9)
+        records = list(search_records(SearchConfig(semigroup=S, b_values=(7,))))
+        top = max(rec.goto for rec in records)
+        attaining = [rec.element_text(S) for rec in records if rec.goto == top]
+        return (top, "x^7 + x^8 + x^9" in attaining)
 
     yield (
         "<4,7,9> search finds an ideal beating rho",

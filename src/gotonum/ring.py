@@ -27,6 +27,7 @@ phi on the model, and membership, the unit inverse and the colon engine of
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
@@ -184,7 +185,13 @@ def parse_element(text, semigroup, field=RATIONALS):
         if sign < 0:
             coef = field.neg(coef)
         if "x" in piece:
-            exp = int(m.group("exp")) if m.group("exp") else 1
+            try:
+                exp = int(m.group("exp") or 1)
+            except ValueError as exc:   # \d+ fails only on the digit limit
+                raise ParseError(
+                    f"exponent of term {piece[:16]}... has {len(m.group('exp'))} digits, "
+                    f"over the {sys.get_int_max_str_digits()}-digit limit"
+                ) from exc
         else:
             exp = 0
         if not semigroup.contains(exp):

@@ -585,12 +585,12 @@ def conductor_dual_goto_spans(Q):
     raise BoundViolation(f"conductor containment for ({Q}) never failed up to i = {hard_cap}")
 
 
-def check_search_envelope(S, result):
+def check_search_envelope(S, records):
     """Every observed Goto number must lie between the stable value and the
     global bound.  Returns (stable, bound); raises BoundViolation on the
     first record outside."""
     lo, hi = stable_goto(S), bound_global(S)
-    for rec in result.records:
+    for rec in records:
         if not lo <= rec.goto <= hi:
             raise BoundViolation(
                 f"record (b={rec.b}, g={rec.goto}) escapes [{lo}, {hi}]"

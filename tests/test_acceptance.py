@@ -36,6 +36,7 @@ from gotonum.colon import (
 from gotonum.explorer import (
     SearchConfig,
     search,
+    search_records,
     verify_product_inequality,
 )
 from gotonum.regular import MonomialIdeal, pure_power_report
@@ -213,16 +214,16 @@ class TestPropertySuites:
         ]
         for gens, kwargs in runs:
             S = semigroup(*gens)
-            result = search(SearchConfig(semigroup=S, **kwargs))
+            records = list(search_records(SearchConfig(semigroup=S, **kwargs)))
             hi = bound_global(S)
             lo = stable_goto(S)
-            for rec in result.records:
+            for rec in records:
                 if not lo <= rec.goto <= hi:
                     bad += 1
-            for rec in result.records:
+            for rec in records:
                 if rec.goto < goto_monomial(S, rec.b):
                     bad += 1
-            sample = [result.records[0], result.records[-1]]
+            sample = [records[0], records[-1]]
             pairs = [
                 (r.ideal(S), CanonicalIdeal(S, S.multiplicity)) for r in sample
             ]

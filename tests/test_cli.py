@@ -229,6 +229,16 @@ class TestErrors:
                 f"error: --pure-power needs comma-separated integers, got '{value}'\n"
             )
 
+    def test_exponent_over_the_digit_limit_names_the_exponent(self, capsys):
+        # int() refuses decimal strings over sys.get_int_max_str_digits();
+        # the message names the term's exponent and the limit, not that hook
+        code, out = run_cli("goto", "3", "5", "--ideal", "x^" + "1" * 5000)
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("error: exponent of term x^1111")
+        assert "5000 digits" in err and f"{sys.get_int_max_str_digits()}-digit limit" in err
+        assert "set_int_max_str_digits" not in err
+
 
 # (argv, exit code): help, usage errors (exit 2 from the parser), input
 # errors (exit 2 from the library) and one valid op per subcommand
@@ -254,6 +264,8 @@ CORPUS = [
     (["goto", "3", "5", "--ideal", "x^5", "--field", "fp:4"], 2),
     (["goto", "4", "5", "11", "--ideal", "x^12", "--dual"], 2),
     (["search", "4", "6", "7", "--b", "8", "--positions", "100"], 2),
+    # the cap refuses 2^39 forms before the TSV header is written
+    (["search", "5", "11", "--b", "40", "--format", "tsv"], 2),
     (["rlr", "--pure-power", "2,x"], 2),
     (["info", "3", "5"], 0),
     (["goto", "5", "11", "--ideal", "x^40+1/2*x^44", "--dual"], 0),

@@ -30,7 +30,7 @@ from gotonum.errors import (
     NotInSemigroup,
     TruncationTooSmall,
 )
-from gotonum.explorer import SearchConfig, search
+from gotonum.explorer import SearchConfig, search_records
 from gotonum.fields import RATIONALS, PrimeField
 from gotonum.ring import CanonicalIdeal, RingElement, canonicalize, integer_model, parse_element
 
@@ -184,7 +184,7 @@ class TestMonomialFloor:
         # tails over Q and F_101 on three more semigroups
         rng = random.Random(7049)
         S = semigroup(4, 7, 9)
-        records = search(SearchConfig(semigroup=S, b_values=(7, 9))).records
+        records = list(search_records(SearchConfig(semigroup=S, b_values=(7, 9))))
         ideals = [rec.ideal(S) for rec in rng.sample(records, 60) if rec.coeffs]
         ideals.append(ideal((5, 11), "x^40+x^44"))
         fields = [RATIONALS, RATIONALS, PrimeField(101)]

@@ -13,6 +13,7 @@ from gotonum.explorer import (
     SearchRecord,
     monomial_table,
     search,
+    search_records,
     verify_product_inequality,
 )
 from gotonum.fields import RATIONALS, PrimeField
@@ -88,13 +89,10 @@ class TestSearch:
         assert result.count > 1000
 
     def test_479_witness_beats_rho(self):
-        result = search(SearchConfig(semigroup=semigroup(4, 7, 9), b_values=(7,)))
-        assert result.max_goto == 3
-        texts = [
-            rec.element_text(semigroup(4, 7, 9))
-            for rec in result.records
-            if rec.goto == 3
-        ]
+        S = semigroup(4, 7, 9)
+        records = list(search_records(SearchConfig(semigroup=S, b_values=(7,))))
+        assert max(rec.goto for rec in records) == 3
+        texts = [rec.element_text(S) for rec in records if rec.goto == 3]
         assert "x^7 + x^8 + x^9" in texts
 
     def test_5_11_tail_position_four(self):
@@ -130,10 +128,8 @@ class TestSearch:
 
     def test_deterministic(self):
         cfg = lambda: SearchConfig(semigroup=semigroup(4, 6, 7), b_values=(4, 6, 7))
-        a = search(cfg())
-        b = search(cfg())
-        assert a.records == b.records
-        assert a.to_tsv() == b.to_tsv()
+        assert list(search_records(cfg())) == list(search_records(cfg()))
+        assert search(cfg()).to_json() == search(cfg()).to_json()
 
     def test_prime_field_matches_rationals_on_named_searches(self):
         for gens, kwargs in [
@@ -142,8 +138,8 @@ class TestSearch:
             ((3, 5), {}),
             ((2, 3), {}),
         ]:
-            rational = search(SearchConfig(semigroup=semigroup(*gens), **kwargs))
-            modular = search(
+            rational = search_records(SearchConfig(semigroup=semigroup(*gens), **kwargs))
+            modular = search_records(
                 SearchConfig(
                     semigroup=semigroup(*gens),
                     field=PrimeField(2),
@@ -151,8 +147,8 @@ class TestSearch:
                     **kwargs,
                 )
             )
-            assert [(r.b, r.goto) for r in rational.records] == [
-                (r.b, r.goto) for r in modular.records
+            assert [(r.b, r.goto) for r in rational] == [
+                (r.b, r.goto) for r in modular
             ], gens
 
     def test_cap_enforced(self):
@@ -201,9 +197,9 @@ class TestSearch:
         for gens, b, positions in rng.sample(cases, 12):
             S = semigroup(*gens)
             config = SearchConfig(S, field, coefficients, b_values=(b,), positions=positions)
-            result = search(config)
+            records = list(search_records(config))
             ideals = set()
-            for rec in result.records:
+            for rec in records:
                 Q = rec.ideal(S, field)
                 assert rec.goto == goto_number(Q), (gens, rec)
                 ideals.add(Q)
@@ -211,32 +207,49 @@ class TestSearch:
                 assert scanned == [], (gens, b)
                 decided += 1
             else:
-                assert len(scanned) == len(ideals) < result.count, (gens, b)
+                assert len(scanned) == len(ideals) < len(records), (gens, b)
                 distinct += len(ideals)
             scanned.clear()
         assert distinct > 100 and decided > 0, (distinct, decided)
+
+    def test_memory_does_not_grow_with_forms(self):
+        # records are streamed, so a search holds the distinct ideals of one
+        # valuation, never one record per form: b = 21 over <5,6,13> has
+        # 16,384 forms, all decided by the conductor lemma
+        import tracemalloc
+
+        S = semigroup(5, 6, 13)
+        search(SearchConfig(S, b_values=(20,)))   # builds the semigroup's tables
+        tracemalloc.start()
+        try:
+            result = search(SearchConfig(S, b_values=(21,)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.count == 16_384
+        assert peak < 2 * 2**20, peak
 
     def test_coefficients_must_contain_zero(self):
         with pytest.raises(ValueError):
             SearchConfig(semigroup=semigroup(3, 5), coefficients=(1, 2))
 
     def test_envelope(self):
-        result = search(SearchConfig(semigroup=semigroup(4, 6, 7)))
-        lo, hi = oracles.check_search_envelope(semigroup(4, 6, 7), result)
+        records = search_records(SearchConfig(semigroup=semigroup(4, 6, 7)))
+        lo, hi = oracles.check_search_envelope(semigroup(4, 6, 7), records)
         assert (lo, hi) == (2, 3)
 
     def test_envelope_violation_is_typed(self):
         # a record above the global bound must raise, also under python -O
         S = semigroup(4, 6, 7)
-        result = search(SearchConfig(semigroup=S, b_values=(4,)))
-        result.records.append(SearchRecord(b=4, coeffs=(), goto=4))
+        records = list(search_records(SearchConfig(semigroup=S, b_values=(4,))))
+        records.append(SearchRecord(b=4, coeffs=(), goto=4))
         with pytest.raises(BoundViolation, match="escapes"):
-            oracles.check_search_envelope(S, result)
+            oracles.check_search_envelope(S, records)
 
     def test_json_shape(self):
         S = semigroup(3, 5)
         result = search(SearchConfig(semigroup=S))
-        payload = result.to_json(S)
+        payload = result.to_json()
         assert payload["schema"] == 1
         assert payload["field"] == "q"
         assert set(payload["value_counts"]) == {str(g) for g in result.value_counts}
@@ -275,23 +288,21 @@ class TestMonomialLowerBound:
     # independent check is the literal-oracle test in test_colon
     def test_search_records_dominate_monomial_values(self):
         S = semigroup(4, 7, 9)
-        result = search(SearchConfig(semigroup=S, b_values=(7, 9)))
-        floors = [goto_monomial(S, rec.b) for rec in result.records]
-        assert all(rec.goto >= gm for rec, gm in zip(result.records, floors))
-        assert any(rec.goto > gm for rec, gm in zip(result.records, floors))
+        records = list(search_records(SearchConfig(semigroup=S, b_values=(7, 9))))
+        floors = [goto_monomial(S, rec.b) for rec in records]
+        assert all(rec.goto >= gm for rec, gm in zip(records, floors))
+        assert any(rec.goto > gm for rec, gm in zip(records, floors))
 
     def test_equality_on_monomials(self):
         S = semigroup(3, 5)
-        result = search(
-            SearchConfig(semigroup=S, positions=())
-        )
-        assert result.records
-        assert all(rec.goto == goto_monomial(S, rec.b) for rec in result.records)
+        records = list(search_records(SearchConfig(semigroup=S, positions=())))
+        assert records
+        assert all(rec.goto == goto_monomial(S, rec.b) for rec in records)
 
     def test_5_11_strict_witness(self):
         S = semigroup(5, 11)
-        result = search(SearchConfig(semigroup=S, b_values=(40,), positions=(4,)))
-        strict = [rec for rec in result.records if rec.goto > goto_monomial(S, rec.b)]
+        records = search_records(SearchConfig(semigroup=S, b_values=(40,), positions=(4,)))
+        strict = [rec for rec in records if rec.goto > goto_monomial(S, rec.b)]
         assert len(strict) == 1
         assert strict[0].goto == 5
         assert goto_monomial(S, strict[0].b) == 4

@@ -76,3 +76,28 @@ def test_semigroup_private_state_stays_in_semigroup():
             if isinstance(node, ast.Attribute) and node.attr in private:
                 found.append(f"{path.name}:{node.lineno}: {node.attr}")
     assert found == []
+
+
+def test_only_cli_writes_output():
+    # stdout is byte-identical for the same input and stderr carries only
+    # cli's error line, so no other module prints or touches sys.stdout or
+    # sys.stderr; search's TSV lines are written by cli as records stream
+    streams = {"stdout", "stderr"}
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and node.id == "print":
+                found.append(f"{path.name}:{node.lineno}: print")
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr in streams
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "sys"
+            ):
+                found.append(f"{path.name}:{node.lineno}: sys.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+                names = streams & {alias.name for alias in node.names}
+                found += [f"{path.name}:{node.lineno}: from sys import {n}" for n in sorted(names)]
+    assert found == []
