@@ -3,12 +3,14 @@
 Exit codes: 0 on success, 1 when a golden-corpus check fails, 2 on
 usage or input errors (the message names the violated precondition).
 All output is deterministic: identical invocations produce identical
-bytes.
+bytes.  ``main`` reuses one parser per process; ``build_parser()``
+returns a new one on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -238,10 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -7,6 +7,8 @@ point anywhere.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -14,6 +16,17 @@ from .errors import ParseError
 
 
 _WITNESSES = (2, 3, 5, 7)
+
+
+def check_digit_limit(what: str, text: str) -> None:
+    """Raise a ParseError if a number in ``text`` has more digits than
+    Python's integer-string limit (``sys.get_int_max_str_digits()``)."""
+    limit = sys.get_int_max_str_digits()
+    digits = max(map(len, re.findall(r"\d+", text.replace("_", ""))), default=0)
+    if limit and digits > limit:
+        raise ParseError(
+            f"{what} {text[:16]}... has {digits} digits, over the {limit}-digit limit"
+        )
 
 
 def _is_prime(n: int) -> bool:
@@ -62,6 +75,7 @@ class Rationals:
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
+            check_digit_limit("rational coefficient", text)
             raise ParseError(f"invalid rational coefficient {text!r}") from exc
 
     def add(self, a, b):
@@ -113,6 +127,7 @@ class PrimeField:
         try:
             return self.of(Fraction(text))
         except (ValueError, ZeroDivisionError) as exc:
+            check_digit_limit(f"coefficient over F_{self.p}", text)
             raise ParseError(f"invalid coefficient {text!r} over F_{self.p}") from exc
 
     def add(self, a, b):
@@ -144,6 +159,7 @@ def field_from_label(label: str):
         try:
             p = int(label[3:])
         except ValueError as exc:
+            check_digit_limit("field label", label)
             raise ParseError(f"invalid field label {label!r}") from exc
         try:
             return PrimeField(p)

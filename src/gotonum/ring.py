@@ -27,7 +27,6 @@ phi on the model, and membership, the unit inverse and the colon engine of
 from __future__ import annotations
 
 import re
-import sys
 from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
@@ -41,7 +40,7 @@ from .errors import (
     ParseError,
     ZeroElement,
 )
-from .fields import RATIONALS
+from .fields import RATIONALS, check_digit_limit
 
 
 class RingElement:
@@ -187,11 +186,9 @@ def parse_element(text, semigroup, field=RATIONALS):
         if "x" in piece:
             try:
                 exp = int(m.group("exp") or 1)
-            except ValueError as exc:   # \d+ fails only on the digit limit
-                raise ParseError(
-                    f"exponent of term {piece[:16]}... has {len(m.group('exp'))} digits, "
-                    f"over the {sys.get_int_max_str_digits()}-digit limit"
-                ) from exc
+            except ValueError:   # \d+ fails only on the digit limit
+                check_digit_limit("exponent of term", piece)
+                raise
         else:
             exp = 0
         if not semigroup.contains(exp):

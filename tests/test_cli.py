@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -6,7 +7,10 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
+
 import gotonum
+from gotonum import cli
 from gotonum.cli import main
 
 
@@ -239,12 +243,37 @@ class TestErrors:
         assert "5000 digits" in err and f"{sys.get_int_max_str_digits()}-digit limit" in err
         assert "set_int_max_str_digits" not in err
 
+    @pytest.mark.parametrize(
+        "argv, head",
+        [
+            (["search", "3", "5", "--b", "5", "--coeffs", "0," + "1" * 5000],
+             "error: rational coefficient 1111111111111111... "),
+            (["search", "3", "5", "--b", "5", "--coeffs", "0," + "1" * 5000, "--field", "fp:7"],
+             "error: coefficient over F_7 1111111111111111... "),
+            (["search", "3", "5", "--b", "5", "--field", "fp:" + "7" * 5000],
+             "error: field label fp:7777777777777... "),
+            (["goto", "3", "5", "--ideal", "1" * 5000 + "*x^5"],
+             "error: rational coefficient 1111111111111111... "),
+        ],
+    )
+    def test_number_over_the_digit_limit_is_not_called_invalid(self, capsys, argv, head):
+        # a well-formed number past sys.get_int_max_str_digits() gets the
+        # limit and a truncated echo, not "invalid" and all 5000 digits
+        code, out = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err == head + (
+            f"has 5000 digits, over the {sys.get_int_max_str_digits()}-digit limit\n"
+        )
+
+
+SUBCOMMANDS = ("info", "goto", "table", "search", "bounds", "rlr", "verify-paper")
 
 # (argv, exit code): help, usage errors (exit 2 from the parser), input
 # errors (exit 2 from the library) and one valid op per subcommand
 CORPUS = [
     (["--help"], 0),
-    *[([cmd, "--help"], 0) for cmd in ("info", "goto", "table", "search", "bounds", "rlr", "verify-paper")],
+    *[([cmd, "--help"], 0) for cmd in SUBCOMMANDS],
     ([], 2),
     (["frobble"], 2),
     (["info"], 2),
@@ -310,3 +339,59 @@ class TestDeterminism:
         _, first = run_cli(*args)
         _, second = run_cli(*args)
         assert first == second
+
+
+class TestParserReuse:
+    # main parses with one cached build_parser() result per process
+
+    def test_main_builds_no_parser_after_the_first_call(self, monkeypatch):
+        run_captured(["rlr", "--pure-power", "2,5,5"])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        for argv in ([["rlr", "--pure-power", "2,5,5"], ["info", "3", "5"], ["frobble"]] * 7)[:20]:
+            run_captured(argv)
+        assert built == []
+        first, second = cli.build_parser(), cli.build_parser()
+        assert first is not second
+        assert len(built) == 2 * (1 + len(SUBCOMMANDS))
+
+    def test_cached_parser_keeps_no_state_between_calls(self, monkeypatch):
+        # append lists start empty on every call, and an aborted parse
+        # leaves nothing behind; the fresh side builds a parser per call
+        sequence = [
+            ["search", "4", "7", "9", "--b", "7"],
+            ["search", "4", "7", "9", "--b", "9", "--b", "11"],
+            ["search", "4", "7", "9", "--b", "7"],
+            ["search", "4", "7", "9", "--b", "x"],
+            ["search", "4", "7", "9", "--positions", "1"],
+        ]
+        cached = [run_captured(argv) for argv in sequence]
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = [run_captured(argv) for argv in sequence]
+        assert [code for code, _, _ in cached] == [0, 0, 0, 2, 0]
+        assert cached == fresh
+        assert cached[0] == cached[2] != cached[1]
+
+    def test_help_follows_the_terminal_width_of_each_call(self, monkeypatch):
+        # argparse reads COLUMNS when it formats help, not when it builds
+        # the parser, so a parser built at one width prints at another
+        monkeypatch.setenv("COLUMNS", "140")
+        cli._parser.cache_clear()
+        run_captured(["info", "3", "5"])
+        helps = {}
+        for columns in ("50", "140"):
+            monkeypatch.setenv("COLUMNS", columns)
+            for cmd in SUBCOMMANDS:
+                cached = run_captured([cmd, "--help"])
+                with monkeypatch.context() as m:
+                    m.setattr(cli, "_parser", cli.build_parser)
+                    fresh = run_captured([cmd, "--help"])
+                assert cached[0] == 0 and cached == fresh, (columns, cmd)
+                helps[columns, cmd] = cached[1]
+        assert helps["50", "search"] != helps["140", "search"]

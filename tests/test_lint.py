@@ -101,3 +101,28 @@ def test_only_cli_writes_output():
                 names = streams & {alias.name for alias in node.names}
                 found += [f"{path.name}:{node.lineno}: from sys import {n}" for n in sorted(names)]
     assert found == []
+
+
+def test_no_interpreter_wide_settings():
+    # the garbage collector, the integer-string digit limit and the
+    # recursion limit belong to the caller: src/ never imports gc and never
+    # calls sys.set_int_max_str_digits or sys.setrecursionlimit
+    setters = {"set_int_max_str_digits", "setrecursionlimit"}
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import) and "gc" in {alias.name for alias in node.names}:
+                found.append(f"{path.name}:{node.lineno}: import gc")
+            elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+                found.append(f"{path.name}:{node.lineno}: from gc import")
+            elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+                names = setters & {alias.name for alias in node.names}
+                found += [f"{path.name}:{node.lineno}: from sys import {n}" for n in sorted(names)]
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr in setters
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "sys"
+            ):
+                found.append(f"{path.name}:{node.lineno}: sys.{node.attr}")
+    assert found == []
