@@ -9,7 +9,6 @@ value, over the rationals or a prime field.
 """
 
 from .bounds import (
-    BoundReport,
     bound_display_max,
     bound_first_generator,
     bound_global,
@@ -59,7 +58,6 @@ from .ring import (
 from .semigroup import NumericalSemigroup, frobenius_two_generated
 
 __all__ = [
-    "BoundReport",
     "CanonicalIdeal",
     "MonomialIdeal",
     "NumericalSemigroup",

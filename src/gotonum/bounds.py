@@ -1,9 +1,9 @@
-"""Closed-form bounds and formulas for Goto numbers of monomial ideals,
-plus a report comparing each bound with engine-computed truth."""
+"""Closed-form bounds and formulas for Goto numbers of monomial ideals, and
+``build_report``: each bound next to engine truth and its slack, as the JSON
+payload ``gotonum bounds`` prints."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .colon import goto_monomial
@@ -87,45 +87,9 @@ def bound_display_max(S: NumericalSemigroup) -> int:
     return value
 
 
-@dataclass
-class BoundReport:
-    """Every bound and formula for one semigroup, next to engine truth."""
-
-    generators: tuple
-    frobenius: int
-    global_bound: int
-    generator_bounds: dict          # a_j -> bound, j >= 2
-    first_generator_bound: int
-    two_generated_pair: tuple | None
-    display_max: int
-    stable: int
-    rho: int
-    conductor_order: int
-    monomial_gotos: dict = field(default_factory=dict)   # a_j -> g(x^(a_j))
-    slacks: dict = field(default_factory=dict)
-
-    def to_json(self):
-        return {
-            "schema": 1,
-            "generators": list(self.generators),
-            "frobenius": self.frobenius,
-            "global_bound": self.global_bound,
-            "generator_bounds": {str(k): v for k, v in self.generator_bounds.items()},
-            "first_generator_bound": self.first_generator_bound,
-            "two_generated_pair": (
-                list(self.two_generated_pair) if self.two_generated_pair else None
-            ),
-            "display_max": self.display_max,
-            "stable_goto": self.stable,
-            "rho": self.rho,
-            "conductor_order": self.conductor_order,
-            "monomial_gotos": {str(k): v for k, v in self.monomial_gotos.items()},
-            "slacks": dict(self.slacks),
-        }
-
-
-def build_report(S: NumericalSemigroup) -> BoundReport:
-    """Evaluate every bound for S and record the slack against engine truth.
+def build_report(S: NumericalSemigroup) -> dict:
+    """Every bound and formula for S next to engine truth, as the JSON
+    payload ``gotonum bounds`` prints (integer keys as strings).
 
     All slacks are non-negative; a negative slack would mean a bound
     failed and is raised as an internal error.
@@ -144,25 +108,26 @@ def build_report(S: NumericalSemigroup) -> BoundReport:
             f"two-generated closed form {pair} disagrees with engine "
             f"{tuple(monomial_gotos.values())} on {S.generators}"
         )
-    report = BoundReport(
-        generators=S.generators,
-        frobenius=S.frobenius,
-        global_bound=bound_global(S),
-        generator_bounds=generator_bounds,
-        first_generator_bound=bound_first_generator(S),
-        two_generated_pair=pair,
-        display_max=bound_display_max(S),
-        stable=stable_goto(S),
-        rho=rho(S),
-        conductor_order=S.conductor_order(),
-        monomial_gotos=monomial_gotos,
-    )
+    report = {
+        "schema": 1,
+        "generators": list(S.generators),
+        "frobenius": S.frobenius,
+        "global_bound": bound_global(S),
+        "generator_bounds": {str(a): v for a, v in generator_bounds.items()},
+        "first_generator_bound": bound_first_generator(S),
+        "two_generated_pair": list(pair) if pair else None,
+        "display_max": bound_display_max(S),
+        "stable_goto": stable_goto(S),
+        "rho": rho(S),
+        "conductor_order": S.conductor_order(),
+        "monomial_gotos": {str(a): g for a, g in monomial_gotos.items()},
+    }
     slacks = {
-        "global_vs_rho": report.global_bound - report.rho,
-        "first_generator": report.first_generator_bound
+        "global_vs_rho": report["global_bound"] - report["rho"],
+        "first_generator": report["first_generator_bound"]
         - monomial_gotos[S.generators[0]],
-        "display_vs_rho": report.display_max - report.rho,
-        "stable_vs_conductor_order": report.stable - report.conductor_order,
+        "display_vs_rho": report["display_max"] - report["rho"],
+        "stable_vs_conductor_order": report["stable_goto"] - report["conductor_order"],
     }
     for a, bound in generator_bounds.items():
         slacks[f"generator_{a}"] = bound - monomial_gotos[a]
@@ -171,5 +136,5 @@ def build_report(S: NumericalSemigroup) -> BoundReport:
             raise CrossCheckMismatch(
                 f"bound {name} violated on {S.generators}: slack {slack}"
             )
-    report.slacks = slacks
+    report["slacks"] = slacks
     return report

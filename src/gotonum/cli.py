@@ -15,14 +15,28 @@ import json
 import sys
 
 from . import bounds
-from .colon import dual_goto, goto_monomial, goto_number
+from .colon import dual_goto, goto_number
 from .errors import GotoNumberError, ParseError
 from .explorer import SearchConfig, monomial_table, search, search_records
-from .fields import field_from_label
+from .fields import check_digit_limit, field_from_label
 from .golden import run_golden_checks
 from .regular import pure_power_report
-from .ring import canonicalize, parse_element
+from .ring import CanonicalIdeal, canonicalize, parse_element
 from .semigroup import NumericalSemigroup
+
+
+def _integer(text: str) -> int:
+    """argparse type of every integer option: int(), but a number over the
+    digit limit is refused by name with a 16-character echo, not echoed whole;
+    any other bad value gets argparse's own ``type=int`` text."""
+    try:
+        return int(text)
+    except ValueError:
+        try:
+            check_digit_limit("integer", text)
+        except ParseError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _emit(payload, fmt, out):
@@ -58,19 +72,18 @@ def _cmd_info(args, out):
 def _cmd_goto(args, out):
     S = _semigroup(args)
     field = field_from_label(args.field)
-    payload = {"schema": 1, "generators": list(S.generators)}
     if args.monomial is not None:
-        payload["ideal"] = f"x^{args.monomial}"
-        payload["goto_number"] = goto_monomial(S, args.monomial)
-        if args.dual:
-            Q = canonicalize(parse_element(f"x^{args.monomial}", S, field))
-            payload["dual_goto"] = dual_goto(Q)
+        Q = CanonicalIdeal(S, args.monomial, field=field)
     else:
         Q = canonicalize(parse_element(args.ideal, S, field))
-        payload["ideal"] = str(Q.generator())
-        payload["goto_number"] = goto_number(Q)
-        if args.dual:
-            payload["dual_goto"] = dual_goto(Q)
+    payload = {
+        "schema": 1,
+        "generators": list(S.generators),
+        "ideal": str(Q.generator()),
+        "goto_number": goto_number(Q),
+    }
+    if args.dual:
+        payload["dual_goto"] = dual_goto(Q)
     _emit(payload, args.format, out)
     return 0
 
@@ -116,8 +129,7 @@ def _cmd_search(args, out):
 
 def _cmd_bounds(args, out):
     S = _semigroup(args)
-    report = bounds.build_report(S)
-    _emit(report.to_json(), args.format, out)
+    _emit(bounds.build_report(S), args.format, out)
     return 0
 
 
@@ -125,6 +137,7 @@ def _cmd_rlr(args, out):
     try:
         exponents = tuple(int(part) for part in args.pure_power.split(","))
     except ValueError as exc:
+        check_digit_limit("--pure-power", args.pure_power)
         raise ParseError(
             f"--pure-power needs comma-separated integers, got {args.pure_power!r}"
         ) from exc
@@ -172,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, formats=("json", "human"), gens=True):
         if gens:
             p.add_argument(
-                "generators", type=int, nargs="+", help="semigroup generators"
+                "generators", type=_integer, nargs="+", help="semigroup generators"
             )
         p.add_argument(
             "--format",
@@ -189,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--ideal", help='generator expression, e.g. "x^40+x^44"')
-    group.add_argument("--monomial", type=int, help="exponent of a monomial ideal")
+    group.add_argument("--monomial", type=_integer, help="exponent of a monomial ideal")
     p.add_argument(
         "--dual",
         action="store_true",
@@ -200,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="monomial Goto numbers up to a cap")
     add_common(p, ("json", "tsv", "human"))
-    p.add_argument("--max", type=int, required=True, help="largest exponent")
+    p.add_argument("--max", type=_integer, required=True, help="largest exponent")
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("search", help="enumerate canonical forms")
@@ -208,11 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeffs", default="0,1", help="coefficient set (default 0,1)")
     p.add_argument("--field", default="q", help="coefficient field: q or fp:P")
     p.add_argument(
-        "--b", type=int, action="append", help="restrict generator valuations"
+        "--b", type=_integer, action="append", help="restrict generator valuations"
     )
     p.add_argument(
         "--positions",
-        type=int,
+        type=_integer,
         action="append",
         help="restrict tail positions that may be nonzero",
     )

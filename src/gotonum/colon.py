@@ -442,8 +442,7 @@ def _closure_generator_exponents(Q):
     """Monomial generators of the integral closure of Q as an ideal:
     exponents e in G with b <= e <= b + f + 1.  Every larger member e has
     e - b > f in G, so x^e is a multiple of x^b."""
-    S = Q.semigroup
-    return S.members(Q.b, Q.b + max(S.frobenius, 0) + 1)
+    return Q.semigroup.members(Q.b, Q.truncation)
 
 
 def dual_goto(Q: CanonicalIdeal) -> int:
@@ -483,7 +482,7 @@ def conductor_dual_goto(Q: CanonicalIdeal) -> int:
         raise NotInConductor(
             f"generator valuation {Q.b} must exceed the Frobenius number {f}"
         )
-    hard_cap = (Q.b + max(f, 0)) // S.multiplicity + 3
+    hard_cap = (Q.truncation - 1) // S.multiplicity + 3
     level = _level(Q, [{e: Q.field.one} for e in S.conductor_generators])
     if level is None or level >= hard_cap:
         raise BoundViolation(

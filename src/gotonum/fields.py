@@ -18,15 +18,31 @@ from .errors import ParseError
 _WITNESSES = (2, 3, 5, 7)
 
 
-def check_digit_limit(what: str, text: str) -> None:
-    """Raise a ParseError if a number in ``text`` has more digits than
-    Python's integer-string limit (``sys.get_int_max_str_digits()``)."""
+def check_digit_limit(what: str, text: str, value: Fraction | None = None) -> None:
+    """Raise a ParseError if a number in ``text`` -- or, given the parsed
+    ``value``, its numerator or denominator (``Fraction`` reads 1.<4300 ones>)
+    -- has more digits than Python's limit (``sys.get_int_max_str_digits()``)."""
     limit = sys.get_int_max_str_digits()
-    digits = max(map(len, re.findall(r"\d+", text.replace("_", ""))), default=0)
+    if value is None:
+        digits = max(map(len, re.findall(r"\d+", text.replace("_", ""))), default=0)
+    else:
+        digits = max(_decimal_digits(value.numerator), _decimal_digits(value.denominator))
     if limit and digits > limit:
         raise ParseError(
             f"{what} {text[:16]}... has {digits} digits, over the {limit}-digit limit"
         )
+
+
+def _decimal_digits(n: int) -> int:
+    """Decimal digits of |n| without str(), which refuses integers over the
+    limit; the first guess is short by about bits / 10^5 (0.30102 < log10 2)."""
+    n = abs(n)
+    d = max(1, (n.bit_length() - 1) * 30102 // 100000)
+    power = 10**d
+    while power <= n:
+        power *= 10
+        d += 1
+    return d
 
 
 def _is_prime(n: int) -> bool:
@@ -73,10 +89,12 @@ class Rationals:
 
     def parse(self, text: str):
         try:
-            return Fraction(text)
+            value = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             check_digit_limit("rational coefficient", text)
             raise ParseError(f"invalid rational coefficient {text!r}") from exc
+        check_digit_limit("rational coefficient", text, value)
+        return value
 
     def add(self, a, b):
         return a + b
@@ -124,10 +142,13 @@ class PrimeField:
         return int(value) % self.p
 
     def parse(self, text: str):
+        what = f"coefficient over F_{self.p}"
         try:
-            return self.of(Fraction(text))
+            value = Fraction(text)
+            check_digit_limit(what, text, value)
+            return self.of(value)
         except (ValueError, ZeroDivisionError) as exc:
-            check_digit_limit(f"coefficient over F_{self.p}", text)
+            check_digit_limit(what, text)
             raise ParseError(f"invalid coefficient {text!r} over F_{self.p}") from exc
 
     def add(self, a, b):

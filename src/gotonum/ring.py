@@ -296,8 +296,7 @@ def integer_model(Q):
     the row scaled by D^d and column c by D^(-c), which moves no pivot.
     """
     if Q._model is None:
-        S, b = Q.semigroup, Q.b
-        hi = b + max(S.frobenius, 0)
+        S, b, hi = Q.semigroup, Q.b, Q.truncation - 1
         checked = [j for j in range(hi + 1) if j < b or not S.contains(j - b)]
         p, D = integer_scale(Q.field, Q.unit_coeffs.values())
         series = _inverse_series(integer_tail(Q.unit_coeffs, p, D), p, hi + 1)
@@ -477,13 +476,11 @@ def canonicalize(r: RingElement) -> CanonicalIdeal:
     b = r.valuation()
     if b == 0:
         raise NotParameter("element of valuation 0 generates the unit ideal")
-    S = r.semigroup
-    needed = b + max(S.frobenius, 0) + 1
-    fld = r.field
+    S, fld = r.semigroup, r.field
     lead_inv = fld.inv(r.coeffs[b])
     tail = {
         e - b: fld.mul(lead_inv, v)
         for e, v in r.coeffs.items()
-        if b < e < needed
+        if 0 < e - b <= S.frobenius
     }
     return CanonicalIdeal(S, b, tail, fld)

@@ -162,24 +162,43 @@ class TestDisplayMax:
 
 
 class TestBoundReport:
+    # build_report returns the JSON payload itself: integer keys as
+    # strings, the pair as a list, the slacks last
     def test_report_structure_and_slacks(self):
         report = build_report(semigroup(4, 7, 9))
-        payload = report.to_json()
-        assert payload["schema"] == 1
-        assert payload["frobenius"] == 10
-        assert payload["rho"] == 2
-        assert payload["display_max"] == 3
-        assert all(v >= 0 for v in payload["slacks"].values())
+        assert list(report) == [
+            "schema", "generators", "frobenius", "global_bound",
+            "generator_bounds", "first_generator_bound", "two_generated_pair",
+            "display_max", "stable_goto", "rho", "conductor_order",
+            "monomial_gotos", "slacks",
+        ]
+        assert report["schema"] == 1
+        assert report["generators"] == [4, 7, 9]
+        assert report["frobenius"] == 10
+        assert report["rho"] == 2
+        assert report["display_max"] == 3
+        assert report["two_generated_pair"] is None
+        assert report["generator_bounds"] == {"7": 3, "9": 2}
+        assert report["monomial_gotos"] == {"4": 2, "7": 2, "9": 2}
+        assert report["slacks"] == {
+            "global_vs_rho": 1, "first_generator": 0, "display_vs_rho": 1,
+            "stable_vs_conductor_order": 0, "generator_7": 1, "generator_9": 0,
+        }
 
     def test_two_generated_report(self):
         report = build_report(semigroup(5, 11))
-        assert report.two_generated_pair == (4, 8)
-        assert report.global_bound == 8
-        assert report.stable == 4
+        assert report["two_generated_pair"] == [4, 8]
+        assert report["global_bound"] == 8
+        assert report["stable_goto"] == 4
 
     def test_json_field_order_stable(self):
-        import json
-
-        a = json.dumps(build_report(semigroup(4, 7, 9)).to_json())
-        b = json.dumps(build_report(semigroup(4, 7, 9)).to_json())
+        a = json.dumps(build_report(semigroup(4, 7, 9)))
+        b = json.dumps(build_report(semigroup(4, 7, 9)))
         assert a == b
+
+    def test_report_is_what_bounds_prints(self, named_semigroups):
+        for S in named_semigroups:
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                assert main(["bounds", *map(str, S.generators)]) == 0
+            assert buf.getvalue() == json.dumps(build_report(S), indent=2) + "\n"

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 import gotonum
 from gotonum import cli
 from gotonum.cli import main
+from gotonum.semigroup import NumericalSemigroup
 
 
 def run_cli(*argv):
@@ -71,6 +73,22 @@ class TestGoto:
         )
         assert code == 0
         assert json.loads(out)["goto_number"] == 5
+
+    @pytest.mark.parametrize(
+        "gens", [(3, 5), (4, 7, 9), (5, 11), (7, 11, 20), (9, 19, 21)]
+    )
+    def test_monomial_is_shorthand_for_the_ideal(self, gens):
+        # --monomial m and --ideal x^m run one route and print one answer,
+        # through the first valuations past the stable threshold f + a_1
+        S = NumericalSemigroup(list(gens))
+        g = [str(a) for a in gens]
+        duals = ([], ["--dual"]) if S.is_symmetric() else ([],)
+        for m in S.members(1, S.frobenius + 2 * S.multiplicity):
+            for fmt, field, dual in product(("json", "human"), ("q", "fp:101"), duals):
+                opts = ["--format", fmt, "--field", field, *dual]
+                mono = run_captured(["goto", *g, "--monomial", str(m), *opts])
+                assert mono == run_captured(["goto", *g, "--ideal", f"x^{m}", *opts])
+                assert mono[0] == 0, (m, opts, mono)
 
 
 class TestTable:
@@ -244,27 +262,65 @@ class TestErrors:
         assert "set_int_max_str_digits" not in err
 
     @pytest.mark.parametrize(
-        "argv, head",
+        "argv, head, digits",
         [
             (["search", "3", "5", "--b", "5", "--coeffs", "0," + "1" * 5000],
-             "error: rational coefficient 1111111111111111... "),
+             "error: rational coefficient 1111111111111111... ", 5000),
             (["search", "3", "5", "--b", "5", "--coeffs", "0," + "1" * 5000, "--field", "fp:7"],
-             "error: coefficient over F_7 1111111111111111... "),
+             "error: coefficient over F_7 1111111111111111... ", 5000),
             (["search", "3", "5", "--b", "5", "--field", "fp:" + "7" * 5000],
-             "error: field label fp:7777777777777... "),
+             "error: field label fp:7777777777777... ", 5000),
             (["goto", "3", "5", "--ideal", "1" * 5000 + "*x^5"],
-             "error: rational coefficient 1111111111111111... "),
+             "error: rational coefficient 1111111111111111... ", 5000),
+            # Fraction reads a decimal's two digit runs apart; the
+            # numerator they make has 4301 digits and could not be printed
+            (["search", "3", "5", "--b", "5", "--coeffs", "0,1." + "1" * 4300],
+             "error: rational coefficient 1.11111111111111... ", 4301),
+            (["search", "3", "5", "--b", "5", "--coeffs", "0,1." + "1" * 4300, "--format", "tsv"],
+             "error: rational coefficient 1.11111111111111... ", 4301),
+            (["search", "3", "5", "--b", "5", "--coeffs", "0,1." + "1" * 4300, "--field", "fp:7"],
+             "error: coefficient over F_7 1.11111111111111... ", 4301),
+            # integer options: argparse's usage line, then the limit
+            (["search", "3", "5", "--b", "1" * 5000],
+             "gotonum search: error: argument --b: integer 1111111111111111... ", 5000),
+            (["search", "3", "5", "--positions", "1" * 5000],
+             "gotonum search: error: argument --positions: integer 1111111111111111... ", 5000),
+            (["info", "3", "1" * 5000],
+             "gotonum info: error: argument generators: integer 1111111111111111... ", 5000),
+            (["table", "3", "5", "--max", "1" * 5000],
+             "gotonum table: error: argument --max: integer 1111111111111111... ", 5000),
+            (["goto", "3", "5", "--monomial", "1" * 5000],
+             "gotonum goto: error: argument --monomial: integer 1111111111111111... ", 5000),
+            (["rlr", "--pure-power", "2," + "1" * 5000],
+             "error: --pure-power 2,11111111111111... ", 5000),
         ],
     )
-    def test_number_over_the_digit_limit_is_not_called_invalid(self, capsys, argv, head):
+    def test_number_over_the_digit_limit_is_not_called_invalid(self, capsys, argv, head, digits):
         # a well-formed number past sys.get_int_max_str_digits() gets the
-        # limit and a truncated echo, not "invalid" and all 5000 digits
+        # limit and a truncated echo, not "invalid" and all its digits
         code, out = run_cli(*argv)
         err = capsys.readouterr().err
         assert code == 2 and out == ""
-        assert err == head + (
-            f"has 5000 digits, over the {sys.get_int_max_str_digits()}-digit limit\n"
+        usage, _, last = err.rpartition("\n")[0].rpartition("\n")
+        assert last + "\n" == head + (
+            f"has {digits} digits, over the {sys.get_int_max_str_digits()}-digit limit\n"
         )
+        assert usage.startswith("usage: gotonum ") if head.startswith("gotonum ") else usage == ""
+        assert "1" * 17 not in err and "7" * 17 not in err
+
+    @pytest.mark.parametrize(
+        "m, message",
+        [
+            ("0", "generator of valuation 0 is a unit"),
+            ("-5", "valuation -5 is not in the semigroup (3, 5)"),
+            ("7", "valuation 7 is not in the semigroup (3, 5)"),
+        ],
+    )
+    def test_invalid_monomial_names_the_valuation(self, capsys, m, message):
+        # --monomial m builds the ideal x^m R, whose constructor names m
+        code, out = run_cli("goto", "3", "5", "--monomial", m)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 SUBCOMMANDS = ("info", "goto", "table", "search", "bounds", "rlr", "verify-paper")
@@ -296,12 +352,14 @@ CORPUS = [
     # the cap refuses 2^39 forms before the TSV header is written
     (["search", "5", "11", "--b", "40", "--format", "tsv"], 2),
     (["rlr", "--pure-power", "2,x"], 2),
+    (["goto", "3", "5", "--monomial", "7"], 2),
     (["info", "3", "5"], 0),
     (["goto", "5", "11", "--ideal", "x^40+1/2*x^44", "--dual"], 0),
     (["goto", "7", "11", "20", "--monomial", "45", "--format", "human"], 0),
     (["table", "3", "5", "--max", "10", "--format", "tsv"], 0),
     (["search", "4", "7", "9", "--b", "7", "--field", "fp:3", "--coeffs", "0,1,2"], 0),
     (["bounds", "4", "7", "9"], 0),
+    (["bounds", "4", "7", "9", "--format", "human"], 0),
     (["rlr", "--pure-power", "2,5,5"], 0),
     (["verify-paper"], 0),
 ]
