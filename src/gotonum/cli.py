@@ -18,7 +18,7 @@ from . import bounds
 from .colon import dual_goto, goto_number
 from .errors import GotoNumberError, ParseError
 from .explorer import SearchConfig, monomial_table, search, search_records
-from .fields import check_digit_limit, field_from_label
+from .fields import field_from_label, read_number
 from .golden import run_golden_checks
 from .regular import pure_power_report
 from .ring import CanonicalIdeal, canonicalize, parse_element
@@ -26,17 +26,11 @@ from .semigroup import NumericalSemigroup
 
 
 def _integer(text: str) -> int:
-    """argparse type of every integer option: int(), but a number over the
-    digit limit is refused by name with a 16-character echo, not echoed whole;
-    any other bad value gets argparse's own ``type=int`` text."""
+    """argparse type of every integer option: ``fields.read_number``."""
     try:
-        return int(text)
-    except ValueError:
-        try:
-            check_digit_limit("integer", text)
-        except ParseError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        return read_number(text, "integer")
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _emit(payload, fmt, out):
@@ -108,7 +102,7 @@ def _cmd_table(args, out):
 def _cmd_search(args, out):
     S = _semigroup(args)
     field = field_from_label(args.field)
-    coefficients = tuple(field.parse(c) for c in args.coeffs.split(","))
+    coefficients = tuple(field.parse(c) for c in args.coeffs.replace(" ", "").split(","))
     config = SearchConfig(
         semigroup=S,
         field=field,
@@ -134,13 +128,9 @@ def _cmd_bounds(args, out):
 
 
 def _cmd_rlr(args, out):
-    try:
-        exponents = tuple(int(part) for part in args.pure_power.split(","))
-    except ValueError as exc:
-        check_digit_limit("--pure-power", args.pure_power)
-        raise ParseError(
-            f"--pure-power needs comma-separated integers, got {args.pure_power!r}"
-        ) from exc
+    exponents = tuple(
+        read_number(part, "--pure-power exponent") for part in args.pure_power.split(",")
+    )
     report = pure_power_report(exponents)
     payload = {
         "schema": 1,
@@ -201,7 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("goto", help="Goto number of one parameter ideal")
     add_common(p)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--ideal", help='generator expression, e.g. "x^40+x^44"')
+    group.add_argument(
+        "--ideal",
+        help='generator expression, e.g. "x^40+x^44" (a leading - needs --ideal=-x^5)',
+    )
     group.add_argument("--monomial", type=_integer, help="exponent of a monomial ideal")
     p.add_argument(
         "--dual",
@@ -218,7 +211,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="enumerate canonical forms")
     add_common(p, ("json", "tsv", "human"))
-    p.add_argument("--coeffs", default="0,1", help="coefficient set (default 0,1)")
+    p.add_argument(
+        "--coeffs",
+        default="0,1",
+        help="coefficient set, default 0,1 (a leading - needs --coeffs=-1,0,1)",
+    )
     p.add_argument("--field", default="q", help="coefficient field: q or fp:P")
     p.add_argument(
         "--b", type=_integer, action="append", help="restrict generator valuations"

@@ -78,7 +78,7 @@ class SearchSpaceTooLarge(GotoNumberError):
 
 
 class ParseError(GotoNumberError):
-    """Element expression could not be parsed."""
+    """CLI input outside the grammar of ``fields.read_number`` or its digit limit."""
 
 
 class BoundViolation(GotoNumberError):

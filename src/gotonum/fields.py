@@ -2,7 +2,10 @@
 
 A field descriptor carries the operations; scalars themselves are plain
 values (Fraction for the rationals, int in [0, p) for F_p).  No floating
-point anywhere.
+point anywhere.  Every number the CLI reads goes through ``read_number``:
+an optional sign and ASCII digits, ``[+-]?[0-9]+``, and for a coefficient
+an optional ``/[0-9]+``.  Decimals, exponent notation, ``_`` separators,
+whitespace and non-ASCII digits are refused.
 """
 
 from __future__ import annotations
@@ -17,32 +20,39 @@ from .errors import ParseError
 
 _WITNESSES = (2, 3, 5, 7)
 
+# an unsigned coefficient; ``ring._TERM_RE`` reads a term's sign apart
+COEFFICIENT = r"[0-9]+(?:/[0-9]+)?"
+_NUMBER = re.compile(r"[+-]?" + COEFFICIENT)
 
-def check_digit_limit(what: str, text: str, value: Fraction | None = None) -> None:
-    """Raise a ParseError if a number in ``text`` -- or, given the parsed
-    ``value``, its numerator or denominator (``Fraction`` reads 1.<4300 ones>)
-    -- has more digits than Python's limit (``sys.get_int_max_str_digits()``)."""
+
+def quote(text: str) -> str:
+    """``text`` quoted for an error message, cut to its first 16 characters."""
+    return repr(text[:16]) + ("..." if len(text) > 16 else "")
+
+
+def read_number(text: str, what: str, fraction: bool = False):
+    """The int ``text`` spells, or with ``fraction`` the Fraction.  ``int``
+    runs only on text in the grammar with no digit run over Python's
+    integer-string limit; otherwise a ParseError names ``what`` and echoes
+    at most 16 characters of the text."""
+    if not (text.isdigit() and text.isascii()) and (
+        _NUMBER.fullmatch(text) is None or ("/" in text and not fraction)
+    ):
+        raise ParseError(f"invalid {what} {quote(text)}")
     limit = sys.get_int_max_str_digits()
-    if value is None:
-        digits = max(map(len, re.findall(r"\d+", text.replace("_", ""))), default=0)
-    else:
-        digits = max(_decimal_digits(value.numerator), _decimal_digits(value.denominator))
-    if limit and digits > limit:
-        raise ParseError(
-            f"{what} {text[:16]}... has {digits} digits, over the {limit}-digit limit"
-        )
-
-
-def _decimal_digits(n: int) -> int:
-    """Decimal digits of |n| without str(), which refuses integers over the
-    limit; the first guess is short by about bits / 10^5 (0.30102 < log10 2)."""
-    n = abs(n)
-    d = max(1, (n.bit_length() - 1) * 30102 // 100000)
-    power = 10**d
-    while power <= n:
-        power *= 10
-        d += 1
-    return d
+    if limit and len(text) > limit:
+        digits = max(map(len, re.findall("[0-9]+", text)))
+        if digits > limit:
+            raise ParseError(
+                f"{what} {text[:16]}... has {digits} digits, over the {limit}-digit limit"
+            )
+    if not fraction:
+        return int(text)
+    num, _, den = text.partition("/")
+    try:
+        return Fraction(int(num), int(den or 1))
+    except ZeroDivisionError:
+        raise ParseError(f"invalid {what} {quote(text)}") from None
 
 
 def _is_prime(n: int) -> bool:
@@ -88,13 +98,7 @@ class Rationals:
         return Fraction(value)
 
     def parse(self, text: str):
-        try:
-            value = Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            check_digit_limit("rational coefficient", text)
-            raise ParseError(f"invalid rational coefficient {text!r}") from exc
-        check_digit_limit("rational coefficient", text, value)
-        return value
+        return read_number(text, "rational coefficient", fraction=True)
 
     def add(self, a, b):
         return a + b
@@ -144,12 +148,9 @@ class PrimeField:
     def parse(self, text: str):
         what = f"coefficient over F_{self.p}"
         try:
-            value = Fraction(text)
-            check_digit_limit(what, text, value)
-            return self.of(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            check_digit_limit(what, text)
-            raise ParseError(f"invalid coefficient {text!r} over F_{self.p}") from exc
+            return self.of(read_number(text, what, fraction=True))
+        except ZeroDivisionError as exc:
+            raise ParseError(f"invalid {what} {quote(text)}: {exc}") from None
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -178,12 +179,7 @@ def field_from_label(label: str):
         return RATIONALS
     if label.startswith("fp:"):
         try:
-            p = int(label[3:])
-        except ValueError as exc:
-            check_digit_limit("field label", label)
-            raise ParseError(f"invalid field label {label!r}") from exc
-        try:
-            return PrimeField(p)
+            return PrimeField(read_number(label[3:], "field prime"))
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
-    raise ParseError(f"invalid field label {label!r} (expected 'q' or 'fp:P')")
+    raise ParseError(f"invalid field label {quote(label)} (expected 'q' or 'fp:P')")

@@ -40,7 +40,7 @@ from .errors import (
     ParseError,
     ZeroElement,
 )
-from .fields import RATIONALS, check_digit_limit
+from .fields import COEFFICIENT, RATIONALS, quote, read_number
 
 
 class RingElement:
@@ -158,7 +158,7 @@ class RingElement:
 
 
 _TERM_RE = re.compile(
-    r"^(?P<sign>[+-]?)(?:(?P<coef>\d+(?:/\d+)?)\*?)?(?:x(?:\^(?P<exp>\d+))?)?$"
+    rf"(?P<sign>[+-]?)(?:(?P<coef>{COEFFICIENT})\*?)?(?:x(?:\^(?P<exp>[0-9]+))?)?"
 )
 
 
@@ -175,22 +175,15 @@ def parse_element(text, semigroup, field=RATIONALS):
     for piece in pieces:
         if not piece:
             continue
-        m = _TERM_RE.match(piece)
+        m = _TERM_RE.fullmatch(piece)
         if not m or (m.group("coef") is None and "x" not in piece):
-            raise ParseError(f"cannot parse term {piece!r}")
+            raise ParseError(f"cannot parse term {quote(piece)}")
         sign = -1 if m.group("sign") == "-" else 1
         coef_text = m.group("coef")
         coef = field.one if coef_text is None else field.parse(coef_text)
         if sign < 0:
             coef = field.neg(coef)
-        if "x" in piece:
-            try:
-                exp = int(m.group("exp") or 1)
-            except ValueError:   # \d+ fails only on the digit limit
-                check_digit_limit("exponent of term", piece)
-                raise
-        else:
-            exp = 0
+        exp = read_number(m.group("exp") or "1", "exponent") if "x" in piece else 0
         if not semigroup.contains(exp):
             raise ParseError(
                 f"exponent {exp} is not in the semigroup {semigroup.generators}"

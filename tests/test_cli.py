@@ -9,6 +9,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gotonum
 from gotonum import cli
@@ -21,6 +22,19 @@ def run_cli(*argv):
     with redirect_stdout(buf):
         code = main(list(argv))
     return code, buf.getvalue()
+
+
+def run_child(*argv, timeout):
+    """``python -m gotonum argv`` in a child process on this checkout's src/."""
+    src = str(Path(gotonum.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "gotonum", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
 
 
 class TestInfo:
@@ -151,15 +165,7 @@ class TestBoundsAndRlr:
 
     def test_python_dash_m_matches_main(self):
         argv = ["rlr", "--pure-power", "2,5,5"]
-        src = str(Path(gotonum.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", "gotonum", *argv],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = run_child(*argv, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == run_cli(*argv)[1]
 
@@ -169,15 +175,7 @@ class TestDeepValuations:
     # orders; a cost that grows with b again would hit the timeout here
     # instead of hanging the suite
     def run_child(self, *argv):
-        src = str(Path(gotonum.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", "gotonum", *argv],
-            capture_output=True, text=True, env=env, timeout=5,
-        )
+        proc = run_child(*argv, timeout=5)
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout)
 
@@ -244,20 +242,18 @@ class TestErrors:
             assert "outside [1, 9]" in capsys.readouterr().err
 
     def test_malformed_pure_power_names_the_option(self, capsys):
-        for value in ("2,,3", "2,x"):
+        for value, part in (("2,,3", ""), ("2,x", "x")):
             code, out = run_cli("rlr", "--pure-power", value)
             assert code == 2 and out == ""
-            assert capsys.readouterr().err == (
-                f"error: --pure-power needs comma-separated integers, got '{value}'\n"
-            )
+            assert capsys.readouterr().err == f"error: invalid --pure-power exponent {part!r}\n"
 
     def test_exponent_over_the_digit_limit_names_the_exponent(self, capsys):
         # int() refuses decimal strings over sys.get_int_max_str_digits();
-        # the message names the term's exponent and the limit, not that hook
+        # the message names the exponent and the limit, not that hook
         code, out = run_cli("goto", "3", "5", "--ideal", "x^" + "1" * 5000)
         err = capsys.readouterr().err
         assert code == 2 and out == ""
-        assert err.startswith("error: exponent of term x^1111")
+        assert err.startswith("error: exponent 1111111111111111... ")
         assert "5000 digits" in err and f"{sys.get_int_max_str_digits()}-digit limit" in err
         assert "set_int_max_str_digits" not in err
 
@@ -269,17 +265,16 @@ class TestErrors:
             (["search", "3", "5", "--b", "5", "--coeffs", "0," + "1" * 5000, "--field", "fp:7"],
              "error: coefficient over F_7 1111111111111111... ", 5000),
             (["search", "3", "5", "--b", "5", "--field", "fp:" + "7" * 5000],
-             "error: field label fp:7777777777777... ", 5000),
+             "error: field prime 7777777777777777... ", 5000),
             (["goto", "3", "5", "--ideal", "1" * 5000 + "*x^5"],
              "error: rational coefficient 1111111111111111... ", 5000),
-            # Fraction reads a decimal's two digit runs apart; the
-            # numerator they make has 4301 digits and could not be printed
-            (["search", "3", "5", "--b", "5", "--coeffs", "0,1." + "1" * 4300],
-             "error: rational coefficient 1.11111111111111... ", 4301),
-            (["search", "3", "5", "--b", "5", "--coeffs", "0,1." + "1" * 4300, "--format", "tsv"],
-             "error: rational coefficient 1.11111111111111... ", 4301),
-            (["search", "3", "5", "--b", "5", "--coeffs", "0,1." + "1" * 4300, "--field", "fp:7"],
-             "error: coefficient over F_7 1.11111111111111... ", 4301),
+            # the denominator's digit run counts too, and TSV writes no header
+            (["search", "3", "5", "--b", "5", "--coeffs", "0,1/" + "1" * 5000],
+             "error: rational coefficient 1/11111111111111... ", 5000),
+            (["search", "3", "5", "--b", "5", "--coeffs", "0,1/" + "1" * 5000, "--format", "tsv"],
+             "error: rational coefficient 1/11111111111111... ", 5000),
+            (["search", "3", "5", "--b", "5", "--coeffs", "0,-" + "1" * 5000, "--field", "fp:7"],
+             "error: coefficient over F_7 -111111111111111... ", 5000),
             # integer options: argparse's usage line, then the limit
             (["search", "3", "5", "--b", "1" * 5000],
              "gotonum search: error: argument --b: integer 1111111111111111... ", 5000),
@@ -292,7 +287,7 @@ class TestErrors:
             (["goto", "3", "5", "--monomial", "1" * 5000],
              "gotonum goto: error: argument --monomial: integer 1111111111111111... ", 5000),
             (["rlr", "--pure-power", "2," + "1" * 5000],
-             "error: --pure-power 2,11111111111111... ", 5000),
+             "error: --pure-power exponent 1111111111111111... ", 5000),
         ],
     )
     def test_number_over_the_digit_limit_is_not_called_invalid(self, capsys, argv, head, digits):
@@ -322,6 +317,140 @@ class TestErrors:
         assert code == 2 and out == ""
         assert capsys.readouterr().err == f"error: {message}\n"
 
+
+
+def stderr_is_one_error_line(code, out, err):
+    """An exit-2 run prints nothing on stdout and one line on stderr, after
+    argparse's usage block where argparse refuses; an exit-0 run prints on
+    stdout only."""
+    if code == 0:
+        return bool(out) and err == ""
+    lines = err.splitlines()
+    if code != 2 or out or not err.endswith("\n") or "Traceback" in err:
+        return False
+    if len(lines) == 1:
+        return lines[0].startswith("error: ")
+    usage = lines[0].startswith("usage: gotonum") and all(
+        line.startswith(" ") for line in lines[1:-1]
+    )
+    return usage and lines[-1].startswith("gotonum ") and ": error: " in lines[-1]
+
+
+SEARCH_3_5 = ["search", "3", "5", "--b", "5", "--positions", "1", "--format", "tsv"]
+GOTO_3_5 = '{\n  "schema": 1,\n  "generators": [\n    3,\n    5\n  ],\n  "ideal": "%s",\n  "goto_number": 3\n}\n'
+DECIMAL_4301 = "0,1." + "1" * 4300
+
+
+class TestNumberGrammar:
+    # every number the CLI reads is [+-]?[0-9]+, with /[0-9]+ after a
+    # coefficient; an argument that starts with "-" is written --opt=-...
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["search", "3", "5", "--b", "5", "--positions", "1", "--positions", "4",
+              "--format", "tsv", "--coeffs=-1,0,1"],
+             "b\tcoeffs\tgoto\n5\t1:-1;4:-1\t3\n5\t1:-1\t3\n5\t1:-1;4:1\t3\n5\t4:-1\t3\n"
+             "5\t-\t3\n5\t4:1\t3\n5\t1:1;4:-1\t3\n5\t1:1\t3\n5\t1:1;4:1\t3\n"),
+            ([*SEARCH_3_5, "--coeffs", "0,1/2,1"], "b\tcoeffs\tgoto\n5\t-\t3\n5\t1:1/2\t3\n5\t1:1\t3\n"),
+            ([*SEARCH_3_5, "--coeffs", "0, 1"], "b\tcoeffs\tgoto\n5\t-\t3\n5\t1:1\t3\n"),
+            ([*SEARCH_3_5, "--coeffs", "0,+1"], "b\tcoeffs\tgoto\n5\t-\t3\n5\t1:1\t3\n"),
+            ([*SEARCH_3_5, "--coeffs", "0,1,3", "--field", "fp:7"],
+             "b\tcoeffs\tgoto\n5\t-\t3\n5\t1:1\t3\n5\t1:3\t3\n"),
+            (["goto", "3", "5", "--ideal=-x^5+x^6"], GOTO_3_5 % "x^5 - x^6"),
+            (["goto", "3", "5", "--ideal", "3/2*x^5 - x^8"], GOTO_3_5 % "x^5 - 2/3*x^8"),
+        ],
+    )
+    def test_accepted_spellings_print_the_same_bytes(self, argv, want):
+        assert run_captured(argv) == (0, want, "")
+
+    @pytest.mark.parametrize(
+        "argv, last",
+        [
+            ([*SEARCH_3_5, "--coeffs", "0,1.5"], "error: invalid rational coefficient '1.5'"),
+            ([*SEARCH_3_5, "--coeffs", "0,1e2"], "error: invalid rational coefficient '1e2'"),
+            ([*SEARCH_3_5, "--coeffs", "0,1_0"], "error: invalid rational coefficient '1_0'"),
+            ([*SEARCH_3_5, "--coeffs", "0,.5"], "error: invalid rational coefficient '.5'"),
+            ([*SEARCH_3_5, "--coeffs", "0,1/0"], "error: invalid rational coefficient '1/0'"),
+            ([*SEARCH_3_5, "--coeffs", "0,1/7", "--field", "fp:7"],
+             "error: invalid coefficient over F_7 '1/7': denominator divisible by 7"),
+            (["goto", "3", "5", "--ideal", "1.5*x^5"], "error: cannot parse term '1.5*x^5'"),
+            (["goto", "3", "5", "--ideal", "x^5", "--field", "fp: 7"], "error: invalid field prime ' 7'"),
+            (["search", "3", "5", "--b", "1_0"], "gotonum search: error: argument --b: invalid integer '1_0'"),
+            (["info", "3", "٥"], "gotonum info: error: argument generators: invalid integer '٥'"),
+            (["rlr", "--pure-power", "2, 5"], "error: invalid --pure-power exponent ' 5'"),
+            # a decimal is no number, however long: the echo stops at 16
+            # characters, and TSV writes no header
+            (["search", "3", "5", "--b", "5", "--coeffs", DECIMAL_4301],
+             "error: invalid rational coefficient '1.11111111111111'..."),
+            (["search", "3", "5", "--b", "5", "--coeffs", DECIMAL_4301, "--format", "tsv"],
+             "error: invalid rational coefficient '1.11111111111111'..."),
+            (["search", "3", "5", "--b", "5", "--coeffs", DECIMAL_4301, "--field", "fp:7"],
+             "error: invalid coefficient over F_7 '1.11111111111111'..."),
+        ],
+    )
+    def test_spelling_outside_the_grammar_is_refused(self, argv, last):
+        code, out, err = run_captured(argv)
+        assert stderr_is_one_error_line(code, out, err) and code == 2, err
+        assert err.splitlines()[-1] == last
+        assert "1" * 17 not in err
+
+    @pytest.mark.parametrize("field", ["q", "fp:7"])
+    def test_exponent_notation_is_refused_at_once(self, field):
+        # Fraction("1e10000000") would build 10**10**7; the grammar refuses the text first
+        proc = run_child("search", "3", "5", "--b", "5", "--coeffs", "0,1e10000000",
+                         "--field", field, timeout=10)
+        what = "rational coefficient" if field == "q" else "coefficient over F_7"
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: invalid {what} '1e10000000'\n"
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_any_argv_exits_zero_or_two_with_one_error_line(self, data):
+        # well-formed and malformed numbers in every place the CLI reads
+        # one, on small semigroups; each place is malformed one time in
+        # four, and every search gets a --b
+        def mostly(valid, *bad):
+            return st.one_of(valid, valid, valid, st.sampled_from(bad))
+
+        malformed = ("1.5", "1e2", "1_0", ".5", " 3", "3\n", "٣", "", "x", "1/2", "1" * 5000)
+        integer = mostly(st.integers(0, 12).map(str) | st.sampled_from(["+3", "-2"]), *malformed)
+        coefficient = mostly(
+            st.sampled_from(["0", "1", "-1", "+2", "1/2", "-3/4", "1/0"]),
+            *malformed, "2/4.0", "1/" + "7" * 5000,
+        )
+        term = st.builds(
+            "{}{}x^{}".format,
+            st.sampled_from(["+", "-"]),
+            mostly(st.sampled_from(["", "2*", "1/2*", "3"]), "1.5*", "1e1*", "2**", "٣*"),
+            mostly(st.integers(0, 30).map(str), "", "1e1", "٣", "+4", "1" * 5000),
+        )
+        gens = data.draw(mostly(
+            st.sampled_from([["3", "5"], ["4", "7", "9"], ["2", "5"], ["3", "4", "5"], ["5", "6"]]),
+            ["3", "1.5"], ["4", "6"], ["0", "3"], ["+3", "5"], ["3", "5_0"], ["1" * 5000, "3"],
+        ))
+        field = data.draw(mostly(st.sampled_from(["q", "fp:7", "fp:+5"]), "fp:4", "fp:1.5", "fp:x", "r"))
+        command = data.draw(st.sampled_from(["search", "goto", "monomial", "info", "rlr"]))
+        if command == "search":
+            coeffs = ["0", *data.draw(st.lists(coefficient, max_size=2))]
+            separator = data.draw(st.sampled_from([",", ", "]))
+            b = data.draw(mostly(st.integers(3, 12).map(str), *malformed))
+            argv = ["search", *gens, f"--b={b}", "--positions=1",
+                    f"--coeffs={separator.join(coeffs)}", f"--field={field}", "--format=tsv"]
+        elif command == "goto":
+            ideal = "".join(data.draw(st.lists(term, min_size=1, max_size=3)))
+            ideal = ideal[data.draw(st.sampled_from([0, 1])) * ideal.startswith("+"):]
+            argv = ["goto", *gens, f"--ideal={ideal}", f"--field={field}"]
+        elif command == "monomial":
+            argv = ["goto", *gens, f"--monomial={data.draw(integer)}"]
+        elif command == "info":
+            argv = ["info", *gens]
+        else:
+            exponent = mostly(st.integers(1, 7).map(str), *malformed, "0", "-2")
+            parts = data.draw(st.lists(exponent, min_size=2, max_size=4))
+            argv = ["rlr", f"--pure-power={','.join(parts)}"]
+        code, out, err = run_captured(argv)
+        assert stderr_is_one_error_line(code, out, err), (argv, code, err)
 
 SUBCOMMANDS = ("info", "goto", "table", "search", "bounds", "rlr", "verify-paper")
 

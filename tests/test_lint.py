@@ -59,6 +59,21 @@ def test_ideal_private_slots_stay_in_ring():
     assert found == []
 
 
+def test_digit_limit_stays_in_fields():
+    # every number the CLI reads goes through fields.read_number, which
+    # alone checks Python's integer-string limit; no other module names it
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "fields.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr == "get_int_max_str_digits") or (
+                isinstance(node, ast.alias) and node.name == "get_int_max_str_digits"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_semigroup_private_state_stays_in_semigroup():
     # the Apery set and the memoized tables (m-adic orders, escape orders,
     # monomial floors) are semigroup.py's to build and read; other modules
