@@ -1,45 +1,43 @@
 """Colon computations and Goto numbers via exact sparse linear algebra.
 
-A parameter ideal Q with canonical generator q = x^b(1 + tail) is handled
-modulo x^T with T = b + f + 1: elements of R with valuation above b + f
-lie in x^b times the conductor, which qR absorbs, so nothing below T is
-ever affected.  The colon Q : m^g is the kernel of a linear system over
-the coordinates {x^e : e in G, e < T}: for each multiplier s, an exponent
-of m-adic order exactly g (a minimal monomial generator of m^g,
-``NumericalSemigroup.power_generators``), and each checked exponent j
-(j - b negative or a gap) the coefficient of x^j in r * x^s * u^(-1) must
-vanish.  That condition depends only on the shift d = j - s, so the
-system holds one row per distinct shift.
+A parameter ideal Q = qR, q = x^b u with u = 1 + tail, is handled modulo
+x^T, T = b + f + 1: elements of valuation above b + f lie in x^b times the
+conductor, which qR absorbs.  A colon Q : (x^s : s in M) is solved in
+h = r u^(-1), on three facts:
 
-The Goto number is the last g whose colon stays inside the integral
-closure, i.e. has no element of valuation below b.  For a monomial Q that
-is read off escape orders (``goto_monomial``), and so it is for every Q
-the conductor lemma decides, all Q with b > f + a_1 among them
-(``goto_number``).  For every other Q the scan starts at the monomial
-floor g(x^b) + 1, and one forward elimination per g decides it: with the
-largest column taken as pivot, a kernel vector led by column c exists
-exactly when c gets no pivot, so the colon's
-minimal valuation is the smallest free column and no kernel basis is
-built.  That scan runs on Python ints, on the ideal's integer model
-(``ring.integer_model``): over F_p the rows are reduced mod p, and over Q
-the substitution x -> Dx (D the lcm of the tail denominators) makes
-u^(-1) integral without moving a pivot, so the elimination is
-fraction-free.  ``colon_power`` and ``colon_by_monomials``, which need
-the subspace itself, finish the same integer echelon with a back
-substitution and read the reduced kernel basis off it, and
-``TruncatedSubspace.span`` runs it on exponents keyed in reverse.
+- r x^s is in qR iff h x^(s - b) is in R, which is spanned by monomials.
+  So h lives on the live set E_M = {c <= b + f : c + s - b in G or
+  c + s > b + f for every s in M}: x^b R : (x^s) taken in k[[x]].
+- r = h u is in R iff (h u)_k = 0 at every gap k: the gap equations, one
+  row per gap with entry u_(k - c) in column c, at most |tail| + 1 each.
+- v(r) = v(h), because u(0) = 1.
 
-Duality works in R/Q, embedded by the same coefficients: phi(r) is
-r * u^(-1) read at the checked exponents (``ring.image``, on the same
-model).  m^i + Q maps onto the span of the images of the monomials of
-m-adic order at least i, so one integer echelon, filled by descending
-order, gives the largest i with a subspace inside m^i + Q for every i at
-once.
+With the largest column taken as pivot, a kernel vector led by c exists
+iff c gets no pivot (c is then a combination of larger columns), so the
+colon's minimal valuation is its smallest free live column.  The rows are
+Python ints on the integer unit t of ``ring.integer_model``: mod p over
+F_p, and over Q u(Dx); scaling row k by D^k and column c by D^(-c) gives
+the entries t_(k - c) and moves no pivot, and a kernel vector h' in the
+scaled coordinates maps to r'_k = D^k r_k = (h' t)_k.
+
+The Goto number is the last g whose colon Q : m^g has no element of
+valuation below b.  Escape orders give it for monomials and for every Q
+the conductor lemma decides; every other Q is scanned from g(x^b) + 1,
+one elimination per g, M the exponents of m-adic order g.  Q is closed iff
+Q : (closure) holds a unit, i.e. column 0 is free.  The colon subspaces
+map a kernel basis by r = h u and reduce it (``TruncatedSubspace.span``).
+
+Duality asks for the level of r, the largest i with r in m^i + Q.  Q's
+shifts x^e u, e in b + G, are echeloned with the pivot at the column of
+least m-adic order, then of least exponent, so a row led at order >= i is
+zero on every column of order < i.  Level lemma: the level is the order at
+which r's residual leads.  The residual is in r + Q and in m^o, o its
+leading order; were r in m^(o + 1) + Q, the residual less an element of
+m^(o + 1) would be in Q, led by a column that leads no echelon row.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -54,7 +52,8 @@ from .errors import (
     NotInSemigroup,
     TruncationTooSmall,
 )
-from .ring import CanonicalIdeal, image, integer_model, monomial_images
+from .fields import quote_int, quote_ints
+from .ring import CanonicalIdeal, integer_model, integer_row
 
 # -- exact integer row echelon ---------------------------------------------
 
@@ -109,15 +108,15 @@ def _reduce(row, pivots, p):
     return row
 
 
-def _pivot_columns(rows, p, pivots=None):
-    """Pivot columns of an integer system, the largest column taken as pivot.
+def _pivot_columns(rows, p):
+    """Pivot rows of an integer system keyed by their pivot column, the
+    largest column taken as pivot.
 
-    Each row is reduced against the pivot rows stored so far (those of
-    ``pivots`` first, when given, which is then extended) and, if a
+    Each row is reduced against the pivot rows stored so far and, if a
     residual is left, stored under its largest column.  The pivot set is
     the field's rank profile.  Consumes rows.
     """
-    pivots = {} if pivots is None else pivots
+    pivots = {}
     for row in rows:
         row = _reduce(row, pivots, p)
         if row:
@@ -141,28 +140,6 @@ def _back_substitute(pivots, p):
             if q in pivots[r]:
                 pivots[r] = _eliminate(pivots[r], q, prow, p)
     return pivots
-
-
-def _kernel_basis(rows, cols, p, D):
-    """Reduced basis of the kernel of an integer system whose column c was
-    scaled by D^(-c) (see ``ring.integer_model``), leading exponents
-    ascending, with scalars mod p over F_p and Fractions over Q.
-
-    After the descending echelon and back substitution, a free column c
-    gives the kernel vector x_c = 1, x_q = -prow_q[c] / prow_q[q] for each
-    pivot q > c, in the scaled coordinates; multiplying x_q by
-    D^(c - q) undoes the scaling.  These vectors are already the reduced
-    echelon basis: no other one has a coefficient at c.
-    """
-    pivots = _back_substitute(_pivot_columns(rows, p), p)
-    one = 1 if p else Fraction(1)
-    basis = {c: {c: one} for c in cols if c not in pivots}
-    for q, prow in pivots.items():
-        lead = prow[q]
-        for c, v in prow.items():
-            if c != q:
-                basis[c][q] = -v % p if p else Fraction(-v, lead * D ** (q - c))
-    return list(basis.values())
 
 
 class TruncatedSubspace:
@@ -192,13 +169,7 @@ class TruncatedSubspace:
         the smallest exponent.  Each reduced row is divided by its lead.
         """
         p = getattr(field, "p", 0)
-        rows = []
-        for vec in vectors:
-            if p:
-                rows.append({-c: r for c, v in vec.items() if (r := v % p)})
-            else:
-                N = lcm(*(v.denominator for v in vec.values()))
-                rows.append({-c: v.numerator * (N // v.denominator) for c, v in vec.items() if v})
+        rows = [{-c: v for c, v in integer_row(vec, p).items()} for vec in vectors]
         pivots = _back_substitute(_pivot_columns(rows, p), p)
         basis = []
         for key in sorted(pivots, reverse=True):
@@ -233,45 +204,83 @@ class TruncatedSubspace:
         )
 
 
-# -- the membership linear system ------------------------------------------
+# -- the gap equations -------------------------------------------------------
 
 
-def _membership_rows(Q, multipliers):
-    """Rows forcing r * x^s in Q for every s in multipliers, one per shift.
+def _ones(bits):
+    """The positions of "1" in a bit string, ascending."""
+    c = bits.find("1")
+    while c >= 0:
+        yield c
+        c = bits.find("1", c + 1)
 
-    A condition at a checked exponent j reads off the coefficient of x^j
-    in r * x^s * u^(-1), the sum of r_c * series[j - s - c] over c in G
-    (series the integer model's coefficients of u^(-1)).  It depends on s
-    and j only through the shift d = j - s, so each distinct d >= 0 gives
-    the one row {c: series[d - c] : c in G, c <= d}.  Every such c is at
-    most b + f.
-    """
-    _, cols, checked, series = integer_model(Q)[:4]
-    shifts = {j - s for s in multipliers for j in checked if j >= s}
-    rows = []
-    for d in sorted(shifts):
-        row = {
-            c: v
-            for c in cols[: bisect_right(cols, d)]
-            if (v := series.get(d - c)) is not None
-        }
-        if row:
-            rows.append(row)
-    return rows
+
+def _gap_echelon(Q, multipliers):
+    """The live set E_M as a bit string indexed by column, and the pivot
+    rows of the gap equations on it.  Column c is dead for s when c + s - b
+    is negative or a gap: the gap bitset shifted by b - s, and [0, b - s)."""
+    hi, t, p, _, gaps = integer_model(Q)
+    live = (1 << (hi + 1)) - 1
+    for s in multipliers:
+        d = s - Q.b
+        live &= ~(gaps >> d if d >= 0 else gaps << -d | (1 << -d) - 1)
+    bits = format(live, f"0{hi + 1}b")[::-1]
+    rows = (
+        {c: v for i, v in t.items() if (c := k - i) >= 0 and bits[c] == "1"}
+        for k in _ones(format(gaps, "b")[::-1])
+    )
+    return bits, _pivot_columns((row for row in rows if row), p)
+
+
+def _smallest_free(bits, pivots):
+    """The smallest free live column: the colon's minimal valuation (None
+    when the colon is zero)."""
+    return next((c for c in _ones(bits) if c not in pivots), None)
+
+
+def _colon_rows(Q, multipliers):
+    """A basis of the colon mod x^T as integer rows r'_k = D^k r_k, one led
+    by each free live column c: after the back substitution, the kernel
+    vector h'_c = 1, h'_q = -prow_q[c] / prow_q[q] (cleared by the lcm of
+    those leads over Q) times t, cut at b + f."""
+    hi, t, p = integer_model(Q)[:3]
+    bits, pivots = _gap_echelon(Q, multipliers)
+    _back_substitute(pivots, p)
+    above = {}
+    for q, prow in pivots.items():
+        for c in prow.keys() - {q}:
+            above.setdefault(c, []).append(q)
+    out = []
+    for c in _ones(bits):
+        if c in pivots:
+            continue
+        qs = above.get(c, ())
+        L = 1 if p else lcm(*(pivots[q][q] for q in qs))
+        h = {c: L}
+        for q in qs:
+            h[q] = -pivots[q][c] % p if p else -pivots[q][c] * (L // pivots[q][q])
+        r = {}
+        for e, v in h.items():
+            for i, w in t.items():
+                if e + i <= hi:
+                    r[e + i] = r.get(e + i, 0) + v * w
+        out.append({k: x for k, v in r.items() if (x := v % p if p else v)})
+    return out
 
 
 def _colon(Q, multipliers):
     """The subspace {r mod x^T : r * x^s in Q for every s in multipliers},
     at T = b + f + 1."""
-    _, cols, _, _, p, D = integer_model(Q)
-    basis = _kernel_basis(_membership_rows(Q, multipliers), cols, p, D)
-    return TruncatedSubspace(Q.semigroup, Q.field, Q.truncation, basis)
+    p, D = integer_model(Q)[2:4]
+    rows = _colon_rows(Q, multipliers)
+    vectors = rows if p else [{k: Fraction(v, D**k) for k, v in r.items()} for r in rows]
+    return TruncatedSubspace.span(Q.semigroup, Q.field, Q.truncation, vectors)
 
 
 def colon_power(Q: CanonicalIdeal, g: int) -> TruncatedSubspace:
     """The subspace {r mod x^T : r * m^g <= Q} at T = b + f + 1."""
     if g < 0:
-        raise ValueError(f"need g >= 0, got {g}")
+        raise ValueError(f"need g >= 0, got {quote_int(g)}")
     hi = integer_model(Q)[0]
     return _colon(Q, Q.semigroup.power_generators(g, hi))
 
@@ -283,25 +292,19 @@ def colon_by_monomials(Q: CanonicalIdeal, exponents) -> TruncatedSubspace:
     for e in exponents:
         if not S.contains(e):
             raise NotInSemigroup(
-                f"multiplier exponent {e} is not in the semigroup {S.generators}"
+                f"multiplier exponent {quote_int(e)} is not in the semigroup "
+                f"{quote_ints(S.generators)}"
             )
     hi = integer_model(Q)[0]
     return _colon(Q, sorted(e for e in set(exponents) if e <= hi))
 
 
 def _colon_min_valuation(Q, g):
-    """Minimal valuation in Q : m^g (None when the colon is zero), from the
-    rank profile of its membership system alone.
-
-    With the largest column taken as pivot, column c gets no pivot exactly
-    when it lies in the span of the larger columns, i.e. when some kernel
-    vector is led by x^c.  So the smallest free column is the answer, with
-    no back substitution and no kernel basis.
-    """
-    hi, cols, _, _, p, _ = integer_model(Q)
-    rows = _membership_rows(Q, Q.semigroup.power_generators(g, hi))
-    pivots = _pivot_columns(rows, p)
-    return next((c for c in cols if c not in pivots), None)
+    """Minimal valuation in Q : m^g (None when the colon is zero): the
+    smallest free live column of its gap equations, with no back
+    substitution and no kernel basis."""
+    hi = integer_model(Q)[0]
+    return _smallest_free(*_gap_echelon(Q, Q.semigroup.power_generators(g, hi)))
 
 
 def goto_number(Q: CanonicalIdeal) -> int:
@@ -320,9 +323,10 @@ def goto_number(Q: CanonicalIdeal) -> int:
     floor, as it does for every b > f + a_1, g(Q) is the floor.
 
     Every other Q is scanned over ascending g from the floor + 1, one
-    rank-only elimination per g, up to the first colon that reaches below
-    valuation b.  The scan cannot legitimately pass floor(f/a_1) + 1, so
-    reaching floor(f/a_1) + 2 raises an internal error.
+    elimination of the gap equations per g, up to the first colon whose
+    smallest free live column lies below b.  The scan cannot legitimately
+    pass floor(f/a_1) + 1, so reaching floor(f/a_1) + 2 raises an internal
+    error.
     """
     S = Q.semigroup
     floor, settled = S.monomial_floor(Q.b)
@@ -356,9 +360,11 @@ def goto_monomial(S, b: int) -> int:
     gives the stable value (``S.stable_goto_via_t_prime``).
     """
     if b < 1:
-        raise ValueError(f"need b >= 1, got {b}")
+        raise ValueError(f"need b >= 1, got {quote_int(b)}")
     if not S.contains(b):
-        raise NotInSemigroup(f"{b} is not in the semigroup {S.generators}")
+        raise NotInSemigroup(
+            f"{quote_int(b)} is not in the semigroup {quote_ints(S.generators)}"
+        )
     return S.monomial_floor(b)[0]
 
 
@@ -366,51 +372,45 @@ def goto_monomial(S, b: int) -> int:
 
 
 def ideal_image(Q: CanonicalIdeal) -> TruncatedSubspace:
-    """The image of Q in R / x^T R at T = b + f + 1, spanned by the shifts
-    q * x^e."""
-    S, b, T = Q.semigroup, Q.b, Q.truncation
-    unit = {0: Q.field.one, **Q.unit_coeffs}
-    vectors = [
-        {b + e + i: v for i, v in unit.items() if b + e + i < T}
-        for e in S.members(0, T - 1 - b)
-    ]
-    return TruncatedSubspace.span(S, Q.field, T, vectors)
+    """The image of Q in R / x^T R at T = b + f + 1: the colon Q : (x^0)."""
+    return _colon(Q, [0])
 
 
-def _level(Q, vectors):
-    """Largest i with the span of the vectors (over Q's field) inside
-    m^i + Q; None when they lie in Q, hence in every m^i + Q.
+def _shift_echelon(Q):
+    """Q's shifts x^e t, e in b + G up to b + f, echeloned in the scaled
+    coordinates with the pivot at the column of least m-adic order, then
+    of least exponent: (keys, W, pivots), where column e is keyed
+    -(ord(e) W + e) with W = b + f + 1, so that its order is -key // W."""
+    hi, t, p = integer_model(Q)[:3]
+    S, W = Q.semigroup, hi + 1
+    keys = {e: -(S.madic_order(e) * W + e) for e in S.members(0, hi)}
+    shifts = (
+        {keys[e + i]: v for i, v in t.items() if e + i <= hi}
+        for e in (Q.b + c for c in S.members(0, hi - Q.b))
+    )
+    return keys, W, _pivot_columns(shifts, p)
 
-    m^i is spanned by the x^e with m-adic order at least i, so phi maps
-    m^i + Q onto L_i, the span of those images.  Inserting the images into
-    one integer echelon by descending order builds L_i for each order i in
-    turn, and the residuals of the vectors' images only ever shrink; the
-    first order at which they all vanish is the answer, and 0 when none
-    does.
-    """
-    p = integer_model(Q)[4]
-    residuals = [row for vec in vectors if (row := image(Q, vec))]
-    if not residuals:
-        return None
-    S = Q.semigroup
-    by_order = {}
-    for e, row in monomial_images(Q).items():
-        if e and row:
-            by_order.setdefault(S.madic_order(e), []).append(dict(row))
-    pivots = {}
-    for i in sorted(by_order, reverse=True):
-        _pivot_columns(by_order[i], p, pivots)
-        residuals = [row for r in residuals if (row := _reduce(r, pivots, p))]
-        if not residuals:
-            return i
-    return 0
+
+def _level(Q, rows):
+    """Largest i with every row (integer, in the scaled coordinates) in
+    m^i + Q, None when they all lie in Q: by the level lemma, the least
+    order at which a residual leads.  Exponents above b + f (in Q) drop."""
+    p = integer_model(Q)[2]
+    keys, W, pivots = _shift_echelon(Q)
+    residuals = (_reduce({keys[e]: v for e, v in r.items() if e in keys}, pivots, p) for r in rows)
+    return min((-max(res) // W for res in residuals if res), default=None)
+
+
+def _closure_generator_exponents(Q):
+    """Exponents of the monomial generators of Q's integral closure, the
+    e in G with b <= e <= b + f + 1: a larger e has e - b > f in G."""
+    return Q.semigroup.members(Q.b, Q.truncation)
 
 
 def is_integrally_closed(Q: CanonicalIdeal) -> bool:
-    """Q is inside its closure, spanned by {x^e : e in G, e >= b}; they are
-    equal exactly when every such x^e with e <= b + f lies in Q, i.e. has
-    image 0 in R/Q."""
-    return not any(row for e, row in monomial_images(Q).items() if e >= Q.b)
+    """Q equals its closure exactly when Q : (closure) holds a unit, i.e.
+    when column 0 of its gap equations is live and free."""
+    return _smallest_free(*_gap_echelon(Q, _closure_generator_exponents(Q))) == 0
 
 
 def contained_in_power_sum(V: TruncatedSubspace, i: int, Q: CanonicalIdeal) -> bool:
@@ -427,22 +427,16 @@ def contained_in_power_sum(V: TruncatedSubspace, i: int, Q: CanonicalIdeal) -> b
     if V.field != Q.field:
         raise MixedField("subspace and ideal over different fields")
     if i < 0:
-        raise ValueError(f"need i >= 0, got {i}")
+        raise ValueError(f"need i >= 0, got {quote_int(i)}")
     if V.truncation < Q.truncation:
         raise TruncationTooSmall(
             f"containment needs truncation >= {Q.truncation}, got {V.truncation}"
         )
     if i == 0:
         return True
-    level = _level(Q, V.basis)
+    p, D = integer_model(Q)[2:4]
+    level = _level(Q, [integer_row(vec, p, D) for vec in V.basis])
     return level is None or level >= i
-
-
-def _closure_generator_exponents(Q):
-    """Monomial generators of the integral closure of Q as an ideal:
-    exponents e in G with b <= e <= b + f + 1.  Every larger member e has
-    e - b > f in G, so x^e is a multiple of x^b."""
-    return Q.semigroup.members(Q.b, Q.truncation)
 
 
 def dual_goto(Q: CanonicalIdeal) -> int:
@@ -450,8 +444,9 @@ def dual_goto(Q: CanonicalIdeal) -> int:
 
     With J = Q : (integral closure of Q), the Goto number equals
     max{i : J <= m^i + Q} whenever the semigroup is symmetric and Q is
-    strictly smaller than its closure.  J is built once, at Q's working
-    truncation: what a wider one adds lies in x^b times the conductor.
+    strictly smaller than its closure.  J's basis rows go to ``_level``
+    as they come off the gap equations, at Q's working truncation: what a
+    wider one adds lies in x^b times the conductor.
     """
     S = Q.semigroup
     if not S.is_symmetric():
@@ -460,9 +455,8 @@ def dual_goto(Q: CanonicalIdeal) -> int:
         )
     if is_integrally_closed(Q):
         raise ClosedIdeal("duality requires Q strictly inside its closure")
-    J = colon_by_monomials(Q, _closure_generator_exponents(Q))
     cap = S.frobenius // S.multiplicity + 2
-    level = _level(Q, J.basis)
+    level = _level(Q, _colon_rows(Q, _closure_generator_exponents(Q)))
     if level is None or level >= cap:
         raise BoundViolation(
             f"duality value for ({Q}) escaped the bound {cap}"
@@ -483,7 +477,7 @@ def conductor_dual_goto(Q: CanonicalIdeal) -> int:
             f"generator valuation {Q.b} must exceed the Frobenius number {f}"
         )
     hard_cap = (Q.truncation - 1) // S.multiplicity + 3
-    level = _level(Q, [{e: Q.field.one} for e in S.conductor_generators])
+    level = _level(Q, [{e: 1} for e in S.conductor_generators])
     if level is None or level >= hard_cap:
         raise BoundViolation(
             f"conductor containment for ({Q}) never failed up to i = {hard_cap}"
@@ -496,8 +490,8 @@ def index_of_nilpotency(Q: CanonicalIdeal) -> int:
 
     m^(i+1) is spanned by the x^e of m-adic order above i, and those with
     e > b + f lie in x^b times the conductor, hence in Q.  So the answer
-    is the largest order of an x^e, e <= b + f, with nonzero image in
-    R/Q; x^0 always counts, since 1 is not in Q.
+    is the largest order of an x^e, e <= b + f, outside Q: of a column
+    leading no row of Q's shift echelon (level lemma).  x^0 always counts.
     """
     S = Q.semigroup
     if Q.b != S.multiplicity:
@@ -505,4 +499,5 @@ def index_of_nilpotency(Q: CanonicalIdeal) -> int:
             f"generator valuation {Q.b} differs from the multiplicity "
             f"{S.multiplicity}"
         )
-    return max(S.madic_order(e) for e, row in monomial_images(Q).items() if row)
+    keys, W, pivots = _shift_echelon(Q)
+    return max(-key // W for key in keys.values() if key not in pivots)

@@ -16,7 +16,7 @@ from itertools import chain, product
 
 from .colon import goto_monomial, goto_number
 from .errors import SearchSpaceTooLarge
-from .fields import RATIONALS
+from .fields import RATIONALS, quote_int
 from .ring import CanonicalIdeal, canonicalize, integer_scale, integer_tail, normal_tail
 
 # most canonical forms one search may enumerate
@@ -26,7 +26,7 @@ SEARCH_CAP = 10_000_000
 def monomial_table(S, e_max: int) -> dict:
     """Goto numbers of every monomial ideal x^e with e in G, 1 <= e <= e_max."""
     if e_max < S.multiplicity:
-        raise ValueError(f"need e_max >= {S.multiplicity}, got {e_max}")
+        raise ValueError(f"need e_max >= {quote_int(S.multiplicity)}, got {quote_int(e_max)}")
     return {e: goto_monomial(S, e) for e in S.members(1, e_max)}
 
 
@@ -61,13 +61,14 @@ class SearchConfig:
             self.b_values = tuple(sorted(set(self.b_values)))
             for b in self.b_values:
                 if b < 1 or not S.contains(b):
-                    raise ValueError(f"b = {b} is not a valid valuation")
+                    raise ValueError(f"b = {quote_int(b)} is not a valid valuation")
         if self.positions is not None:
             self.positions = tuple(sorted(set(self.positions)))
             f = S.frobenius
             outside = [i for i in self.positions if not 1 <= i <= f]
             if outside:
-                raise ValueError(f"tail positions {outside} outside [1, {f}]")
+                listed = ", ".join(map(quote_int, outside))
+                raise ValueError(f"tail positions [{listed}] outside [1, {quote_int(f)}]")
 
     def admissible_positions(self, b: int) -> tuple:
         S = self.semigroup

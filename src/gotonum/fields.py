@@ -30,6 +30,20 @@ def quote(text: str) -> str:
     return repr(text[:16]) + ("..." if len(text) > 16 else "")
 
 
+def quote_int(n: int) -> str:
+    """An int (its repr) for an error message, cut as ``quote`` cuts text:
+    its first 16 characters, then ``...``; a number needs no quotes."""
+    text = repr(n)
+    return text if len(text) <= 16 else text[:16] + "..."
+
+
+def quote_ints(values) -> str:
+    """A tuple of ints for an error message, each cut by ``quote_int``:
+    ``(3, 5)``, ``(1,)``."""
+    texts = [quote_int(v) for v in values]
+    return f"({', '.join(texts)}{',' if len(texts) == 1 else ''})"
+
+
 def read_number(text: str, what: str, fraction: bool = False):
     """The int ``text`` spells, or with ``fraction`` the Fraction.  ``int``
     runs only on text in the grammar with no digit run over Python's

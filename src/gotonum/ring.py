@@ -15,19 +15,21 @@ position in ascending order (``normal_tail``) leaves the tail on the
 gaps i with b + i in G, and that normal form is unique: two ideals are
 equal exactly when their normal forms are.
 
-Each ideal Q = x^b u R carries one integer model (``integer_model``): u^(-1)
-modulo x^(b + f + 1) as Python ints, mod p over F_p and, over Q, after the
-substitution x -> Dx that clears the tail denominators.  r is in Q exactly
-when r * u^(-1) has no coefficient at a checked exponent j <= b + f (j < b,
-or j - b a gap).  Those coefficients phi_j(r) embed R/Q; ``image`` computes
-phi on the model, and membership, the unit inverse and the colon engine of
-``gotonum.colon`` all run on it.
+Each ideal Q = x^b u R carries one integer model (``integer_model``): the
+integer unit t = {0: 1, i: t_i}, u itself mod p over F_p and, over Q,
+u(Dx) with t_i = D^i u_i, D the lcm of the tail denominators, so that no
+Fraction is needed.  Nothing on the model inverts u.  Membership divides
+by u in one ascending sweep: r is in Q exactly when h = r * u^(-1), read
+up to b + f, vanishes below b and at every b + k with k a gap (r * x^(-b)
+u^(-1) must lie in R).  The colon engine of ``gotonum.colon`` solves its
+colons in the same h = r * u^(-1), through one equation per gap:
+r = h u lies in R exactly when (h u)_k = 0 at every gap k, and v(r) =
+v(h) because u(0) = 1.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
 
@@ -40,7 +42,7 @@ from .errors import (
     ParseError,
     ZeroElement,
 )
-from .fields import COEFFICIENT, RATIONALS, quote, read_number
+from .fields import COEFFICIENT, RATIONALS, quote, quote_int, quote_ints, read_number
 
 
 class RingElement:
@@ -58,7 +60,8 @@ class RingElement:
                 raise ValueError(f"exponent {e!r} is not a non-negative integer")
             if not semigroup.contains(e):
                 raise NotInSemigroup(
-                    f"exponent {e} is not in the semigroup {semigroup.generators}"
+                    f"exponent {quote_int(e)} is not in the semigroup "
+                    f"{quote_ints(semigroup.generators)}"
                 )
             clean[e] = v
         self.semigroup = semigroup
@@ -186,7 +189,8 @@ def parse_element(text, semigroup, field=RATIONALS):
         exp = read_number(m.group("exp") or "1", "exponent") if "x" in piece else 0
         if not semigroup.contains(exp):
             raise ParseError(
-                f"exponent {exp} is not in the semigroup {semigroup.generators}"
+                f"exponent {quote_int(exp)} is not in the semigroup "
+                f"{quote_ints(semigroup.generators)}"
             )
         prev = coeffs.get(exp, field.zero)
         coeffs[exp] = field.add(prev, coef)
@@ -241,6 +245,16 @@ def integer_tail(tail, p, D):
     return {i: v.numerator * (D // v.denominator) * D ** (i - 1) for i, v in tail.items()}
 
 
+def integer_row(vec, p, D=1):
+    """A vector over F_p (p prime) or Q (p = 0) as an integer row of the
+    same span: reduced mod p, or with its denominators cleared and
+    coordinate c scaled by D^c."""
+    if p:
+        return {c: r for c, v in vec.items() if (r := v % p)}
+    N = lcm(*(v.denominator for v in vec.values()))
+    return {c: v.numerator * (N // v.denominator) * D**c for c, v in vec.items() if v}
+
+
 def normal_tail(S, tail, p):
     """The normal tail of x^b(1 + sum t_i x^i), t an integer tail, as
     ascending ((i, t_i), ...) pairs.
@@ -276,64 +290,21 @@ def normal_tail(S, tail, p):
 
 
 def integer_model(Q):
-    """The integer model of the ideal Q = x^b u R, cached:
-    (hi, cols, checked, series, p, D).
+    """The integer model of the ideal Q = x^b u R, cached: (hi, t, p, D, gaps).
 
-    hi = b + f is the largest exponent that carries a condition, cols the
-    members of G up to it (ascending), and checked the exponents j <= hi
-    where membership in Q imposes one (j < b, or j - b a gap).  series is
-    u^(-1) as Python ints modulo x^(hi + 1): over F_p its coefficients mod
-    p (p prime, D = 1); over Q, with D the lcm of the tail denominators,
-    those of u(Dx)^(-1), w_k = D^k uinv_k, which are integers.  In a
-    membership row of shift d, entry c then reads D^(d - c) uinv_(d - c):
-    the row scaled by D^d and column c by D^(-c), which moves no pivot.
+    hi = b + f is the largest exponent that carries a condition.  t is the
+    integer unit {0: 1, i: t_i}: u mod p over F_p (D = 1), and over Q u(Dx),
+    t_i = D^i u_i (``integer_tail``); with coordinate k scaled by D^k, h u
+    reads h' t, in Z.  gaps has bit k set for each gap k of G.
     """
     if Q._model is None:
-        S, b, hi = Q.semigroup, Q.b, Q.truncation - 1
-        checked = [j for j in range(hi + 1) if j < b or not S.contains(j - b)]
+        S = Q.semigroup
         p, D = integer_scale(Q.field, Q.unit_coeffs.values())
-        series = _inverse_series(integer_tail(Q.unit_coeffs, p, D), p, hi + 1)
-        Q._model = (hi, S.members(0, hi), checked, series, p, D)
+        t = {0: 1, **integer_tail(Q.unit_coeffs, p, D)}
+        bits = "".join("0" if S.contains(k) else "1" for k in range(S.frobenius, 0, -1))
+        gaps = int(bits + "0", 2)
+        Q._model = (Q.truncation - 1, t, p, D, gaps)
     return Q._model
-
-
-def monomial_images(Q):
-    """The images phi(x^e) for e in G, e <= b + f, as integer rows, cached.
-
-    phi_j(r) is the coefficient of x^j in r * u^(-1) at a checked exponent
-    j; their common kernel is Q, so phi embeds R/Q.  Entry j of phi(x^e)
-    is series[j - e] of ``integer_model``, whose rescaling x -> Dx scales
-    coordinate j and x^e and so moves no span.  Entry j is keyed
-    b + f - j, so that an echelon's largest key is the smallest exponent
-    and the images stay nearly triangular.
-    """
-    if Q._images is None:
-        hi, cols, checked, series, _, _ = integer_model(Q)
-        images = {}
-        for e in cols:
-            above = checked[bisect_left(checked, e):]
-            images[e] = {hi - j: v for j in above if (v := series.get(j - e)) is not None}
-        Q._images = images
-    return Q._images
-
-
-def image(Q, vec):
-    """phi of a vector {exponent: scalar} over Q's field as an integer row,
-    up to a nonzero factor per coordinate: the sum of v_c phi(x^c) with the
-    denominators of the v_c and the D^c cleared over Q, and reduced mod p
-    over F_p.  Exponents above b + f have image 0.  Empty exactly when the
-    vector lies in Q."""
-    p, D = integer_model(Q)[4:]
-    images = monomial_images(Q)
-    coeffs = {c: v for c, v in vec.items() if c in images}
-    if not p:
-        N = lcm(*(v.denominator for v in coeffs.values()))
-        coeffs = {c: v.numerator * (N // v.denominator) * D**c for c, v in coeffs.items()}
-    row = {}
-    for c, k in coeffs.items():
-        for j, v in images[c].items():
-            row[j] = row.get(j, 0) + k * v
-    return {j: r for j, v in row.items() if (r := v % p if p else v)}
 
 
 class CanonicalIdeal:
@@ -352,7 +323,6 @@ class CanonicalIdeal:
         "b",
         "unit_coeffs",
         "_model",
-        "_images",
         "_normal",
     )
 
@@ -361,7 +331,8 @@ class CanonicalIdeal:
             raise NotParameter("generator of valuation 0 is a unit")
         if b < 0 or not semigroup.contains(b):
             raise NotInSemigroup(
-                f"valuation {b} is not in the semigroup {semigroup.generators}"
+                f"valuation {quote_int(b)} is not in the semigroup "
+                f"{quote_ints(semigroup.generators)}"
             )
         f = semigroup.frobenius
         clean = {}
@@ -370,10 +341,11 @@ class CanonicalIdeal:
             if v == field.zero:
                 continue
             if not (1 <= i <= f):
-                raise ValueError(f"tail position {i} outside [1, {f}]")
+                raise ValueError(f"tail position {quote_int(i)} outside [1, {quote_int(f)}]")
             if not semigroup.contains(b + i):
                 raise NotInSemigroup(
-                    f"tail position {i} puts exponent {b + i} outside the semigroup"
+                    f"tail position {quote_int(i)} puts exponent {quote_int(b + i)} "
+                    "outside the semigroup"
                 )
             clean[i] = v
         self.semigroup = semigroup
@@ -381,7 +353,6 @@ class CanonicalIdeal:
         self.b = b
         self.unit_coeffs = clean
         self._model = None             # integer_model memo
-        self._images = None            # monomial_images memo
         self._normal = None            # normal_form memo
 
     @property
@@ -404,19 +375,29 @@ class CanonicalIdeal:
     def contains(self, w: RingElement) -> bool:
         """Exact membership test w in qR.
 
-        w is in qR iff w * u^(-1) has no coefficient at a checked exponent
-        j <= b + f (j < b, or j - b a gap), i.e. iff its image under phi
-        (``image``, on the integer model) is zero.  Exponents above b + f
-        lie in x^b times the conductor, hence in qR, so w's coefficients
-        from x^(b + f + 1) on are never read.
+        w is in qR iff h = w * u^(-1) lies in x^b R, i.e. iff h_k = 0 for
+        every k <= b + f with k < b or k - b a gap.  One ascending sweep,
+        h_k = w_k - sum t_i h_(k - i) on the model, stops at the first h_k
+        that breaks it.  Exponents above b + f lie in x^b times the
+        conductor, hence in qR, and are never read.
         """
         if w.semigroup != self.semigroup:
             raise MixedSemigroup("element and ideal over different semigroups")
         if w.field != self.field:
             raise MixedField("element and ideal over different fields")
-        if w.is_zero():
-            return True
-        return not image(self, w.coeffs)
+        hi, t, p, D = integer_model(self)[:4]
+        coeffs = integer_row({k: v for k, v in w.coeffs.items() if k <= hi}, p, D)
+        S, b = self.semigroup, self.b
+        h = {}
+        for k in range(min(coeffs, default=hi + 1), hi + 1):
+            acc = coeffs.get(k, 0) - sum(v * h[k - i] for i, v in t.items() if i and k - i in h)
+            if p:
+                acc %= p
+            if acc:
+                if k < b or not S.contains(k - b):
+                    return False
+                h[k] = acc
+        return True
 
     def closure_contains(self, r: RingElement) -> bool:
         """Integral closure of qR is spanned by x^e with e in G, e >= b."""

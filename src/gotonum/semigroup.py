@@ -24,6 +24,7 @@ from .errors import (
     GcdError,
     NotInSemigroup,
 )
+from .fields import quote_int, quote_ints
 
 
 def _apery_set(a1, gens):
@@ -51,9 +52,9 @@ def _apery_set(a1, gens):
 def frobenius_two_generated(a1: int, a2: int) -> int:
     """Closed form a1*a2 - a1 - a2 for the Frobenius number of <a1, a2>."""
     if not (1 < a1 < a2):
-        raise ValueError(f"need 1 < a1 < a2, got a1={a1}, a2={a2}")
+        raise ValueError(f"need 1 < a1 < a2, got a1={quote_int(a1)}, a2={quote_int(a2)}")
     if gcd(a1, a2) != 1:
-        raise CoprimalityError(f"gcd({a1}, {a2}) = {gcd(a1, a2)} != 1")
+        raise CoprimalityError(f"gcd({quote_int(a1)}, {quote_int(a2)}) = {gcd(a1, a2)} != 1")
     return a1 * a2 - a1 - a2
 
 
@@ -75,12 +76,13 @@ class NumericalSemigroup:
             raise EmptyError("generator list is empty")
         for a in raw:
             if not isinstance(a, int) or a <= 0:
-                raise ValueError(f"generator {a!r} is not a positive integer")
+                raise ValueError(f"generator {quote_int(a)} is not a positive integer")
         g = 0
         for a in raw:
             g = gcd(g, a)
         if g != 1:
-            raise GcdError(f"gcd of generators {sorted(set(raw))} is {g}, not 1")
+            listed = ", ".join(map(quote_int, sorted(set(raw))))
+            raise GcdError(f"gcd of generators [{listed}] is {quote_int(g)}, not 1")
         raw = sorted(set(raw))
         a1 = raw[0]
         self._a1 = a1
@@ -152,7 +154,7 @@ class NumericalSemigroup:
         the largest e in [a - a_1, a - 1] with e >= Ap[e mod a_1], one per
         class, since G is closed under adding a_1 and 0 is in G."""
         if a < 1:
-            raise ValueError(f"need a >= 1, got {a}")
+            raise ValueError(f"need a >= 1, got {quote_int(a)}")
         return next(e for e in range(a - 1, a - self._a1 - 1, -1) if self.contains(e))
 
     # -- generator sums ----------------------------------------------------
@@ -160,9 +162,9 @@ class NumericalSemigroup:
     def generator_sums(self, t: int, cap: int) -> set:
         """Sums of exactly t generators (with repetition), capped at ``cap``."""
         if t < 0:
-            raise ValueError(f"need t >= 0, got {t}")
+            raise ValueError(f"need t >= 0, got {quote_int(t)}")
         if cap < 0:
-            raise ValueError(f"need cap >= 0, got {cap}")
+            raise ValueError(f"need cap >= 0, got {quote_int(cap)}")
         sums = {0}
         for _ in range(t):
             sums = {v for s in sums for a in self.generators if (v := s + a) <= cap}
@@ -194,7 +196,9 @@ class NumericalSemigroup:
         if e == 0:
             return 0
         if e < 0 or not self.contains(e):
-            raise NotInSemigroup(f"{e} is not in the semigroup {self.generators}")
+            raise NotInSemigroup(
+                f"{quote_int(e)} is not in the semigroup {quote_ints(self.generators)}"
+            )
         return self._order_table(e)[e]
 
     def power_generators(self, g: int, cap: int) -> tuple:
@@ -208,7 +212,7 @@ class NumericalSemigroup:
         descent ends at order g.
         """
         if g < 0:
-            raise ValueError(f"need g >= 0, got {g}")
+            raise ValueError(f"need g >= 0, got {quote_int(g)}")
         hi = min(cap, g * self.generators[-1])
         orders = self._order_table(max(hi, 0))
         return tuple(e for e in range(g * self._a1, hi + 1) if orders[e] == g)
@@ -220,9 +224,9 @@ class NumericalSemigroup:
         sums with s - alpha > f pass automatically.
         """
         if t < 1:
-            raise ValueError(f"need t >= 1, got {t}")
+            raise ValueError(f"need t >= 1, got {quote_int(t)}")
         if not (1 <= alpha <= self.multiplicity):
-            raise ValueError(f"need 1 <= alpha <= {self.multiplicity}, got {alpha}")
+            raise ValueError(f"need 1 <= alpha <= {self.multiplicity}, got {quote_int(alpha)}")
         return all(
             self.contains(s - alpha)
             for s in self.generator_sums(t, self.frobenius + alpha)
@@ -240,7 +244,7 @@ class NumericalSemigroup:
         order, can beat the best.
         """
         if delta < 1:
-            raise ValueError(f"need delta >= 1, got {delta}")
+            raise ValueError(f"need delta >= 1, got {quote_int(delta)}")
         cached = self._escape.get(delta)
         if cached is not None:
             return cached
@@ -299,7 +303,7 @@ class NumericalSemigroup:
         value = min(map(self.escape_order, alphas))
         if value > f // a1 + 1:
             raise BoundViolation(
-                f"g(x^{b}) = {value} escapes the proven bound {f // a1 + 1}"
+                f"g(x^{quote_int(b)}) = {value} escapes the proven bound {f // a1 + 1}"
             )
         upper = min(
             (self.escape_order(a) for a in range(1, min(b - f - 1, a1) + 1)),

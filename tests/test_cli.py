@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gotonum
+import oracles
 from gotonum import cli
 from gotonum.cli import main
 from gotonum.semigroup import NumericalSemigroup
@@ -197,6 +198,59 @@ class TestDeepValuations:
         assert {g for e, g in table.items() if int(e) > 10} == {2}
 
 
+GOTO_JSON = (
+    '{\n  "schema": 1,\n  "generators": [\n    %d,\n    %d\n  ],\n'
+    '  "ideal": "%s",\n  "goto_number": %d%s\n}\n'
+)
+
+
+class TestPinnedValues:
+    # valuations f < b <= f + a_1 where g(Q) exceeds g(x^b) + 1, so no
+    # closed form in g(x^b) covers the band; each value is checked against
+    # an oracle that shares no code with gotonum.colon
+    @pytest.mark.parametrize(
+        "gens, text, tail, want, floor",
+        [((3, 13), "x^25+x^26", {1: 1}, 5, 2), ((4, 15), "x^43+x^45", {2: 1}, 5, 3)],
+    )
+    def test_goto_above_the_conductor(self, gens, text, tail, want, floor):
+        b = int(text[2:text.index("+")])
+        a, c = map(str, gens)
+        assert json.loads(run_cli("goto", a, c, "--ideal", text)[1])["goto_number"] == want
+        assert json.loads(run_cli("goto", a, c, "--monomial", str(b))[1])["goto_number"] == floor
+        assert oracles.goto_number_literal(gens, b, tail) == want
+        assert oracles.goto_number_literal(gens, b, {}) == floor
+
+    def test_goto_over_f2_from_the_definition(self):
+        # x^6 + x^7 in <2,7> (f = 5) over F_2: g = 3 against g(x^6) = 1;
+        # the colons are listed element by element over F_2
+        code, out = run_cli("goto", "2", "7", "--ideal", "x^6+x^7", "--field", "fp:2")
+        assert code == 0 and json.loads(out)["goto_number"] == 3
+        colons, members = oracles.colon_sets_definition((2, 7), 6, {1: 1}, 2, 4)
+        below = sum(e < 6 for e in members)
+        drops = [g for g, colon in enumerate(colons) if any(any(r[:below]) for r in colon)]
+        assert drops[0] - 1 == 3
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (
+                ["goto", "60", "61", "--ideal", "x^1740+x^1741+3*x^1743", "--dual"],
+                GOTO_JSON % (60, 61, "x^1740 + x^1741 + 3*x^1743", 59, ',\n  "dual_goto": 59'),
+            ),
+            (
+                ["goto", "40", "41", "--ideal", "x^800+x^801+x^805", "--dual"],
+                GOTO_JSON % (40, 41, "x^800 + x^801 + x^805", 39, ',\n  "dual_goto": 39'),
+            ),
+            (
+                ["goto", "100", "101", "--ideal", "x^5000+x^5001+x^5003"],
+                GOTO_JSON % (100, 101, "x^5000 + x^5001 + x^5003", 99, ""),
+            ),
+        ],
+    )
+    def test_wide_ideals_print_the_same_bytes(self, argv, want):
+        assert run_cli(*argv) == (0, want)
+
+
 class TestVerifyPaper:
     def test_passes_and_prints_lines(self):
         code, out = run_cli("verify-paper")
@@ -317,6 +371,30 @@ class TestErrors:
         assert code == 2 and out == ""
         assert capsys.readouterr().err == f"error: {message}\n"
 
+
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["goto", "3", "5", "--monomial=-" + "2" * 4000],
+                "valuation -222222222222222... is not in the semigroup (3, 5)",
+            ),
+            (["info", "4", "2" * 4000], "gcd of generators [4, 2222222222222222...] is 2, not 1"),
+            (
+                ["search", "3", "5", "--b", "5", "--positions=-" + "2" * 4000],
+                "tail positions [-222222222222222...] outside [1, 7]",
+            ),
+            (["table", "3", "5", "--max=-" + "2" * 4000], "need e_max >= 3, got -222222222222222..."),
+        ],
+    )
+    def test_library_messages_cut_long_numbers(self, argv, message):
+        # a number the reader accepts (up to the digit limit) is echoed by
+        # the library's own preconditions at most 16 characters long
+        proc = run_child(*argv, timeout=10)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f"error: {message}\n"
+        assert len(proc.stderr.encode()) <= 200
 
 
 def stderr_is_one_error_line(code, out, err):

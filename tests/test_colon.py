@@ -394,12 +394,13 @@ class TestGotoMonomial:
                 cases.append((S, b, tail, fp))
         for S, b, tail, fld in cases:
             Q = CanonicalIdeal(S, b, tail, fld)
-            # the scan's integer series is u^(-1) itself over F_p, and over Q
-            # its rescaling by x -> Dx, D the lcm of the tail denominators
-            series, p = integer_model(Q)[3:5]
-            uinv = oracles.invert_unit_generic({0: fld.one, **tail}, Q.truncation, fld)
+            # the gap equations' integer unit is u itself over F_p, and over Q
+            # its rescaling u(Dx), D the lcm of the tail denominators
+            t, p, model_D = integer_model(Q)[1:4]
             D = 1 if p else math.lcm(*(v.denominator for v in tail.values()))
-            assert series == {k: D**k * v for k, v in uinv.items()}, (tail, fld)
+            assert model_D == D, (tail, fld)
+            assert t == {0: 1, **{i: D**i * v for i, v in tail.items()}}, (tail, fld)
+            assert all(type(v) is int for v in t.values()), (tail, fld)
             for g in range(S.frobenius // S.multiplicity + 2):
                 V = colon_power(Q, g)
                 assert _colon_min_valuation(Q, g) == V.min_valuation(), (
@@ -410,8 +411,8 @@ class TestGotoMonomial:
                 ) == V, (S.generators, b, tail, fld, g)
 
     def test_rank_scan_matches_literal_system(self):
-        # the distinct-shift integer scan and the kernel basis against the
-        # literal one-row-per-(s, j) system of oracles, over Q and F_101
+        # the gap-equation scan and the kernel basis against the literal
+        # one-row-per-(s, j) system of oracles, over Q and F_101
         from gotonum.colon import _colon_min_valuation
 
         rng = random.Random(5011)
@@ -435,7 +436,7 @@ class TestGotoMonomial:
 
     def test_integer_pivots_match_fraction_elimination(self):
         # low-rank integer systems force non-unit leads and cancellations,
-        # which generic membership systems rarely show
+        # which generic gap equations rarely show
         from gotonum.colon import _pivot_columns
 
         rng = random.Random(461)
@@ -853,3 +854,80 @@ class TestRandomizedNonMonomial:
                 assert g <= f // a1 + 1
                 if S.is_symmetric():
                     assert dual_goto(Q) == g, (gens, b, tail)
+
+
+class TestNoUnitInverse:
+    def test_engine_never_inverts_the_unit(self, monkeypatch):
+        # every colon, membership and duality answer runs on the gap
+        # equations and the unit itself: with the series recurrence made to
+        # raise, each routine still matches an oracle that inverts u its
+        # own way (oracles.invert_unit_generic) or not at all
+        import gotonum.ring as ring
+
+        def forbidden(*args):
+            raise AssertionError("u^(-1) series computed")
+
+        monkeypatch.setattr(ring, "_inverse_series", forbidden)
+        rng = random.Random(2027)
+        fields = [RATIONALS, PrimeField(2), PrimeField(3), PrimeField(101)]
+
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except GotoNumberError as exc:
+                return type(exc), str(exc)
+
+        checked = 0
+        for gens in [(3, 5), (4, 5), (5, 7), (4, 7, 9), (5, 6, 13), (3, 4, 5)]:
+            S = semigroup(*gens)
+            f, a1 = S.frobenius, S.multiplicity
+            ideals = _seeded_tails(rng, gens, 6, fields)
+            ideals += _seeded_tails(rng, gens, 2, fields, a1, a1)
+            for Q in ideals:
+                fld, b, T = Q.field, Q.b, Q.truncation
+                p = getattr(fld, "p", 0)
+                where = (gens, Q, fld.label)
+                assert goto_number(Q) == oracles.goto_number_literal(
+                    gens, b, Q.unit_coeffs, p
+                ), where
+                assert outcome(dual_goto, Q) == outcome(oracles.dual_goto_spans, Q), where
+                assert outcome(conductor_dual_goto, Q) == outcome(
+                    oracles.conductor_dual_goto_spans, Q
+                ), where
+                image = oracles.ideal_image_generic(Q)
+                assert ideal_image(Q) == image, where
+                closure = oracles.span_generic(
+                    S, fld, T, [{e: fld.one} for e in S.members(b, T - 1)]
+                )
+                assert is_integrally_closed(Q) == (image == closure), where
+                g = rng.randint(0, f // a1 + 2)
+                V = colon_power(Q, g)
+                assert V == oracles.colon_power_generic(Q, g), where
+                for i in range(1, 4):
+                    assert contained_in_power_sum(V, i, Q) == (
+                        oracles.contained_in_power_sum_spans(V, i, Q)
+                    ), (where, g, i)
+                exps = rng.sample(S.members(0, T + a1), 3)
+                assert colon_by_monomials(Q, exps) == oracles.colon_generic(Q, exps), where
+                outside = [
+                    e for e in S.members(0, T - 1)
+                    if oracles.reduce_vector(image.basis, {e: fld.one}, fld)
+                ]
+                if b == a1:
+                    assert index_of_nilpotency(Q) == max(map(S.madic_order, outside)), where
+                for _ in range(4):
+                    w = {
+                        e: fld.of(rng.choice([1, -1, 2]))
+                        for e in rng.sample(S.members(b - 1, T), 2)
+                    }
+                    w = {e: v for e, v in w.items() if v != fld.zero}
+                    for r in (w, {e: v for e, v in w.items() if e >= b}):
+                        element = RingElement(S, r, fld)
+                        inside = not oracles.reduce_vector(
+                            image.basis, {e: v for e, v in r.items() if e < T}, fld
+                        )
+                        assert Q.contains(element) == inside, (where, r)
+                    product = element * Q.generator()
+                    assert Q.contains(product), (where, r)
+                checked += 1
+        assert checked == 48

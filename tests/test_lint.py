@@ -44,8 +44,7 @@ def test_no_true_division():
 
 def test_ideal_private_slots_stay_in_ring():
     # the integer model and the other memos of an ideal are ring.py's to
-    # build and read; other modules go through integer_model, image and
-    # monomial_images
+    # build and read; other modules go through integer_model
     from gotonum.ring import CanonicalIdeal
 
     private = {name for name in CanonicalIdeal.__slots__ if name.startswith("_")}
