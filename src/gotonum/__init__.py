@@ -38,7 +38,6 @@ from .explorer import (
     monomial_table,
     search,
     search_records,
-    verify_product_inequality,
 )
 from .fields import PrimeField, RATIONALS, Rationals, field_from_label
 from .golden import run_golden_checks
@@ -52,7 +51,6 @@ from .ring import (
     CanonicalIdeal,
     RingElement,
     canonicalize,
-    invert_unit_mod,
     parse_element,
 )
 from .semigroup import NumericalSemigroup, frobenius_two_generated
@@ -87,7 +85,6 @@ __all__ = [
     "goto_number",
     "ideal_image",
     "index_of_nilpotency",
-    "invert_unit_mod",
     "is_integrally_closed",
     "monomial_table",
     "parse_element",
@@ -99,5 +96,4 @@ __all__ = [
     "search",
     "search_records",
     "stable_goto",
-    "verify_product_inequality",
 ]

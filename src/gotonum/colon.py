@@ -446,17 +446,19 @@ def dual_goto(Q: CanonicalIdeal) -> int:
     max{i : J <= m^i + Q} whenever the semigroup is symmetric and Q is
     strictly smaller than its closure.  J's basis rows go to ``_level``
     as they come off the gap equations, at Q's working truncation: what a
-    wider one adds lies in x^b times the conductor.
+    wider one adds lies in x^b times the conductor.  Q is closed exactly
+    when J holds a unit, i.e. when a row is led by column 0.
     """
     S = Q.semigroup
     if not S.is_symmetric():
         raise NotGorenstein(
             f"duality requires a symmetric semigroup, {S.generators} is not"
         )
-    if is_integrally_closed(Q):
+    rows = _colon_rows(Q, _closure_generator_exponents(Q))
+    if any(0 in r for r in rows):
         raise ClosedIdeal("duality requires Q strictly inside its closure")
     cap = S.frobenius // S.multiplicity + 2
-    level = _level(Q, _colon_rows(Q, _closure_generator_exponents(Q)))
+    level = _level(Q, rows)
     if level is None or level >= cap:
         raise BoundViolation(
             f"duality value for ({Q}) escaped the bound {cap}"

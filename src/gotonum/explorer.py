@@ -17,7 +17,7 @@ from itertools import chain, product
 from .colon import goto_monomial, goto_number
 from .errors import SearchSpaceTooLarge
 from .fields import RATIONALS, quote_int
-from .ring import CanonicalIdeal, canonicalize, integer_scale, integer_tail, normal_tail
+from .ring import CanonicalIdeal, integer_scale, integer_tail, normal_tail
 
 # most canonical forms one search may enumerate
 SEARCH_CAP = 10_000_000
@@ -187,47 +187,3 @@ def search(config: SearchConfig) -> SearchResult:
         value_counts[rec.goto] = value_counts.get(rec.goto, 0) + 1
         witnesses.setdefault(rec.goto, rec)
     return SearchResult(config, value_counts, witnesses)
-
-
-@dataclass(frozen=True)
-class ProductCheck:
-    factors: tuple       # (str(q1), str(q2))
-    g1: int
-    g2: int
-    g_product: int
-    ok: bool
-    strict: bool
-
-
-@dataclass
-class ProductInequalityReport:
-    checks: list
-
-    @property
-    def all_ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
-def verify_product_inequality(pairs) -> ProductInequalityReport:
-    """Check g(Q1 Q2) <= min(g(Q1), g(Q2)) on the given ideal pairs.
-
-    ``canonicalize`` drops the product's coefficients above b1 + b2 + f,
-    which never change the product ideal.
-    """
-    checks = []
-    for Q1, Q2 in pairs:
-        g1, g2 = goto_number(Q1), goto_number(Q2)
-        g12 = goto_number(canonicalize(Q1.generator() * Q2.generator()))
-        bound = min(g1, g2)
-        checks.append(
-            ProductCheck(
-                factors=(str(Q1), str(Q2)),
-                g1=g1,
-                g2=g2,
-                g_product=g12,
-                ok=g12 <= bound,
-                strict=g12 < bound,
-            )
-        )
-    return ProductInequalityReport(checks)
-

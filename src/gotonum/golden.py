@@ -101,13 +101,11 @@ def _catalogue():
         3,
         lambda: sg(7, 9, 20).madic_order(38),
     )
+    # m^t lies in x^alpha R exactly when escape_order(alpha) < t
     yield (
         "<9,19> m^8 escapes every shift x^alpha",
         True,
-        lambda: all(
-            not sg(9, 19).power_contained_in_shift(8, alpha)
-            for alpha in range(1, 10)
-        ),
+        lambda: all(sg(9, 19).escape_order(alpha) >= 8 for alpha in range(1, 10)),
     )
     yield (
         "<7,9,20> stable value via power containment",

@@ -18,13 +18,13 @@ equal exactly when their normal forms are.
 Each ideal Q = x^b u R carries one integer model (``integer_model``): the
 integer unit t = {0: 1, i: t_i}, u itself mod p over F_p and, over Q,
 u(Dx) with t_i = D^i u_i, D the lcm of the tail denominators, so that no
-Fraction is needed.  Nothing on the model inverts u.  Membership divides
-by u in one ascending sweep: r is in Q exactly when h = r * u^(-1), read
-up to b + f, vanishes below b and at every b + k with k a gap (r * x^(-b)
-u^(-1) must lie in R).  The colon engine of ``gotonum.colon`` solves its
-colons in the same h = r * u^(-1), through one equation per gap:
-r = h u lies in R exactly when (h u)_k = 0 at every gap k, and v(r) =
-v(h) because u(0) = 1.
+Fraction is needed.  The normal form and ``unit_inverse`` read it too;
+only ``unit_inverse`` inverts u.  Membership divides by u in one ascending
+sweep: r is in Q exactly when h = r * u^(-1), read up to b + f, vanishes
+below b and at every b + k with k a gap (r * x^(-b) u^(-1) must lie in R).
+The colon engine of ``gotonum.colon`` solves its colons in the same
+h = r * u^(-1), through one equation per gap: r = h u lies in R exactly
+when (h u)_k = 0 at every gap k, and v(r) = v(h) because u(0) = 1.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from math import lcm
 from .errors import (
     MixedField,
     MixedSemigroup,
-    NotAUnit,
     NotInSemigroup,
     NotParameter,
     ParseError,
@@ -198,8 +197,9 @@ def parse_element(text, semigroup, field=RATIONALS):
 
 
 def _inverse_series(t, p, n):
-    """The coefficients w_k, k < n, of (1 + sum t_k x^k)^(-1) for an integer
-    tail t, as a sparse {k: w_k} map: the recurrence w_m = -sum t_k w_(m-k),
+    """The coefficients w_k, k < n, of t^(-1) for the integer unit
+    t = {0: 1, k: t_k} of ``integer_model``, as a sparse {k: w_k} map: the
+    recurrence w_m = -sum_(k >= 1) t_k w_(m-k) (w_m itself is not yet in w),
     reduced mod p over F_p (p = 0 over Q, where it stays in Z)."""
     w = {0: 1}
     for m in range(1, n):
@@ -209,23 +209,6 @@ def _inverse_series(t, p, n):
         if acc:
             w[m] = acc
     return w
-
-
-def invert_unit_mod(coeffs, T, field=RATIONALS):
-    """Inverse of a unit 1 + c_1 x + c_2 x^2 + ... modulo x^T.
-
-    The input is a sparse exponent-to-coefficient map with constant term 1
-    (support need not lie in any semigroup: units live in V).  Exact: the
-    tail is made integral (``integer_tail``), inverted by
-    ``_inverse_series``, and the w_k mapped back to field scalars, w_k
-    itself over F_p and w_k / D^k over Q.
-    """
-    if coeffs.get(0) != field.one:
-        raise NotAUnit("series must have constant term 1")
-    tail = {e: v for e, v in coeffs.items() if 0 < e < T}
-    p, D = integer_scale(field, tail.values())
-    w = _inverse_series(integer_tail(tail, p, D), p, T)
-    return w if p else {k: Fraction(v, D**k) for k, v in w.items()}
 
 
 def integer_scale(field, values):
@@ -369,8 +352,12 @@ class CanonicalIdeal:
         return RingElement(self.semigroup, coeffs, self.field)
 
     def unit_inverse(self, upto: int):
-        """Coefficients of (1 + sum u_i x^i)^(-1) modulo x^upto."""
-        return invert_unit_mod({0: self.field.one, **self.unit_coeffs}, upto, self.field)
+        """Coefficients of (1 + sum u_i x^i)^(-1) modulo x^upto, as a sparse
+        {k: w_k} map: the model's series (``_inverse_series``), w_k itself
+        over F_p and w_k / D^k over Q."""
+        _, t, p, D = integer_model(self)[:4]
+        w = _inverse_series(t, p, upto)
+        return w if p else {k: Fraction(v, D**k) for k, v in w.items()}
 
     def contains(self, w: RingElement) -> bool:
         """Exact membership test w in qR.
@@ -409,8 +396,8 @@ class CanonicalIdeal:
         """The tail of the ideal's normal generator, as ascending
         ((i, u_i), ...) pairs in field scalars, cached (see ``normal_tail``)."""
         if self._normal is None:
-            p, D = integer_scale(self.field, self.unit_coeffs.values())
-            tail = normal_tail(self.semigroup, integer_tail(self.unit_coeffs, p, D), p)
+            _, t, p, D = integer_model(self)[:4]
+            tail = normal_tail(self.semigroup, {i: v for i, v in t.items() if i}, p)
             self._normal = tail if p else tuple((i, Fraction(t, D**i)) for i, t in tail)
         return self._normal
 

@@ -217,21 +217,6 @@ class NumericalSemigroup:
         orders = self._order_table(max(hi, 0))
         return tuple(e for e in range(g * self._a1, hi + 1) if orders[e] == g)
 
-    def power_contained_in_shift(self, t: int, alpha: int) -> bool:
-        """Decide m^t <= x^alpha R as R-modules, for 1 <= alpha <= a_1.
-
-        Holds iff s - alpha is in G for every sum s of t generators;
-        sums with s - alpha > f pass automatically.
-        """
-        if t < 1:
-            raise ValueError(f"need t >= 1, got {quote_int(t)}")
-        if not (1 <= alpha <= self.multiplicity):
-            raise ValueError(f"need 1 <= alpha <= {self.multiplicity}, got {quote_int(alpha)}")
-        return all(
-            self.contains(s - alpha)
-            for s in self.generator_sums(t, self.frobenius + alpha)
-        )
-
     def escape_order(self, delta: int) -> int:
         """Largest m-adic order among x^e with e in G, e <= f + delta, and
         e - delta outside G.
@@ -242,6 +227,10 @@ class NumericalSemigroup:
         summand s by s + a_1), so the value is the largest order at a top
         in G.  Tops go by descending Ap[u] while top // a_1, a bound on the
         order, can beat the best.
+
+        m^t lies in x^delta R exactly when the value is below t: an x^e of
+        order >= t with e - delta outside G is a witness, and none has
+        e > f + delta.
         """
         if delta < 1:
             raise ValueError(f"need delta >= 1, got {quote_int(delta)}")
@@ -264,8 +253,12 @@ class NumericalSemigroup:
     # -- stable Goto number characterizations -------------------------------
 
     def stable_goto_via_t(self) -> int:
-        """Largest t with m^t escaping x^alpha R for every alpha in [1, a_1]:
-        ``power_contained_in_shift`` with one level of sums per t."""
+        """Largest t with m^t escaping x^alpha R for every alpha in [1, a_1].
+
+        m^t lies in x^alpha R exactly when s - alpha is in G for every sum
+        s of t generators; sums with s - alpha > f pass automatically, so
+        the sums are kept up to f + a_1, one level per t.
+        """
         if self.is_regular:
             return 0
         a1, gens, cap = self.multiplicity, self.generators, self.frobenius + self.multiplicity

@@ -19,7 +19,9 @@ wide enough for m^i, the span of m^i + Q over the field, and a reduction
 of each basis vector of J.  Colons over F_2 and F_3 also come from the
 definition alone: every element of R/x^T and an explicit set of the
 elements of Q mod x^T.  The search envelope check is no oracle: it holds
-search records against the library's stable value and global bound.
+search records against the library's stable value and global bound.  Nor
+is the product check: it reads the library's Goto numbers of two ideals
+and of their product.
 """
 
 from fractions import Fraction
@@ -28,9 +30,10 @@ from itertools import combinations_with_replacement, product
 from math import gcd, isqrt
 
 from gotonum.bounds import bound_global, stable_goto
-from gotonum.colon import TruncatedSubspace
+from gotonum.colon import TruncatedSubspace, goto_number
 from gotonum.errors import BoundViolation, ClosedIdeal, NotAUnit, NotGorenstein, NotInConductor
 from gotonum.fields import RATIONALS
+from gotonum.ring import canonicalize
 
 
 def representable(n, gens):
@@ -596,3 +599,11 @@ def check_search_envelope(S, records):
                 f"record (b={rec.b}, g={rec.goto}) escapes [{lo}, {hi}]"
             )
     return lo, hi
+
+
+def product_goto_numbers(Q1, Q2):
+    """(g(Q1), g(Q2), g(Q1 Q2)), for the product inequality
+    g(Q1 Q2) <= min(g(Q1), g(Q2)).  ``canonicalize`` drops the product's
+    coefficients above b1 + b2 + f, which never change the product ideal."""
+    product_ideal = canonicalize(Q1.generator() * Q2.generator())
+    return goto_number(Q1), goto_number(Q2), goto_number(product_ideal)

@@ -584,6 +584,8 @@ class TestDefinitionOracle:
                             V = colon_power(Q, g)
                             vectors = [tuple(vec.get(e, 0) for e in members) for vec in V.basis]
                             where = (gens, b, tail, p, g)
+                            # the projection onto members hides gap support
+                            assert all(S.contains(e) for vec in V.basis for e in vec), where
                             assert all(v in colon for v in vectors), where
                             assert len(colon) == p**V.dimension, where
                         below = [e for e in members if e < b]
@@ -702,6 +704,33 @@ class TestDuality:
         S = semigroup(1)
         with pytest.raises(ClosedIdeal):
             dual_goto(CanonicalIdeal(S, 3))
+
+    def test_one_elimination_per_call(self, monkeypatch):
+        # the gap equations of Q : closure are eliminated once: their rows
+        # give both the closed check (a row led by column 0) and the value
+        import gotonum.colon as colon
+
+        calls = []
+        original = colon._gap_echelon
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(colon, "_gap_echelon", spy)
+        for Q, want in [
+            (ideal((3, 5), "x^5"), 3),
+            (ideal((5, 11), "x^40"), 4),
+            (ideal((5, 11), "x^40+x^44"), 5),
+            (CanonicalIdeal(semigroup(5, 11), 40, {4: 1}, PrimeField(3)), 5),
+        ]:
+            calls.clear()
+            assert dual_goto(Q) == want, Q
+            assert len(calls) == 1, Q
+        calls.clear()
+        with pytest.raises(ClosedIdeal):
+            dual_goto(CanonicalIdeal(semigroup(1), 3))
+        assert len(calls) == 1
 
     def test_closed_detector(self):
         assert not is_integrally_closed(ideal((3, 5), "x^5"))

@@ -14,7 +14,6 @@ from gotonum.explorer import (
     monomial_table,
     search,
     search_records,
-    verify_product_inequality,
 )
 from gotonum.fields import RATIONALS, PrimeField
 from gotonum.ring import CanonicalIdeal, canonicalize, parse_element
@@ -257,20 +256,17 @@ class TestSearch:
 
 class TestProductInequality:
     def test_strict_case_from_3_5(self):
-        report = verify_product_inequality(
-            [(ideal((3, 5), "x^5"), ideal((3, 5), "x^5"))]
-        )
-        assert report.all_ok
-        check = report.checks[0]
-        assert (check.g1, check.g2, check.g_product) == (3, 3, 2)
-        assert check.strict
+        Q = ideal((3, 5), "x^5")
+        g1, g2, g12 = oracles.product_goto_numbers(Q, Q)
+        assert (g1, g2, g12) == (3, 3, 2)
+        assert g12 < min(g1, g2)
 
     def test_smallest_case(self):
         S = semigroup(2, 3)
         Q = CanonicalIdeal(S, 2)
-        report = verify_product_inequality([(Q, Q)])
-        assert report.all_ok
-        assert report.checks[0].g_product == 1
+        g1, g2, g12 = oracles.product_goto_numbers(Q, Q)
+        assert g12 <= min(g1, g2)
+        assert g12 == 1
 
     def test_mixed_pairs(self):
         S = semigroup(4, 7, 9)
@@ -278,8 +274,9 @@ class TestProductInequality:
             (ideal((4, 7, 9), "x^7+x^8+x^9"), CanonicalIdeal(S, 4)),
             (ideal((4, 7, 9), "x^7+x^8"), ideal((4, 7, 9), "x^9+x^11")),
         ]
-        report = verify_product_inequality(pairs)
-        assert report.all_ok
+        for Q1, Q2 in pairs:
+            g1, g2, g12 = oracles.product_goto_numbers(Q1, Q2)
+            assert g12 <= min(g1, g2), (Q1, Q2)
 
 
 class TestMonomialLowerBound:

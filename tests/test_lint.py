@@ -140,3 +140,19 @@ def test_no_interpreter_wide_settings():
             ):
                 found.append(f"{path.name}:{node.lineno}: sys.{node.attr}")
     assert found == []
+
+
+def test_public_api_matches_exports():
+    # every name in __all__ resolves on the package, and every public name
+    # that __init__.py imports is listed in __all__: a removal that leaves
+    # a stale export, or an import that skips __all__, fails here
+    missing = [name for name in gotonum.__all__ if not hasattr(gotonum, name)]
+    tree = ast.parse((SOURCE / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    unlisted = sorted(n for n in imported if not n.startswith("_") and n not in gotonum.__all__)
+    assert (missing, unlisted) == ([], [])

@@ -9,7 +9,6 @@ from gotonum.colon import goto_number
 from gotonum.errors import (
     MixedField,
     MixedSemigroup,
-    NotAUnit,
     NotInSemigroup,
     NotParameter,
     ParseError,
@@ -20,7 +19,6 @@ from gotonum.ring import (
     CanonicalIdeal,
     RingElement,
     canonicalize,
-    invert_unit_mod,
     parse_element,
 )
 
@@ -124,29 +122,28 @@ class TestParser:
             assert parse_element(str(e), semigroup(*gens)) == e
 
 
+def unit_ideal(tail, field=RATIONALS):
+    # b = 18 > f = 17 on <4,7>: every tail position in [1, 17] is admissible
+    return CanonicalIdeal(semigroup(4, 7), 18, tail, field)
+
+
 class TestInvertUnit:
     def test_identity(self):
-        assert invert_unit_mod({0: Fraction(1)}, 10) == {0: Fraction(1)}
+        assert unit_ideal({}).unit_inverse(10) == {0: Fraction(1)}
 
     def test_geometric_series(self):
-        got = invert_unit_mod({0: Fraction(1), 4: Fraction(1)}, 9)
+        got = unit_ideal({4: Fraction(1)}).unit_inverse(9)
         assert got == {0: Fraction(1), 4: Fraction(-1), 8: Fraction(1)}
 
     def test_dense_unit(self):
         # derived by multiplying back: (1+x+x^2)(1-x+x^3-x^4) = 1 - x^6
-        got = invert_unit_mod({0: Fraction(1), 1: Fraction(1), 2: Fraction(1)}, 5)
+        got = unit_ideal({1: Fraction(1), 2: Fraction(1)}).unit_inverse(5)
         assert got == {
             0: Fraction(1),
             1: Fraction(-1),
             3: Fraction(1),
             4: Fraction(-1),
         }
-
-    def test_rejects_non_unit(self):
-        with pytest.raises(NotAUnit):
-            invert_unit_mod({0: Fraction(2)}, 5)
-        with pytest.raises(NotAUnit):
-            invert_unit_mod({1: Fraction(1)}, 5)
 
     @given(
         tail=st.dictionaries(
@@ -158,7 +155,7 @@ class TestInvertUnit:
     def test_product_with_inverse_is_one(self, tail, T):
         unit = {0: Fraction(1)}
         unit.update({e: Fraction(v) for e, v in tail.items() if v})
-        inv = invert_unit_mod(unit, T)
+        inv = unit_ideal(tail).unit_inverse(T)
         prod = {}
         for e1, v1 in unit.items():
             for e2, v2 in inv.items():
@@ -169,7 +166,7 @@ class TestInvertUnit:
 
     def test_prime_field(self):
         fp = PrimeField(7)
-        got = invert_unit_mod({0: 1, 1: 3}, 4, fp)
+        got = unit_ideal({1: 3}, fp).unit_inverse(4)
         # (1 + 3x)(1 + 4x + 2x^2 + ...) = 1 mod 7, x^4
         prod = {}
         for e1, v1 in {0: 1, 1: 3}.items():
@@ -180,31 +177,33 @@ class TestInvertUnit:
 
 
     def test_matches_field_generic_recurrence(self):
-        # the integer recurrence against the oracle's copy of the recurrence
-        # through the field descriptor, for every T up to 30: over Q with
-        # tail denominators 2, 7 and 12 (and all three at once), over F_p
-        # with reduced, unreduced and negative tail values.  At T = 0 the
-        # inverse stays {0: 1}.
+        # the model's integer recurrence against the oracle's copy of the
+        # recurrence through the field descriptor, for every T up to 30:
+        # over Q with tail denominators 2, 7 and 12 (and all three at once),
+        # over F_p with reduced, unreduced and negative tail values.  At
+        # T = 0 the inverse stays {0: 1}.
         rng = random.Random(20261018)
-        cases = [({0: Fraction(1)}, RATIONALS)]
+        cases = [({}, RATIONALS)]
         for dens in ([2], [7], [12], [2, 7, 12]):
             for _ in range(4):
                 tail = {
                     e: Fraction(rng.choice([1, -1, 5, -7, 11]), rng.choice(dens))
                     for e in rng.sample(range(1, 13), rng.randint(1, 4))
                 }
-                cases.append(({0: Fraction(1), **tail}, RATIONALS))
+                cases.append((tail, RATIONALS))
         for p in (2, 5, 101):
             for _ in range(4):
                 tail = {
                     e: rng.choice([rng.randrange(1, p), p + 1, -1])
                     for e in rng.sample(range(1, 13), rng.randint(1, 4))
                 }
-                cases.append(({0: 1, **tail}, PrimeField(p)))
-        for unit, fld in cases:
-            assert invert_unit_mod(unit, 0, fld) == {0: fld.one}
+                cases.append((tail, PrimeField(p)))
+        for tail, fld in cases:
+            Q = unit_ideal(tail, fld)
+            unit = {0: fld.one, **tail}
+            assert Q.unit_inverse(0) == {0: fld.one}
             for T in range(31):
-                got = invert_unit_mod(unit, T, fld)
+                got = Q.unit_inverse(T)
                 assert got == oracles.invert_unit_generic(unit, T, fld), (unit, fld, T)
 
 

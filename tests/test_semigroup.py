@@ -263,26 +263,29 @@ class TestEscapeOrder:
 
 
 class TestPowerContainedInShift:
+    # m^t lies in x^alpha R exactly when escape_order(alpha) < t
     def test_small_negative_case(self):
         # 3 - 1 = 2 is a gap of <3,5>
-        assert not semigroup(3, 5).power_contained_in_shift(1, 1)
+        assert not oracles.power_in_shift_brute([3, 5], 1, 1)
+        assert not semigroup(3, 5).escape_order(1) < 1
 
     def test_positive_case_7920(self):
         assert oracles.power_in_shift_brute([7, 9, 20], 4, 7)
-        assert semigroup(7, 9, 20).power_contained_in_shift(4, 7)
+        assert semigroup(7, 9, 20).escape_order(7) < 4
 
     def test_two_generated_escape(self):
         # m^8 escapes every shift in <9,19>
         S = semigroup(9, 19)
         for alpha in range(1, 10):
-            assert not S.power_contained_in_shift(8, alpha)
+            assert not oracles.power_in_shift_brute([9, 19], 8, alpha)
+            assert not S.escape_order(alpha) < 8
 
     @pytest.mark.parametrize("gens", [(3, 5), (4, 6, 7), (7, 9, 20)])
     def test_matches_brute_force(self, gens):
         S = semigroup(*gens)
         for t in range(1, 6):
             for alpha in range(1, S.multiplicity + 1):
-                assert S.power_contained_in_shift(t, alpha) == (
+                assert (S.escape_order(alpha) < t) == (
                     oracles.power_in_shift_brute(list(gens), t, alpha)
                 )
 
