@@ -44,7 +44,6 @@ from .golden import run_golden_checks
 from .regular import (
     MonomialIdeal,
     pure_power_goto,
-    pure_power_integral,
     pure_power_report,
 )
 from .ring import (
@@ -89,7 +88,6 @@ __all__ = [
     "monomial_table",
     "parse_element",
     "pure_power_goto",
-    "pure_power_integral",
     "pure_power_report",
     "rho",
     "run_golden_checks",

@@ -33,10 +33,6 @@ class MixedField(GotoNumberError):
     """Operands live over different coefficient fields."""
 
 
-class NotAUnit(GotoNumberError):
-    """Series to invert does not have constant term 1."""
-
-
 class ZeroElement(GotoNumberError):
     """Operation undefined for the zero element."""
 

@@ -109,7 +109,7 @@ class Rationals:
         return "q"
 
     def of(self, value):
-        return Fraction(value)
+        return value if type(value) is Fraction else Fraction(value)
 
     def parse(self, text: str):
         return read_number(text, "rational coefficient", fraction=True)

@@ -26,7 +26,6 @@ from .explorer import SearchConfig, search, search_records
 from .regular import (
     MonomialIdeal,
     pure_power_goto,
-    pure_power_integral,
     pure_power_report,
 )
 from .ring import canonicalize, parse_element
@@ -344,32 +343,13 @@ def _catalogue():
         "pure powers (2,3,3): colon by m^3 equals (x1^2) + m^3",
         True,
         lambda: MonomialIdeal.pure_powers((2, 3, 3)).colon_power_maximal(3)
-        == _pure_power_plus_power((2, 3, 3), 3),
-    )
-    yield (
-        "pure powers (2,3,3): x2^2 not integral",
-        False,
-        lambda: pure_power_integral((2, 3, 3), (0, 2, 0)),
+        == MonomialIdeal(
+            3,
+            [(2, 0, 0), (1, 2, 0), (1, 1, 1), (1, 0, 2)]
+            + [(0, 3, 0), (0, 2, 1), (0, 1, 2), (0, 0, 3)],
+        ),
     )
     yield ("pure powers (3,3): Goto number", 2, lambda: pure_power_goto((3, 3)))
-
-
-def _pure_power_plus_power(exponents, n):
-    """The ideal (x_1^{e}) + m^n for comparison with colon chains."""
-    d = len(exponents)
-    gens = [tuple(exponents[0] if k == 0 else 0 for k in range(d))]
-    gens.extend(_degree_monomials(d, n))
-    return MonomialIdeal(d, gens)
-
-
-def _degree_monomials(d, n):
-    if d == 1:
-        return [(n,)]
-    out = []
-    for first in range(n + 1):
-        for rest in _degree_monomials(d - 1, n - first):
-            out.append((first,) + rest)
-    return out
 
 
 def run_golden_checks():

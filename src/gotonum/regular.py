@@ -150,11 +150,6 @@ class MonomialIdeal:
         ]
         return MonomialIdeal(d, gens or [(0,) * d])
 
-    def order(self) -> int:
-        """Largest power of m containing the ideal: the minimum total
-        degree of a minimal generator."""
-        return min(sum(g) for g in self.generators)
-
     def __eq__(self, other):
         return (
             isinstance(other, MonomialIdeal)
@@ -167,21 +162,6 @@ class MonomialIdeal:
 
     def __repr__(self):
         return f"MonomialIdeal({self.dimension}, {list(self.generators)})"
-
-
-def pure_power_integral(exponents, point) -> bool:
-    """Is x^point integral over (x_1^{n_1}, ..., x_d^{n_d})?
-
-    Exactly when sum p_i / n_i >= 1, the one facet of the Newton
-    polyhedron of a pure-power ideal."""
-    exponents = tuple(exponents)
-    point = tuple(point)
-    if len(point) != len(exponents):
-        raise ValueError("point and exponent vector lengths differ")
-    if any(n < 1 for n in exponents):
-        raise ValueError("pure-power exponents must be >= 1")
-    total = sum(Fraction(p, n) for p, n in zip(point, exponents))
-    return total >= 1
 
 
 def pure_power_goto(exponents) -> int:

@@ -1,8 +1,11 @@
-"""Exact arithmetic in a numerical semigroup ring.
+"""Elements and principal ideals of a numerical semigroup ring.
 
 The ring R is spanned by the monomials x^e with e in the semigroup G,
 inside a discrete valuation ring V with uniformizer x.  Elements are
-exact polynomials: sparse coefficient vectors over exponents in G.
+exact polynomials: sparse coefficient vectors over exponents in G, each
+coefficient reduced through the field descriptor (``field.of``).  They
+are parsed, canonicalized, compared and printed; the library never
+multiplies two of them.
 Every nonzero principal ideal has a canonical generator
 x^b * (1 + sum u_i x^i) with the tail supported on positions i in
 [1, f].  Each ideal Q = x^b u R has one working truncation, b + f + 1:
@@ -52,7 +55,7 @@ class RingElement:
     def __init__(self, semigroup, coeffs, field=RATIONALS):
         clean = {}
         for e in sorted(coeffs):
-            v = coeffs[e]
+            v = field.of(coeffs[e])
             if v == field.zero:
                 continue
             if not isinstance(e, int) or e < 0:
@@ -82,46 +85,6 @@ class RingElement:
         if not self.coeffs:
             raise ZeroElement("valuation of the zero element is undefined")
         return min(self.coeffs)
-
-    def support(self):
-        return tuple(sorted(self.coeffs))
-
-    def _check_compatible(self, other):
-        if self.semigroup != other.semigroup:
-            raise MixedSemigroup(
-                f"elements over {self.semigroup.generators} and "
-                f"{other.semigroup.generators}"
-            )
-        if self.field != other.field:
-            raise MixedField(
-                f"elements over {self.field.label} and {other.field.label}"
-            )
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        fld = self.field
-        out = dict(self.coeffs)
-        for e, v in other.coeffs.items():
-            out[e] = fld.add(out.get(e, fld.zero), v)
-        return RingElement(self.semigroup, out, fld)
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        fld = self.field
-        out = dict(self.coeffs)
-        for e, v in other.coeffs.items():
-            out[e] = fld.sub(out.get(e, fld.zero), v)
-        return RingElement(self.semigroup, out, fld)
-
-    def __mul__(self, other):
-        self._check_compatible(other)
-        fld = self.field
-        out = {}
-        for e1, v1 in self.coeffs.items():
-            for e2, v2 in other.coeffs.items():
-                e = e1 + e2
-                out[e] = fld.add(out.get(e, fld.zero), fld.mul(v1, v2))
-        return RingElement(self.semigroup, out, fld)
 
     def __eq__(self, other):
         return (
@@ -320,7 +283,7 @@ class CanonicalIdeal:
         f = semigroup.frobenius
         clean = {}
         for i in sorted(unit_coeffs or {}):
-            v = unit_coeffs[i]
+            v = field.of(unit_coeffs[i])
             if v == field.zero:
                 continue
             if not (1 <= i <= f):

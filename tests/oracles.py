@@ -10,10 +10,13 @@ the literal membership system, one row per (multiplier, checked
 exponent) pair, eliminated over Fraction or mod p;
 primes from trial division.  Pure-power Goto numbers in a regular local
 ring come from the staircase of Q : m^g, one dilation step per g.
-Unit inverses come from the formal-inverse recurrence run through the
-field descriptor.  Colon subspaces, ideal images and spans come from a
-field-generic elimination (every operation through the field descriptor)
-on rows built from that inverse.  Duality values come from the
+Integrality over a pure-power ideal is the one facet of its Newton
+polyhedron, and the order of a monomial ideal is the least degree of a
+generator.  Unit inverses come from the formal-inverse recurrence run
+through the field descriptor, and sums and products of ring elements
+from term-by-term arithmetic through it.  Colon subspaces, ideal images
+and spans come from a field-generic elimination (every operation through
+the field descriptor) on rows built from that inverse.  Duality values come from the
 per-i span route: for every i the colon J = Q : closure at a truncation
 wide enough for m^i, the span of m^i + Q over the field, and a reduction
 of each basis vector of J.  Colons over F_2 and F_3 also come from the
@@ -21,7 +24,7 @@ definition alone: every element of R/x^T and an explicit set of the
 elements of Q mod x^T.  The search envelope check is no oracle: it holds
 search records against the library's stable value and global bound.  Nor
 is the product check: it reads the library's Goto numbers of two ideals
-and of their product.
+and of their product, which it multiplies out itself.
 """
 
 from fractions import Fraction
@@ -31,9 +34,9 @@ from math import gcd, isqrt
 
 from gotonum.bounds import bound_global, stable_goto
 from gotonum.colon import TruncatedSubspace, goto_number
-from gotonum.errors import BoundViolation, ClosedIdeal, NotAUnit, NotGorenstein, NotInConductor
+from gotonum.errors import BoundViolation, ClosedIdeal, NotGorenstein, NotInConductor
 from gotonum.fields import RATIONALS
-from gotonum.ring import canonicalize
+from gotonum.ring import RingElement, canonicalize
 
 
 def representable(n, gens):
@@ -248,6 +251,20 @@ def pure_power_goto_staircase(exponents):
     raise AssertionError("colon chain never left the integral closure")
 
 
+def pure_power_integral(exponents, point):
+    """Is x^point integral over (x_1^{n_1}, ..., x_d^{n_d})?  Exactly when
+    sum p_i / n_i >= 1, the one facet of the ideal's Newton polyhedron."""
+    if len(point) != len(exponents) or min(exponents) < 1:
+        raise ValueError(f"point {point} against pure powers {exponents}")
+    return sum(Fraction(p, n) for p, n in zip(point, exponents)) >= 1
+
+
+def monomial_order(ideal):
+    """The largest n with the monomial ideal inside m^n: the least total
+    degree of a minimal generator."""
+    return min(sum(g) for g in ideal.generators)
+
+
 def is_prime_trial(n):
     """Primality by trial division up to the square root."""
     return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
@@ -330,7 +347,7 @@ def invert_unit_generic(coeffs, T, field=RATIONALS):
     recurrence for the formal inverse with every operation through the
     field descriptor."""
     if coeffs.get(0) != field.one:
-        raise NotAUnit("series must have constant term 1")
+        raise ValueError("series must have constant term 1")
     tail = {e: v for e, v in coeffs.items() if 0 < e < T}
     inv = {0: field.one}
     if not tail:
@@ -345,6 +362,27 @@ def invert_unit_generic(coeffs, T, field=RATIONALS):
         if acc != field.zero:
             inv[n] = field.neg(acc)
     return inv
+
+
+def element_sum(a, b):
+    """a + b for two elements over one semigroup and field, coefficient by
+    coefficient through the field descriptor."""
+    fld = a.field
+    out = dict(a.coeffs)
+    for e, v in b.coeffs.items():
+        out[e] = fld.add(out.get(e, fld.zero), v)
+    return RingElement(a.semigroup, out, fld)
+
+
+def element_product(a, b):
+    """a * b for two elements over one semigroup and field, one term
+    product per pair of terms, through the field descriptor."""
+    fld = a.field
+    out = {}
+    for e1, v1 in a.coeffs.items():
+        for e2, v2 in b.coeffs.items():
+            out[e1 + e2] = fld.add(out.get(e1 + e2, fld.zero), fld.mul(v1, v2))
+    return RingElement(a.semigroup, out, fld)
 
 
 def _forward_eliminate(rows, field, lead):
@@ -603,7 +641,8 @@ def check_search_envelope(S, records):
 
 def product_goto_numbers(Q1, Q2):
     """(g(Q1), g(Q2), g(Q1 Q2)), for the product inequality
-    g(Q1 Q2) <= min(g(Q1), g(Q2)).  ``canonicalize`` drops the product's
-    coefficients above b1 + b2 + f, which never change the product ideal."""
-    product_ideal = canonicalize(Q1.generator() * Q2.generator())
+    g(Q1 Q2) <= min(g(Q1), g(Q2)).  The generators are multiplied by
+    ``element_product``; ``canonicalize`` drops the product's coefficients
+    above b1 + b2 + f, which never change the product ideal."""
+    product_ideal = canonicalize(element_product(Q1.generator(), Q2.generator()))
     return goto_number(Q1), goto_number(Q2), goto_number(product_ideal)

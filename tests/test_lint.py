@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import gotonum
+from test_trace_entry_points import _load_spans
 
 SOURCE = Path(gotonum.__file__).parent
 
@@ -156,3 +157,40 @@ def test_public_api_matches_exports():
     }
     unlisted = sorted(n for n in imported if not n.startswith("_") and n not in gotonum.__all__)
     assert (missing, unlisted) == ([], [])
+
+
+def test_every_definition_is_reached():
+    # every function, method and class in src/ is named somewhere in src/,
+    # as a Name or an Attribute, or is pinned by the benchmark's tracer
+    # (perfbench/spans.py, loaded read-only): a definition that nothing
+    # reaches belongs in tests/oracles.py or nowhere
+    spans = _load_spans()
+    pinned = {(layer, entry) for layer, entries in spans.ENTRY_POINTS.items() for entry in entries}
+    pinned |= {
+        ("fields", f"{cls}.{op}") for cls in ("Rationals", "PrimeField") for op in spans.FIELD_OPS
+    }
+
+    used, defined = set(), []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+        scopes = [(tree, "")]
+        while scopes:
+            scope, prefix = scopes.pop()
+            for node in ast.iter_child_nodes(scope):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    qualname = prefix + node.name
+                    defined.append((path.stem, qualname, node.name, node.lineno))
+                    scopes.append((node, qualname + "."))
+    found = [
+        f"{module}.py:{lineno}: {qualname}"
+        for module, qualname, name, lineno in defined
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in used
+        and (module, qualname) not in pinned
+    ]
+    assert found == []
