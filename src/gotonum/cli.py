@@ -42,12 +42,8 @@ def _emit(payload, fmt, out):
             out.write(f"{key}: {value}\n")
 
 
-def _semigroup(args) -> NumericalSemigroup:
-    return NumericalSemigroup(args.generators)
-
-
 def _cmd_info(args, out):
-    S = _semigroup(args)
+    S = NumericalSemigroup(args.generators)
     payload = {
         "schema": 1,
         "generators": list(S.generators),
@@ -64,7 +60,7 @@ def _cmd_info(args, out):
 
 
 def _cmd_goto(args, out):
-    S = _semigroup(args)
+    S = NumericalSemigroup(args.generators)
     field = field_from_label(args.field)
     if args.monomial is not None:
         Q = CanonicalIdeal(S, args.monomial, field=field)
@@ -83,7 +79,7 @@ def _cmd_goto(args, out):
 
 
 def _cmd_table(args, out):
-    S = _semigroup(args)
+    S = NumericalSemigroup(args.generators)
     table = monomial_table(S, args.max)
     if args.format == "tsv":
         out.write("e\tgoto\n")
@@ -100,7 +96,7 @@ def _cmd_table(args, out):
 
 
 def _cmd_search(args, out):
-    S = _semigroup(args)
+    S = NumericalSemigroup(args.generators)
     field = field_from_label(args.field)
     coefficients = tuple(field.parse(c) for c in args.coeffs.replace(" ", "").split(","))
     config = SearchConfig(
@@ -122,7 +118,7 @@ def _cmd_search(args, out):
 
 
 def _cmd_bounds(args, out):
-    S = _semigroup(args)
+    S = NumericalSemigroup(args.generators)
     _emit(bounds.build_report(S), args.format, out)
     return 0
 
@@ -131,19 +127,7 @@ def _cmd_rlr(args, out):
     exponents = tuple(
         read_number(part, "--pure-power exponent") for part in args.pure_power.split(",")
     )
-    report = pure_power_report(exponents)
-    payload = {
-        "schema": 1,
-        "exponents": list(report["exponents"]),
-        "goto_number": report["goto_number"],
-        "orders": {
-            "ideal": report["orders"][0],
-            "colon_m": report["orders"][1],
-            "colon_m_goto": report["orders"][2],
-        },
-        "ratios": [str(r) for r in report["ratios"]],
-    }
-    _emit(payload, args.format, out)
+    _emit(pure_power_report(exponents), args.format, out)
     return 0
 
 

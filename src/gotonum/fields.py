@@ -143,9 +143,9 @@ class PrimeField:
 
     def __post_init__(self):
         if self.p >= 2**31:
-            raise ValueError(f"prime {self.p} too large (must be < 2^31)")
+            raise ValueError(f"prime {quote_int(self.p)} too large (must be < 2^31)")
         if not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+            raise ValueError(f"{quote_int(self.p)} is not prime")
 
     @property
     def label(self) -> str:

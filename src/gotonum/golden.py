@@ -337,7 +337,7 @@ def _catalogue():
     yield (
         "pure powers (2,5,5): ratios",
         (Fraction(5, 2), Fraction(5, 2), Fraction(5, 2)),
-        lambda: pure_power_report((2, 5, 5))["ratios"],
+        lambda: tuple(map(Fraction, pure_power_report((2, 5, 5))["ratios"])),
     )
     yield (
         "pure powers (2,3,3): colon by m^3 equals (x1^2) + m^3",

@@ -12,19 +12,16 @@ largest sum is max n_i - 1:
 
     g(Q) = sum n_i - max n_i - (d - 1).
 
-``MonomialIdeal`` keeps the general colon routes: on minimal generators
-(decrement one variable at a time, intersect by pairwise componentwise
-maxima) and, for m-primary ideals, on the staircase of exponents outside
-the ideal, one dilation step per power, reading the minimal generators
-off as the points above it whose downward neighbours all lie on it.  The
-tests check the closed forms against both.
+``MonomialIdeal`` keeps one general colon route, on minimal generators:
+I : x_i decrements one variable at a time, I : m intersects those by
+pairwise componentwise maxima, and I : m^g is I : m taken g times.  The
+tests check the closed forms against it and against a staircase oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import product
 
 from .errors import BoundViolation
 
@@ -70,12 +67,6 @@ class MonomialIdeal:
         ]
         return cls(d, gens)
 
-    def contains_exponent(self, point) -> bool:
-        point = tuple(point)
-        return any(
-            all(gi <= pi for gi, pi in zip(g, point)) for g in self.generators
-        )
-
     def colon_variable(self, i: int) -> "MonomialIdeal":
         """I : x_i, by decrementing the i-th exponent of each generator."""
         gens = [
@@ -103,52 +94,14 @@ class MonomialIdeal:
                 raise BoundViolation(f"colon of {self.generators} grew exponent {k}")
         return out
 
-    def _primary_box(self):
-        """Componentwise pure-power exponents (B_1, ..., B_d) when the
-        ideal contains a power of every variable, else None."""
-        box = []
-        for i in range(self.dimension):
-            pure = [g[i] for g in self.generators if sum(g) == g[i]]
-            if not pure:
-                return None
-            box.append(min(pure))
-        return tuple(box)
-
     def colon_power_maximal(self, g: int) -> "MonomialIdeal":
-        """I : m^g, iterating the colon g times.
-
-        For m-primary ideals the iteration runs on the staircase, the
-        exponents outside the ideal: p stays outside I : m^(k+1) exactly
-        when some step p + e_i stays outside I : m^k.  A minimal generator
-        is a point off the staircase whose downward neighbours all lie on
-        it: the origin when the staircase is empty, and otherwise one step
-        above a staircase point.
-        """
+        """I : m^g, the colon by m taken g times."""
         if g < 0:
             raise ValueError(f"need g >= 0, got {g}")
-        if g == 0:
-            return self
-        box = self._primary_box()
-        if box is None:
-            out = self
-            for _ in range(g):
-                out = out.colon_maximal()
-            return out
-        d = self.dimension
-        std = {p for p in product(*map(range, box)) if not self.contains_exponent(p)}
+        out = self
         for _ in range(g):
-            std = {
-                p
-                for p in std
-                if any(p[:i] + (p[i] + 1,) + p[i + 1:] in std for i in range(d))
-            }
-        above = {p[:i] + (p[i] + 1,) + p[i + 1:] for p in std for i in range(d)}
-        gens = [
-            q
-            for q in above - std
-            if all(q[:i] + (q[i] - 1,) + q[i + 1:] in std for i in range(d) if q[i])
-        ]
-        return MonomialIdeal(d, gens or [(0,) * d])
+            out = out.colon_maximal()
+        return out
 
     def __eq__(self, other):
         return (
@@ -183,7 +136,9 @@ def pure_power_goto(exponents) -> int:
 
 
 def pure_power_report(exponents) -> dict:
-    """Goto number, the three ideal orders, and the ratios, all exact.
+    """The payload ``rlr`` prints: the Goto number, the three ideal orders
+    and the ratios g(Q) / order as exact fraction strings ("0" when
+    g(Q) = 0).
 
     Q : m^k = Q + m^(T - k + 1) with T = sum(n_i - 1), so its order is
     min(min n_i, T - k + 1); at k = g(Q) that is min n_i."""
@@ -191,19 +146,15 @@ def pure_power_report(exponents) -> dict:
     g = pure_power_goto(exponents)
     top = sum(exponents) - len(exponents)
     ord_q = min(exponents)
-    ord_colon = min(ord_q, top)
-    ord_colon_g = min(ord_q, top - g + 1)
-    if g == 0:
-        ratios = (Fraction(0), Fraction(0), Fraction(0))
-    else:
-        ratios = (
-            Fraction(g, ord_q),
-            Fraction(g, ord_colon),
-            Fraction(g, ord_colon_g),
-        )
+    orders = {
+        "ideal": ord_q,
+        "colon_m": min(ord_q, top),
+        "colon_m_goto": min(ord_q, top - g + 1),
+    }
     return {
-        "exponents": exponents,
+        "schema": 1,
+        "exponents": list(exponents),
         "goto_number": g,
-        "orders": (ord_q, ord_colon, ord_colon_g),
-        "ratios": ratios,
+        "orders": orders,
+        "ratios": [str(Fraction(g, o)) if g else "0" for o in orders.values()],
     }

@@ -21,10 +21,11 @@ equal exactly when their normal forms are.
 Each ideal Q = x^b u R carries one integer model (``integer_model``): the
 integer unit t = {0: 1, i: t_i}, u itself mod p over F_p and, over Q,
 u(Dx) with t_i = D^i u_i, D the lcm of the tail denominators, so that no
-Fraction is needed.  The normal form and ``unit_inverse`` read it too;
-only ``unit_inverse`` inverts u.  Membership divides by u in one ascending
-sweep: r is in Q exactly when h = r * u^(-1), read up to b + f, vanishes
-below b and at every b + k with k a gap (r * x^(-b) u^(-1) must lie in R).
+Fraction is needed.  The normal form and ``unit_inverse`` read it too.
+One ascending sweep divides by the unit (``_quotient``): ``unit_inverse``
+runs it on 1, and membership on r, which is in Q exactly when
+h = r * u^(-1), read up to b + f, vanishes below b and at every b + k
+with k a gap (r * x^(-b) u^(-1) must lie in R).
 The colon engine of ``gotonum.colon`` solves its colons in the same
 h = r * u^(-1), through one equation per gap: r = h u lies in R exactly
 when (h u)_k = 0 at every gap k, and v(r) = v(h) because u(0) = 1.
@@ -69,14 +70,6 @@ class RingElement:
         self.semigroup = semigroup
         self.field = field
         self.coeffs = clean
-
-    @classmethod
-    def monomial(cls, semigroup, e, field=RATIONALS):
-        return cls(semigroup, {e: field.one}, field)
-
-    @classmethod
-    def zero(cls, semigroup, field=RATIONALS):
-        return cls(semigroup, {}, field)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -159,19 +152,20 @@ def parse_element(text, semigroup, field=RATIONALS):
     return RingElement(semigroup, coeffs, field)
 
 
-def _inverse_series(t, p, n):
-    """The coefficients w_k, k < n, of t^(-1) for the integer unit
-    t = {0: 1, k: t_k} of ``integer_model``, as a sparse {k: w_k} map: the
-    recurrence w_m = -sum_(k >= 1) t_k w_(m-k) (w_m itself is not yet in w),
-    reduced mod p over F_p (p = 0 over Q, where it stays in Z)."""
-    w = {0: 1}
-    for m in range(1, n):
-        acc = -sum(v * w[m - k] for k, v in t.items() if m - k in w)
+def _quotient(r, t, p, hi):
+    """The nonzero coefficients h_k, k <= hi, of h = r / t, as ascending
+    (k, h_k) pairs, for an integer row r and the integer unit
+    t = {0: 1, i: t_i} of ``integer_model``: one sweep of the recurrence
+    h_k = r_k - sum_(i >= 1) t_i h_(k-i), reduced mod p over F_p (p = 0
+    over Q, where it stays in Z).  A caller may stop at any k."""
+    h = {}
+    for k in range(min(r, default=hi + 1), hi + 1):
+        acc = r.get(k, 0) - sum(v * h[k - i] for i, v in t.items() if i and k - i in h)
         if p:
             acc %= p
         if acc:
-            w[m] = acc
-    return w
+            h[k] = acc
+            yield k, acc
 
 
 def integer_scale(field, values):
@@ -316,20 +310,20 @@ class CanonicalIdeal:
 
     def unit_inverse(self, upto: int):
         """Coefficients of (1 + sum u_i x^i)^(-1) modulo x^upto, as a sparse
-        {k: w_k} map: the model's series (``_inverse_series``), w_k itself
-        over F_p and w_k / D^k over Q."""
+        {k: w_k} map: 1 / t on the model (``_quotient``), w_k itself over
+        F_p and w_k / D^k over Q; w_0 = 1 even when upto is 0."""
         _, t, p, D = integer_model(self)[:4]
-        w = _inverse_series(t, p, upto)
+        w = dict(_quotient({0: 1}, t, p, max(upto - 1, 0)))
         return w if p else {k: Fraction(v, D**k) for k, v in w.items()}
 
     def contains(self, w: RingElement) -> bool:
         """Exact membership test w in qR.
 
         w is in qR iff h = w * u^(-1) lies in x^b R, i.e. iff h_k = 0 for
-        every k <= b + f with k < b or k - b a gap.  One ascending sweep,
-        h_k = w_k - sum t_i h_(k - i) on the model, stops at the first h_k
-        that breaks it.  Exponents above b + f lie in x^b times the
-        conductor, hence in qR, and are never read.
+        every k <= b + f with k < b or k - b a gap.  The ascending sweep of
+        ``_quotient`` on the model stops at the first h_k that breaks it.
+        Exponents above b + f lie in x^b times the conductor, hence in qR,
+        and are never read.
         """
         if w.semigroup != self.semigroup:
             raise MixedSemigroup("element and ideal over different semigroups")
@@ -338,16 +332,7 @@ class CanonicalIdeal:
         hi, t, p, D = integer_model(self)[:4]
         coeffs = integer_row({k: v for k, v in w.coeffs.items() if k <= hi}, p, D)
         S, b = self.semigroup, self.b
-        h = {}
-        for k in range(min(coeffs, default=hi + 1), hi + 1):
-            acc = coeffs.get(k, 0) - sum(v * h[k - i] for i, v in t.items() if i and k - i in h)
-            if p:
-                acc %= p
-            if acc:
-                if k < b or not S.contains(k - b):
-                    return False
-                h[k] = acc
-        return True
+        return all(k >= b and S.contains(k - b) for k, _ in _quotient(coeffs, t, p, hi))
 
     def closure_contains(self, r: RingElement) -> bool:
         """Integral closure of qR is spanned by x^e with e in G, e >= b."""

@@ -8,8 +8,9 @@ exponent, monomial colon ideals by direct containment scans, and Goto
 numbers read off those colons.  Colons of non-monomial ideals come from
 the literal membership system, one row per (multiplier, checked
 exponent) pair, eliminated over Fraction or mod p;
-primes from trial division.  Pure-power Goto numbers in a regular local
-ring come from the staircase of Q : m^g, one dilation step per g.
+primes from trial division.  Colons Q : m^g of m-primary monomial ideals
+in a regular local ring, and pure-power Goto numbers, come from the
+staircase of Q : m^g, one dilation step per g.
 Integrality over a pure-power ideal is the one facet of its Newton
 polyhedron, and the order of a monomial ideal is the least degree of a
 generator.  Unit inverses come from the formal-inverse recurrence run
@@ -36,6 +37,7 @@ from gotonum.bounds import bound_global, stable_goto
 from gotonum.colon import TruncatedSubspace, goto_number
 from gotonum.errors import BoundViolation, ClosedIdeal, NotGorenstein, NotInConductor
 from gotonum.fields import RATIONALS
+from gotonum.regular import MonomialIdeal
 from gotonum.ring import RingElement, canonicalize
 
 
@@ -216,38 +218,58 @@ def power_in_shift_brute(gens, t, alpha):
     return all(contains(s - alpha) for s in exact_sums(gens, t, f + alpha))
 
 
+def _staircase_step(std, d):
+    """One dilation of a staircase: a point stays outside I : m^(k+1)
+    exactly when some step p + e_i stays outside I : m^k."""
+    return {p for p in std if any(p[:i] + (p[i] + 1,) + p[i + 1:] in std for i in range(d))}
+
+
+def _staircase_generators(std, d):
+    """Minimal generators of the ideal whose staircase is ``std``: the
+    points off the staircase whose downward neighbours all lie on it, that
+    is the origin when the staircase is empty, and otherwise points one
+    step above a staircase point."""
+    if not std:
+        return [(0,) * d]
+    above = {p[:i] + (p[i] + 1,) + p[i + 1:] for p in std for i in range(d)}
+    return [
+        q
+        for q in above - std
+        if all(q[:i] + (q[i] - 1,) + q[i + 1:] in std for i in range(d) if q[i])
+    ]
+
+
+def staircase_colon(Q, g):
+    """Q : m^g for an m-primary MonomialIdeal Q, on its staircase: the
+    exponents outside Q, inside the box of its pure powers, dilated g times."""
+    d = Q.dimension
+    box = [min(h[i] for h in Q.generators if sum(h) == h[i]) for i in range(d)]
+    std = {
+        p
+        for p in product(*map(range, box))
+        if not any(all(h_i <= p_i for h_i, p_i in zip(h, p)) for h in Q.generators)
+    }
+    for _ in range(g):
+        std = _staircase_step(std, d)
+    return MonomialIdeal(d, _staircase_generators(std, d))
+
+
 def pure_power_goto_staircase(exponents):
     """Goto number of (x_1^{n_1}, ..., x_d^{n_d}) by the staircase scan.
 
     The staircase of Q (the exponents of the monomials outside it) is the
-    whole box prod [0, n_i).  Dilate it one step per g (a point stays
-    outside Q : m^(g+1) when one variable step up stays outside Q : m^g),
-    read the minimal generators of Q : m^g off it, and stop at the first g
-    where a generator x^p fails the Newton-polyhedron test sum p_i/n_i >= 1.
-    A minimal generator is a point off the staircase whose downward
-    neighbours all lie on it: the origin when the staircase is empty, and
-    otherwise one step above a staircase point.
+    whole box prod [0, n_i).  Dilate it one step per g, read the minimal
+    generators of Q : m^g off it, and stop at the first g where a
+    generator x^p fails the Newton-polyhedron test sum p_i/n_i >= 1.
     """
     exponents = tuple(exponents)
     d = len(exponents)
     std = set(product(*map(range, exponents)))
     for g in range(sum(exponents) + 3):
-        if std:
-            above = {s[:i] + (s[i] + 1,) + s[i + 1:] for s in std for i in range(d)}
-            generators = [
-                q
-                for q in above - std
-                if all(q[:i] + (q[i] - 1,) + q[i + 1:] in std for i in range(d) if q[i])
-            ]
-        else:
-            generators = [(0,) * d]
+        generators = _staircase_generators(std, d)
         if any(sum(Fraction(q_i, n_i) for q_i, n_i in zip(q, exponents)) < 1 for q in generators):
             return g - 1
-        std = {
-            point
-            for point in std
-            if any(point[:i] + (point[i] + 1,) + point[i + 1:] in std for i in range(d))
-        }
+        std = _staircase_step(std, d)
     raise AssertionError("colon chain never left the integral closure")
 
 

@@ -155,6 +155,35 @@ class TestBoundsAndRlr:
         assert payload["goto_number"] == 5
         assert payload["ratios"] == ["5/2", "5/2", "5/2"]
 
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (
+                ["rlr", "--pure-power", "2,5,5"],
+                '{\n  "schema": 1,\n  "exponents": [\n    2,\n    5,\n    5\n  ],\n'
+                '  "goto_number": 5,\n  "orders": {\n    "ideal": 2,\n    "colon_m": 2,\n'
+                '    "colon_m_goto": 2\n  },\n  "ratios": [\n    "5/2",\n    "5/2",\n'
+                '    "5/2"\n  ]\n}\n',
+            ),
+            (
+                ["rlr", "--pure-power", "2,5,5", "--format", "human"],
+                "schema: 1\nexponents: [2, 5, 5]\ngoto_number: 5\n"
+                "orders: {'ideal': 2, 'colon_m': 2, 'colon_m_goto': 2}\n"
+                "ratios: ['5/2', '5/2', '5/2']\n",
+            ),
+            (
+                # the maximal ideal: g = 0, Q : m is the unit ideal
+                ["rlr", "--pure-power", "1,1,1"],
+                '{\n  "schema": 1,\n  "exponents": [\n    1,\n    1,\n    1\n  ],\n'
+                '  "goto_number": 0,\n  "orders": {\n    "ideal": 1,\n    "colon_m": 0,\n'
+                '    "colon_m_goto": 1\n  },\n  "ratios": [\n    "0",\n    "0",\n'
+                '    "0"\n  ]\n}\n',
+            ),
+        ],
+    )
+    def test_rlr_prints_the_same_bytes(self, argv, want):
+        assert run_cli(*argv) == (0, want)
+
     def test_rlr_large_exponents_answer_at_once(self):
         # closed forms: no staircase of 5000^4 or 2 * 10^6 points is built
         code, out = run_cli("rlr", "--pure-power", "5000,5000,5000,5000")
@@ -387,6 +416,10 @@ class TestErrors:
                 "tail positions [-222222222222222...] outside [1, 7]",
             ),
             (["table", "3", "5", "--max=-" + "2" * 4000], "need e_max >= 3, got -222222222222222..."),
+            (
+                ["goto", "3", "5", "--ideal", "x^5", "--field", "fp:" + "7" * 4000],
+                "prime 7777777777777777... too large (must be < 2^31)",
+            ),
         ],
     )
     def test_library_messages_cut_long_numbers(self, argv, message):
@@ -396,6 +429,7 @@ class TestErrors:
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == f"error: {message}\n"
         assert len(proc.stderr.encode()) <= 200
+        assert "2" * 17 not in proc.stderr and "7" * 17 not in proc.stderr
 
 
 def stderr_is_one_error_line(code, out, err):

@@ -160,37 +160,43 @@ def test_public_api_matches_exports():
 
 
 def test_every_definition_is_reached():
-    # every function, method and class in src/ is named somewhere in src/,
-    # as a Name or an Attribute, or is pinned by the benchmark's tracer
-    # (perfbench/spans.py, loaded read-only): a definition that nothing
-    # reaches belongs in tests/oracles.py or nowhere
+    # every function, method and class in src/ is used somewhere in src/,
+    # or is pinned by the benchmark's tracer (perfbench/spans.py, loaded
+    # read-only): a method through an attribute of its name (obj.m), any
+    # other definition through a loaded Name, an import or an attribute
+    # (module.f); binding a local variable or parameter of the same name
+    # counts for nothing.  A definition that nothing reaches belongs in
+    # tests/oracles.py or nowhere
     spans = _load_spans()
     pinned = {(layer, entry) for layer, entries in spans.ENTRY_POINTS.items() for entry in entries}
     pinned |= {
         ("fields", f"{cls}.{op}") for cls in ("Rationals", "PrimeField") for op in spans.FIELD_OPS
     }
 
-    used, defined = set(), []
+    attributes, names, defined = set(), set(), []
     for path in sorted(SOURCE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                attributes.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
         scopes = [(tree, "")]
         while scopes:
             scope, prefix = scopes.pop()
             for node in ast.iter_child_nodes(scope):
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                     qualname = prefix + node.name
-                    defined.append((path.stem, qualname, node.name, node.lineno))
+                    method = isinstance(scope, ast.ClassDef)
+                    defined.append((path.stem, qualname, node.name, method, node.lineno))
                     scopes.append((node, qualname + "."))
     found = [
         f"{module}.py:{lineno}: {qualname}"
-        for module, qualname, name, lineno in defined
+        for module, qualname, name, method, lineno in defined
         if not (name.startswith("__") and name.endswith("__"))
-        and name not in used
+        and name not in (attributes if method else attributes | names)
         and (module, qualname) not in pinned
     ]
     assert found == []

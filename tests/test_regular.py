@@ -57,8 +57,10 @@ class TestMonomialIdeal:
         assert Q.colon_power_maximal(3) == MonomialIdeal(3, want)
 
     def test_staircase_route_matches_iterated_generators(self):
-        # pure powers, then seeded m-primary ideals with mixed generators: one
-        # pure power per variable plus up to three more generators
+        # the staircase oracle against colon_power_maximal, the colon by m
+        # iterated on minimal generators, at every g up to the unit ideal:
+        # pure powers, then seeded m-primary ideals with mixed generators,
+        # one pure power per variable plus up to three more generators
         inputs = [
             MonomialIdeal.pure_powers((e,) + (n,) * (d - 1))
             for d in (2, 3)
@@ -79,10 +81,11 @@ class TestMonomialIdeal:
                 inputs.append(MonomialIdeal(d, gens))
         for Q in inputs:
             unit = MonomialIdeal(Q.dimension, [(0,) * Q.dimension])
-            slow, g = Q, 0
-            while slow != unit:
-                slow, g = slow.colon_maximal(), g + 1
-                assert slow == Q.colon_power_maximal(g), (Q, g)
+            g, colon = 0, Q
+            while colon != unit:
+                g += 1
+                colon = Q.colon_power_maximal(g)
+                assert oracles.staircase_colon(Q, g) == colon, (Q, g)
 
     def test_colon_output_minimal(self):
         I = MonomialIdeal.pure_powers((3, 4, 5))
@@ -151,29 +154,26 @@ class TestPurePowerGoto:
 
 class TestRatios:
     def test_example(self):
-        assert pure_power_report((2, 5, 5))["ratios"] == (
-            Fraction(5, 2),
-            Fraction(5, 2),
-            Fraction(5, 2),
-        )
+        assert pure_power_report((2, 5, 5))["ratios"] == ["5/2", "5/2", "5/2"]
 
     def test_dimension_two_square(self):
         for e in range(2, 6):
             rep = pure_power_report((e, e))
-            assert rep["orders"] == (e, e, e)
-            assert rep["ratios"][0] == Fraction(e - 1, e)
+            assert rep["orders"] == {"ideal": e, "colon_m": e, "colon_m_goto": e}
+            assert Fraction(rep["ratios"][0]) == Fraction(e - 1, e)
 
     def test_maximal_ideal_case(self):
         rep = pure_power_report((1, 1, 1))
         assert rep["goto_number"] == 0
-        assert rep["ratios"] == (Fraction(0), Fraction(0), Fraction(0))
+        assert rep["orders"] == {"ideal": 1, "colon_m": 0, "colon_m_goto": 1}
+        assert rep["ratios"] == ["0", "0", "0"]
 
     def test_orders_equal_smallest_exponent_on_grid(self):
         for d in range(2, 5):
             for n in range(2, 6):
                 for e in range(1, n + 1):
                     rep = pure_power_report((e,) + (n,) * (d - 1))
-                    assert rep["orders"] == (e, e, e), (d, e, n)
+                    assert list(rep["orders"].values()) == [e, e, e], (d, e, n)
 
 
 class TestClosedFormAgainstStaircase:
@@ -194,17 +194,15 @@ class TestClosedFormAgainstStaircase:
                 rep = pure_power_report(exps)
                 g = oracles.pure_power_goto_staircase(exps)
                 Q = MonomialIdeal.pure_powers(exps)
-                orders = (
-                    oracles.monomial_order(Q),
-                    oracles.monomial_order(Q.colon_maximal()),
-                    oracles.monomial_order(Q.colon_power_maximal(g)),
-                )
+                orders = [
+                    oracles.monomial_order(oracles.staircase_colon(Q, k)) for k in (0, 1, g)
+                ]
                 if g == 0:
-                    ratios = (Fraction(0),) * 3
+                    ratios = [Fraction(0)] * 3
                 else:
-                    ratios = tuple(Fraction(g, o) for o in orders)
+                    ratios = [Fraction(g, o) for o in orders]
                 assert rep["goto_number"] == g, exps
-                assert rep["orders"] == orders, exps
-                assert rep["ratios"] == ratios, exps
+                assert list(rep["orders"].values()) == orders, exps
+                assert list(map(Fraction, rep["ratios"])) == ratios, exps
                 checked += 1
         assert checked == 274

@@ -51,7 +51,7 @@ class TestRingElement:
 
     def test_valuation_of_zero_undefined(self):
         with pytest.raises(ZeroElement):
-            RingElement.zero(semigroup(3, 5)).valuation()
+            RingElement(semigroup(3, 5), {}).valuation()
 
     def test_cancellation_to_zero(self):
         assert elem((3, 5), "x^3 - x^3").is_zero()
@@ -263,7 +263,7 @@ class TestCanonicalize:
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroElement):
-            canonicalize(RingElement.zero(semigroup(3, 5)))
+            canonicalize(RingElement(semigroup(3, 5), {}))
 
     def test_unit_rejected(self):
         with pytest.raises(NotParameter):
@@ -283,7 +283,7 @@ class TestMembership:
 
     def test_zero_always_member(self):
         Q = canonicalize(elem((3, 5), "x^5"))
-        assert Q.contains(RingElement.zero(semigroup(3, 5)))
+        assert Q.contains(RingElement(semigroup(3, 5), {}))
 
     def test_generator_in_own_ideal_both_ways(self):
         w = elem((5, 11), "x^40 + x^44")
@@ -301,7 +301,7 @@ class TestMembership:
             S = semigroup(*gens)
             Q = CanonicalIdeal(S, b)
             for e in S.members(0, b + S.frobenius):
-                got = Q.contains(RingElement.monomial(S, e))
+                got = Q.contains(RingElement(S, {e: 1}))
                 assert got == S.contains(e - b), (gens, b, e)
 
     def test_membership_insensitive_to_absorbed_tail(self):
@@ -398,7 +398,7 @@ class TestClosure:
         S = semigroup(4, 7, 9)
         Q = canonicalize(elem((4, 7, 9), "x^7+x^8"))
         for e in S.members(0, 17):
-            w = RingElement.monomial(S, e)
+            w = RingElement(S, {e: 1})
             if Q.contains(w):
                 assert Q.closure_contains(w)
 
