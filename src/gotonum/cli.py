@@ -44,18 +44,27 @@ def _emit(payload, fmt, out):
 
 def _cmd_info(args, out):
     S = NumericalSemigroup(args.generators)
+    gaps = S.gaps
     payload = {
         "schema": 1,
         "generators": list(S.generators),
         "frobenius": S.frobenius,
-        "gaps": list(S.gaps),
+        "gaps": None,
         "conductor_generators": list(S.conductor_generators),
         "regular": S.is_regular,
         "symmetric": S.is_symmetric(),
         "stable_goto": bounds.stable_goto(S),
         "conductor_order": S.conductor_order(),
     }
-    _emit(payload, args.format, out)
+    if args.format == "human":
+        payload["gaps"] = list(gaps)
+        _emit(payload, args.format, out)
+        return 0
+    # the gap list, the one value that grows with f, is joined in one C
+    # call instead of going through the pure-Python indent encoder
+    listed = "[\n    " + ",\n    ".join(map(str, gaps)) + "\n  ]" if gaps else "[]"
+    out.write(json.dumps(payload, indent=2).replace('"gaps": null', '"gaps": ' + listed, 1))
+    out.write("\n")
     return 0
 
 

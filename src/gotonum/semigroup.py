@@ -2,14 +2,15 @@
 
 A numerical semigroup G is the set of non-negative integer combinations of
 generators a_1 < ... < a_d with gcd 1; its complement in the positive
-integers is finite.  G is held as its Apery set with respect to a_1, the
-least member of G in each residue class mod a_1.  Membership, the
-Frobenius number (largest integer outside G), the gaps, the genus and the
-minimal generators are read off it.  One table of m-adic orders of the
-monomials in the associated semigroup ring gives the minimal monomial
-generators of each power m^g and the escape orders, which are read at the
-a_1 class tops Ap[u] - a_1 + delta; the monomial Goto numbers and the
-stable Goto number are minima of escape orders w(alpha), 1 <= alpha <= a_1.
+integers is finite.  G is held as the undominated labels (D, S) of each
+residue class mod a_1 (``_apery_labels``); the last S of class r is Ap[r],
+the least member of G in that class.  Membership, the Frobenius number
+(largest integer outside G), the gaps, the genus and the minimal
+generators are read off Ap, and the m-adic orders off the labels: the
+minimal monomial generators of each power m^g, at most one per class, and
+the escape orders, read at the a_1 class tops Ap[u] - a_1 + delta.  The
+monomial Goto numbers and the stable Goto number are minima of escape
+orders w(alpha), 1 <= alpha <= a_1.
 """
 
 from __future__ import annotations
@@ -27,26 +28,62 @@ from .errors import (
 from .fields import quote_int, quote_ints
 
 
-def _apery_set(a1, gens):
-    """Least member of G in each residue class mod a1, indexed by residue.
+def _apery_labels(a1, gens):
+    """The undominated labels (D, S) of each residue class mod a1, indexed
+    by residue, with D ascending and S descending; ``gens`` are the raw
+    generators other than a1.
 
-    A shortest-path pass over the residues: the edge r -> (r + a) mod a1
-    costs a for each generator a, and the member of G reached first in
-    class r is the least one (Nijenhuis, 1979).  gcd(gens) = 1 makes every
-    class reachable.
+    Every e in G is k a_1 plus the sum S of a multiset A of the other
+    generators, with S <= e and S = e mod a_1.  Its summand count k + |A|
+    is (e - D)/a_1 with D = S - |A| a_1, the sum of a - a_1 over A.  So
+    ord(e), the largest summand count, is (e - D)/a_1 for the least D
+    among the labels (D, S) of class e mod a_1 with S <= e.  A label
+    dominates another of its class when neither coordinate is larger, so
+    only the undominated labels matter.
+
+    One pass finds them (a bicriteria label-setting shortest path,
+    Martins 1984): the edge r -> (r + a) mod a_1 costs (a - a_1, a),
+    labels leave the heap in lexicographic order, and a popped label is
+    kept only if its S is below the last kept S of its class.
+      - Kept labels do not dominate each other: a later one has D no
+        smaller and S smaller, and with equal D the smaller S would have
+        left the heap first.  So D rises and S falls along each class.
+      - Every label is dominated by a kept one, by induction on |A|.  The
+        empty multiset gives the first label, (0, 0) in class 0.  Else
+        drop one summand a: the rest is dominated by a kept label, whose
+        extension by a was pushed and dominates (D, S); once popped, it
+        is kept or dominated by a kept label.  A push is skipped only
+        when its class already keeps an S no larger, and kept S only
+        falls, so the pop would skip it.
+    So the kept labels are exactly the undominated ones, and the last S
+    of class r is its least S, Ap[r]: the least member of its class has
+    no summand a_1, or it would not be the least.
+
+    A label never has a_1 or more summands: among the partial sums of
+    a_1 of them two agree mod a_1, so a nonempty sub-multiset B has sum
+    0 mod a_1, and A - B is a label of the same class with smaller D and
+    S.  So S - D = |A| a_1 < a_1^2, and as it falls strictly along a
+    class, each class has at most a_1 labels.
+
+    Non-minimal raw generators add only dominated labels.  Such a c is
+    k' a_1 + sum(C) with k' + |C| >= 2 minimal generators, C avoiding
+    a_1.  Putting C in place of c keeps the class, does not raise S and
+    lowers D by (k' + |C| - 1) a_1 >= a_1.  So the labels are those of
+    the minimal generators, and the pass can run before they are known.
     """
-    ap = [None] * a1
-    heap = [(0, 0)]
+    labels = [[] for _ in range(a1)]
+    heap = [(0, 0, 0)]
     while heap:
-        w, r = heapq.heappop(heap)
-        if ap[r] is not None:
+        d, s, r = heapq.heappop(heap)
+        kept = labels[r]
+        if kept and kept[-1][1] <= s:
             continue
-        ap[r] = w
+        kept.append((d, s))
         for a in gens:
-            s = (r + a) % a1
-            if ap[s] is None:
-                heapq.heappush(heap, (w + a, s))
-    return ap
+            t, v = (r + a) % a1, s + a
+            if not labels[t] or labels[t][-1][1] > v:
+                heapq.heappush(heap, (d + a - a1, v, t))
+    return labels
 
 
 def frobenius_two_generated(a1: int, a2: int) -> int:
@@ -61,13 +98,14 @@ def frobenius_two_generated(a1: int, a2: int) -> int:
 class NumericalSemigroup:
     """A numerical semigroup given by its minimal generators.
 
-    G is stored as its Apery set with respect to a_1 (``_ap[r]`` is the
-    least member of G congruent to r mod a_1), so e is in G iff
-    e >= ``_ap[e % a_1]``, f = max(``_ap``) - a_1, and escape orders are
-    read at the a_1 class tops.  Instances are immutable after
-    construction; the private tables (m-adic orders, escape orders,
-    monomial floors) are memoized lazily and only grow, read by no other
-    module.
+    G is stored as the labels of its residue classes mod a_1
+    (``_labels[r]``, see ``_apery_labels``) and the Apery set they end in
+    (``_ap[r]`` is the least member of G congruent to r mod a_1), so e is
+    in G iff e >= ``_ap[e % a_1]``, f = max(``_ap``) - a_1, m-adic orders
+    are read off the labels of one class, and escape orders at the a_1
+    class tops.  Instances are immutable after construction; the private
+    memos (power generators, escape orders, monomial floors) fill lazily
+    and only grow, read by no other module.
     """
 
     def __init__(self, raw_generators):
@@ -86,7 +124,8 @@ class NumericalSemigroup:
         raw = sorted(set(raw))
         a1 = raw[0]
         self._a1 = a1
-        self._ap = ap = _apery_set(a1, raw)
+        self._labels = labels = _apery_labels(a1, raw[1:])
+        self._ap = ap = [kept[-1][1] for kept in labels]
         # a raw a > a_1 is a minimal generator iff it is not a sum of two
         # nonzero members of G.  Such a sum either has a - a_1 in G, so a is
         # not the least of its class, or has both summands in the Apery set.
@@ -103,7 +142,7 @@ class NumericalSemigroup:
             range(self.frobenius + 1, self.frobenius + self.generators[0] + 1)
         )
         self._tops = sorted(ap, reverse=True)
-        self._orders = [0]          # m-adic order table, grows on demand
+        self._powers = {}           # g -> exponents of order exactly g
         self._escape = {}           # delta -> escape_order(delta)
         self._floors = {}           # min(b, f + a_1 + 1) -> monomial_floor(b)
 
@@ -119,10 +158,13 @@ class NumericalSemigroup:
 
     @property
     def gaps(self) -> tuple:
-        """The integers in [1, f] outside G, ascending: e is one exactly
-        when e < Ap[e mod a_1]."""
-        ap, a1 = self._ap, self._a1
-        return tuple(e for e in range(1, self.frobenius + 1) if e < ap[e % a1])
+        """The integers in [1, f] outside G, ascending: class r mod a_1
+        holds the gaps r, r + a_1, ..., Ap[r] - a_1."""
+        gaps = []
+        for r, w in enumerate(self._ap):
+            gaps.extend(range(r, w, self._a1))
+        gaps.sort()
+        return tuple(gaps)
 
     @property
     def is_regular(self) -> bool:
@@ -172,50 +214,48 @@ class NumericalSemigroup:
 
     # -- m-adic orders ------------------------------------------------------
 
-    def _order_table(self, cap: int):
-        table = self._orders
-        if len(table) > cap:
-            return table
-        gens, ap, a1 = self.generators, self._ap, self._a1
-        for e in range(len(table), cap + 1):
-            if e < ap[e % a1]:
-                table.append(None)
-                continue
-            best = 0
-            for a in gens:
-                if a > e:
-                    break
-                rest = table[e - a]
-                if rest is not None and rest >= best:
-                    best = rest
-            table.append(best + 1)
-        return table
+    def _order(self, e: int):
+        """m-adic order of e, None when e is outside G: (e - D)/a_1 for the
+        first label (D, S) of class e mod a_1 with S <= e."""
+        for d, s in self._labels[e % self._a1]:
+            if s <= e:
+                return (e - d) // self._a1
+        return None
 
     def madic_order(self, e: int) -> int:
         """Largest t with x^e in m^t.  Order of x^0 is 0 by convention."""
-        if e == 0:
-            return 0
-        if e < 0 or not self.contains(e):
+        order = self._order(e)
+        if order is None:
             raise NotInSemigroup(
                 f"{quote_int(e)} is not in the semigroup {quote_ints(self.generators)}"
             )
-        return self._order_table(e)[e]
+        return order
 
     def power_generators(self, g: int, cap: int) -> tuple:
         """Ascending exponents e <= cap of m-adic order exactly g: the
         minimal monomial generators of m^g.
 
-        Such an e is a sum of g generators, so g a_1 <= e <= g a_d.  Every
-        member of m^g up to cap is one of them plus an element of G: one of
+        Every member of m^g is one of them plus an element of G: one of
         order t > g is a sum of t generators, the first g of which give a
         smaller member of m^g that it exceeds by an element of G, and the
-        descent ends at order g.
+        descent ends at order g.  The members of class r in m^n start at
+        Ap(nM)[r], the least max(S, D + n a_1) over the labels (D, S) of
+        the class, as S and D + n a_1 are both r mod a_1.  Adding a_1
+        raises the order, so each class holds at most one exponent of
+        order g: Ap(gM)[r] when it is below Ap((g+1)M)[r].  Memoized per g.
         """
         if g < 0:
             raise ValueError(f"need g >= 0, got {quote_int(g)}")
-        hi = min(cap, g * self.generators[-1])
-        orders = self._order_table(max(hi, 0))
-        return tuple(e for e in range(g * self._a1, hi + 1) if orders[e] == g)
+        exponents = self._powers.get(g)
+        if exponents is None:
+            lo, hi = g * self._a1, (g + 1) * self._a1
+            exponents = self._powers[g] = sorted(
+                e
+                for labels in self._labels
+                if (e := min(max(s, d + lo) for d, s in labels))
+                < min(max(s, d + hi) for d, s in labels)
+            )
+        return tuple(e for e in exponents if e <= cap)
 
     def escape_order(self, delta: int) -> int:
         """Largest m-adic order among x^e with e in G, e <= f + delta, and
@@ -238,13 +278,12 @@ class NumericalSemigroup:
         if cached is not None:
             return cached
         a1 = self._a1
-        orders = self._order_table(self.frobenius + delta)
         best = 0
         for w in self._tops:
             top = w - a1 + delta
             if top // a1 <= best:
                 break
-            order = orders[top]
+            order = self._order(top)
             if order is not None and order > best:
                 best = order
         self._escape[delta] = best

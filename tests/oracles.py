@@ -3,7 +3,8 @@
 Everything here is written for clarity over speed and stays independent
 of the library code paths it checks: membership by coin-problem dynamic
 programming, generator sums by explicit multiset enumeration, m-adic
-orders by exhaustive partition search, escape orders by trying every
+orders by exhaustive partition search, the Pareto labels of the residue
+classes by enumerating multisets, escape orders by trying every
 exponent, monomial colon ideals by direct containment scans, and Goto
 numbers read off those colons.  Colons of non-monomial ideals come from
 the literal membership system, one row per (multiplier, checked
@@ -114,6 +115,24 @@ def escape_order_brute(gens, delta):
     f = frobenius_brute(list(gens))
     member = set(members_upto(gens, f + delta))
     return max(_madic_order_cached(gens, e) for e in member if e - delta not in member)
+
+
+def apery_labels_brute(gens):
+    """Per residue class mod a_1, the undominated pairs (D, S) over every
+    multiset A of generators other than a_1 with fewer than a_1 summands:
+    S = sum(A), D = S - |A| a_1, D ascending.  (D, S) is dominated when
+    another pair of its class is no larger in both coordinates."""
+    gens = sorted(gens)
+    a1, rest = gens[0], gens[1:]
+    pairs = [set() for _ in range(a1)]
+    for k in range(a1):
+        for combo in combinations_with_replacement(rest, k):
+            s = sum(combo)
+            pairs[s % a1].add((s - k * a1, s))
+    return [
+        sorted(p for p in cls if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in cls))
+        for cls in pairs
+    ]
 
 
 def power_generators_brute(gens, g):

@@ -279,6 +279,17 @@ class TestPinnedValues:
     def test_wide_ideals_print_the_same_bytes(self, argv, want):
         assert run_cli(*argv) == (0, want)
 
+    def test_monomial_ideal_with_a_wide_second_generator(self):
+        # f = 6,199,996: the m-adic orders come from the labels of the 300
+        # residue classes, with no table over [0, f]; the value is the
+        # memory pin of tests/test_semigroup.py::TestOrderMemory
+        code, out = run_cli("goto", "300", "100001", "200011", "--monomial", "300")
+        assert (code, out) == (
+            0,
+            '{\n  "schema": 1,\n  "generators": [\n    300,\n    100001,\n    200011\n  ],\n'
+            '  "ideal": "x^300",\n  "goto_number": 36\n}\n',
+        )
+
 
 class TestVerifyPaper:
     def test_passes_and_prints_lines(self):

@@ -159,13 +159,83 @@ def test_public_api_matches_exports():
     assert (missing, unlisted) == ([], [])
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _local_bindings(scope):
+    """Names a function, lambda or comprehension binds in its own scope:
+    parameters, stores, nested definitions, imports and exception names,
+    less those it declares global.  Nested scopes are not entered."""
+    bound, declared = set(), set()
+    if isinstance(scope, _COMPREHENSIONS):
+        todo = [gen.target for gen in scope.generators]
+    else:
+        arguments = scope.args
+        bound.update(
+            a.arg
+            for a in arguments.posonlyargs + arguments.args + arguments.kwonlyargs
+            + [arguments.vararg, arguments.kwarg]
+            if a is not None
+        )
+        todo = list(scope.body) if isinstance(scope.body, list) else [scope.body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+        elif isinstance(node, ast.Global):
+            declared.update(node.names)
+        if not isinstance(node, _FUNCTIONS + _COMPREHENSIONS + (ast.ClassDef,)):
+            todo.extend(ast.iter_child_nodes(node))
+    return bound - declared
+
+
+def _module_loads(tree):
+    """Loaded Names that can resolve to a module-level binding: a Name
+    inside a function or comprehension that binds the same name (or
+    inside one nested in a function that does) reads a local."""
+    loads = set()
+    todo = [(tree, frozenset())]
+    while todo:
+        node, bound = todo.pop()
+        if isinstance(node, ast.Name):
+            if isinstance(node.ctx, ast.Load) and node.id not in bound:
+                loads.add(node.id)
+            continue
+        if isinstance(node, _FUNCTIONS):
+            # decorators, defaults and annotations are read outside
+            outer = [*getattr(node, "decorator_list", ()), node.args]
+            outer += [node.returns] if getattr(node, "returns", None) else []
+            inner = node.body if isinstance(node.body, list) else [node.body]
+        elif isinstance(node, _COMPREHENSIONS):
+            # the first iterable is read outside
+            outer = [node.generators[0].iter]
+            inner = [c for c in ast.iter_child_nodes(node) if c is not node.generators[0]]
+            inner += [c for c in ast.iter_child_nodes(node.generators[0]) if c is not outer[0]]
+        else:
+            todo.extend((child, bound) for child in ast.iter_child_nodes(node))
+            continue
+        local = bound | _local_bindings(node)
+        todo.extend((child, bound) for child in outer)
+        todo.extend((child, local) for child in inner)
+    return loads
+
+
 def test_every_definition_is_reached():
     # every function, method and class in src/ is used somewhere in src/,
     # or is pinned by the benchmark's tracer (perfbench/spans.py, loaded
     # read-only): a method through an attribute of its name (obj.m), any
     # other definition through a loaded Name, an import or an attribute
-    # (module.f); binding a local variable or parameter of the same name
-    # counts for nothing.  A definition that nothing reaches belongs in
+    # (module.f); binding a variable or parameter of the same name counts
+    # for nothing.  A module-level definition is reached only by a Name
+    # that can resolve at module level, not by one read inside a function
+    # that binds that name.  A definition that nothing reaches belongs in
     # tests/oracles.py or nowhere
     spans = _load_spans()
     pinned = {(layer, entry) for layer, entries in spans.ENTRY_POINTS.items() for entry in entries}
@@ -173,12 +243,13 @@ def test_every_definition_is_reached():
         ("fields", f"{cls}.{op}") for cls in ("Rationals", "PrimeField") for op in spans.FIELD_OPS
     }
 
-    attributes, names, defined = set(), set(), []
+    attributes, names, loads, defined = set(), set(), set(), []
     for path in sorted(SOURCE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
+        names |= _module_loads(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
+                loads.add(node.id)
             elif isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
@@ -189,14 +260,21 @@ def test_every_definition_is_reached():
             for node in ast.iter_child_nodes(scope):
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                     qualname = prefix + node.name
-                    method = isinstance(scope, ast.ClassDef)
-                    defined.append((path.stem, qualname, node.name, method, node.lineno))
+                    kind = (
+                        "method" if isinstance(scope, ast.ClassDef)
+                        else "module" if scope is tree else "nested"
+                    )
+                    defined.append((path.stem, qualname, node.name, kind, node.lineno))
                     scopes.append((node, qualname + "."))
+    # a method is reached through attributes, a module-level definition
+    # through module-level loads, and one nested in a function through any
+    # load, its own function's included
+    reach = {"method": attributes, "module": attributes | names, "nested": attributes | loads}
     found = [
         f"{module}.py:{lineno}: {qualname}"
-        for module, qualname, name, method, lineno in defined
+        for module, qualname, name, kind, lineno in defined
         if not (name.startswith("__") and name.endswith("__"))
-        and name not in (attributes if method else attributes | names)
+        and name not in reach[kind]
         and (module, qualname) not in pinned
     ]
     assert found == []

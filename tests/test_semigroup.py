@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 from itertools import combinations
 from math import gcd
 
 import pytest
 
 import oracles
+from gotonum import bounds
 from gotonum.errors import (
     CoprimalityError,
     EmptyError,
@@ -40,6 +42,10 @@ def _raw_generator_lists():
 
 
 RAW_GENERATOR_LISTS = _raw_generator_lists()
+
+# classes with several labels: <7,8,17> has three in class 6 mod 7, the
+# others two in some class
+LABEL_GENERATORS = [(4, 5, 11), (5, 6, 13), (7, 8, 17)]
 
 
 class TestConstruction:
@@ -196,7 +202,7 @@ class TestMadicOrder:
         with pytest.raises(NotInSemigroup):
             semigroup(3, 5).madic_order(4)
 
-    @pytest.mark.parametrize("gens", [(3, 5), (4, 7, 9), (7, 9, 20)])
+    @pytest.mark.parametrize("gens", [(3, 5), (4, 7, 9), (7, 9, 20), *LABEL_GENERATORS])
     def test_matches_partition_enumeration(self, gens):
         S = semigroup(*gens)
         for e in range(1, 61):
@@ -233,7 +239,8 @@ class TestPowerGenerators:
         # every exponent up to f + 2 a_1 whose order, by partition search,
         # is exactly g, for 0 <= g <= f // a_1 + 2
         rng = random.Random(20261018)
-        for S in named_semigroups + rng.sample(full_family(), 60):
+        labelled = [NumericalSemigroup(gens) for gens in LABEL_GENERATORS]
+        for S in labelled + named_semigroups + rng.sample(full_family(), 60):
             gens = list(S.generators)
             f, a1 = S.frobenius, S.multiplicity
             cap = f + 2 * a1
@@ -241,6 +248,9 @@ class TestPowerGenerators:
             for g in range(f // a1 + 3):
                 want = tuple(e for e, order in orders.items() if order == g)
                 assert S.power_generators(g, cap) == want, (gens, g)
+                # a lower cap cuts the memoized exponents of order g
+                low = min(cap, g * a1 + a1 // 2)
+                assert S.power_generators(g, low) == tuple(e for e in want if e <= low)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -251,7 +261,8 @@ class TestEscapeOrder:
     def test_matches_brute_on_named_and_family_subset(self, named_semigroups, family):
         # a fresh instance each, so no memo filled by another test answers
         sample = random.Random(13).sample(family, 30)
-        for S in [NumericalSemigroup(T.generators) for T in named_semigroups + sample]:
+        batch = [semigroup(*gens) for gens in LABEL_GENERATORS] + named_semigroups + sample
+        for S in [NumericalSemigroup(T.generators) for T in batch]:
             for delta in range(1, S.frobenius + 2 * S.multiplicity + 1):
                 assert S.escape_order(delta) == oracles.escape_order_brute(
                     S.generators, delta
@@ -260,6 +271,59 @@ class TestEscapeOrder:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             semigroup(3, 5).escape_order(0)
+
+
+class TestAperyLabels:
+    def test_several_labels_in_one_class(self):
+        assert semigroup(7, 8, 17)._labels[6] == [(6, 48), (13, 41), (20, 34)]
+        assert semigroup(4, 5, 11)._labels[3] == [(3, 15), (7, 11)]
+
+    def test_labels_are_the_undominated_multisets(self, family):
+        # D rises and S falls along a class, a label has at most a_1 - 1
+        # summands, and the last S of class r is Ap[r]
+        for S in [semigroup(*gens) for gens in LABEL_GENERATORS] + family:
+            assert S._labels == oracles.apery_labels_brute(S.generators), S.generators
+            a1 = S.multiplicity
+            member = set(oracles.members_upto(list(S.generators), S.frobenius + a1))
+            for r, labels in enumerate(S._labels):
+                ds = [d for d, _ in labels]
+                ss = [s for _, s in labels]
+                assert ds == sorted(set(ds)) and ss == sorted(set(ss), reverse=True), S.generators
+                for d, s in labels:
+                    assert s % a1 == r and (s - d) % a1 == 0 and 0 <= (s - d) // a1 <= a1 - 1
+                assert ss[-1] == min(e for e in member if e % a1 == r), (S.generators, r)
+
+    def test_non_minimal_raw_generators_leave_the_labels(self, named_semigroups):
+        for S in [semigroup(*gens) for gens in LABEL_GENERATORS] + named_semigroups:
+            gens = list(S.generators)
+            a1, ad = gens[0], gens[-1]
+            raw = gens + [a1 + ad, 2 * ad, 3 * a1, gens[1] + ad]
+            assert NumericalSemigroup(raw)._labels == S._labels, raw
+        for raw in RAW_GENERATOR_LISTS:
+            minimal = NumericalSemigroup(oracles.minimal_generators(raw))
+            assert NumericalSemigroup(raw)._labels == minimal._labels, raw
+
+
+class TestOrderMemory:
+    @pytest.mark.parametrize("a2", [10**4 + 1, 10**5 + 1, 10**6 + 1])
+    def test_stable_route_is_flat_in_a2(self, a2):
+        # f grows like 62 a_2, but the orders read the labels of the 300
+        # residue classes: construction, the stable value and the
+        # conductor order stay under 1 MB for every a_2
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            S = NumericalSemigroup([300, a2, 2 * a2 + 9])
+            values = (bounds.stable_goto(S), S.conductor_order())
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert values == (36, 36)
+        assert peak < 2**20, peak
 
 
 class TestPowerContainedInShift:
