@@ -54,9 +54,9 @@ def closed_form_two_generated(S: NumericalSemigroup):
 def stable_goto(S: NumericalSemigroup) -> int:
     """The common Goto number g(x^e) for all e >= f + a_1 + 1.
 
-    One route: the least escape order over alpha in [1, a_1]
-    (``S.stable_goto_via_t_prime``).  Its agreement with g(x^(f+a_1+1)),
-    with ``S.stable_goto_via_t`` and, for two generators, with a_1 - 1 is
+    One route: g(x^(f+a_1+1)), the least escape order over alpha in
+    [1, a_1] (``S.stable_goto_via_t_prime``).  Its agreement with
+    ``S.stable_goto_via_t`` and, for two generators, with a_1 - 1 is
     checked in the tests.
     """
     return S.stable_goto_via_t_prime()
@@ -65,8 +65,6 @@ def stable_goto(S: NumericalSemigroup) -> int:
 def rho(S: NumericalSemigroup) -> int:
     """Largest Goto number among monomial parameter ideals: the maximum of
     g(x^(a_j)) over the generators."""
-    if S.is_regular:
-        return 0
     return max(goto_monomial(S, a) for a in S.generators)
 
 

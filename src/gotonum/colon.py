@@ -15,10 +15,10 @@ h = r u^(-1), on three facts:
 With the largest column taken as pivot, a kernel vector led by c exists
 iff c gets no pivot (c is then a combination of larger columns), so the
 colon's minimal valuation is its smallest free live column.  The rows are
-Python ints on the integer unit t of ``ring.integer_model``: mod p over
-F_p, and over Q u(Dx); scaling row k by D^k and column c by D^(-c) gives
-the entries t_(k - c) and moves no pivot, and a kernel vector h' in the
-scaled coordinates maps to r'_k = D^k r_k = (h' t)_k.
+Python ints on the integer unit t of ``ring.integer_model``: mod field.p
+over F_p, and over Q u(Dx); scaling row k by D^k and column c by D^(-c)
+gives the entries t_(k - c) and moves no pivot, and a kernel vector h' in
+the scaled coordinates maps to r'_k = D^k r_k = (h' t)_k.
 
 The Goto number is the last g whose colon Q : m^g has no element of
 valuation below b.  Escape orders give it for monomials and for every Q
@@ -168,7 +168,7 @@ class TruncatedSubspace:
         Q, with exponent c keyed -c, so that the echelon's largest key is
         the smallest exponent.  Each reduced row is divided by its lead.
         """
-        p = getattr(field, "p", 0)
+        p = field.p
         rows = [{-c: v for c, v in integer_row(vec, p).items()} for vec in vectors]
         pivots = _back_substitute(_pivot_columns(rows, p), p)
         basis = []
@@ -219,7 +219,8 @@ def _gap_echelon(Q, multipliers):
     """The live set E_M as a bit string indexed by column, and the pivot
     rows of the gap equations on it.  Column c is dead for s when c + s - b
     is negative or a gap: the gap bitset shifted by b - s, and [0, b - s)."""
-    hi, t, p, _, gaps = integer_model(Q)
+    t, _ = integer_model(Q)
+    hi, p, gaps = Q.truncation - 1, Q.field.p, Q.semigroup.gap_bits()
     live = (1 << (hi + 1)) - 1
     for s in multipliers:
         d = s - Q.b
@@ -243,7 +244,8 @@ def _colon_rows(Q, multipliers):
     by each free live column c: after the back substitution, the kernel
     vector h'_c = 1, h'_q = -prow_q[c] / prow_q[q] (cleared by the lcm of
     those leads over Q) times t, cut at b + f."""
-    hi, t, p = integer_model(Q)[:3]
+    t, _ = integer_model(Q)
+    hi, p = Q.truncation - 1, Q.field.p
     bits, pivots = _gap_echelon(Q, multipliers)
     _back_substitute(pivots, p)
     above = {}
@@ -271,9 +273,9 @@ def _colon_rows(Q, multipliers):
 def _colon(Q, multipliers):
     """The subspace {r mod x^T : r * x^s in Q for every s in multipliers},
     at T = b + f + 1."""
-    p, D = integer_model(Q)[2:4]
+    _, D = integer_model(Q)
     rows = _colon_rows(Q, multipliers)
-    vectors = rows if p else [{k: Fraction(v, D**k) for k, v in r.items()} for r in rows]
+    vectors = rows if Q.field.p else [{k: Fraction(v, D**k) for k, v in r.items()} for r in rows]
     return TruncatedSubspace.span(Q.semigroup, Q.field, Q.truncation, vectors)
 
 
@@ -281,8 +283,7 @@ def colon_power(Q: CanonicalIdeal, g: int) -> TruncatedSubspace:
     """The subspace {r mod x^T : r * m^g <= Q} at T = b + f + 1."""
     if g < 0:
         raise ValueError(f"need g >= 0, got {quote_int(g)}")
-    hi = integer_model(Q)[0]
-    return _colon(Q, Q.semigroup.power_generators(g, hi))
+    return _colon(Q, Q.semigroup.power_generators(g, Q.truncation - 1))
 
 
 def colon_by_monomials(Q: CanonicalIdeal, exponents) -> TruncatedSubspace:
@@ -295,16 +296,14 @@ def colon_by_monomials(Q: CanonicalIdeal, exponents) -> TruncatedSubspace:
                 f"multiplier exponent {quote_int(e)} is not in the semigroup "
                 f"{quote_ints(S.generators)}"
             )
-    hi = integer_model(Q)[0]
-    return _colon(Q, sorted(e for e in set(exponents) if e <= hi))
+    return _colon(Q, sorted(e for e in set(exponents) if e < Q.truncation))
 
 
 def _colon_min_valuation(Q, g):
     """Minimal valuation in Q : m^g (None when the colon is zero): the
     smallest free live column of its gap equations, with no back
     substitution and no kernel basis."""
-    hi = integer_model(Q)[0]
-    return _smallest_free(*_gap_echelon(Q, Q.semigroup.power_generators(g, hi)))
+    return _smallest_free(*_gap_echelon(Q, Q.semigroup.power_generators(g, Q.truncation - 1)))
 
 
 def goto_number(Q: CanonicalIdeal) -> int:
@@ -381,8 +380,9 @@ def _shift_echelon(Q):
     coordinates with the pivot at the column of least m-adic order, then
     of least exponent: (keys, W, pivots), where column e is keyed
     -(ord(e) W + e) with W = b + f + 1, so that its order is -key // W."""
-    hi, t, p = integer_model(Q)[:3]
-    S, W = Q.semigroup, hi + 1
+    t, _ = integer_model(Q)
+    S, hi, p = Q.semigroup, Q.truncation - 1, Q.field.p
+    W = hi + 1
     keys = {e: -(S.madic_order(e) * W + e) for e in S.members(0, hi)}
     shifts = (
         {keys[e + i]: v for i, v in t.items() if e + i <= hi}
@@ -395,7 +395,7 @@ def _level(Q, rows):
     """Largest i with every row (integer, in the scaled coordinates) in
     m^i + Q, None when they all lie in Q: by the level lemma, the least
     order at which a residual leads.  Exponents above b + f (in Q) drop."""
-    p = integer_model(Q)[2]
+    p = Q.field.p
     keys, W, pivots = _shift_echelon(Q)
     residuals = (_reduce({keys[e]: v for e, v in r.items() if e in keys}, pivots, p) for r in rows)
     return min((-max(res) // W for res in residuals if res), default=None)
@@ -434,8 +434,8 @@ def contained_in_power_sum(V: TruncatedSubspace, i: int, Q: CanonicalIdeal) -> b
         )
     if i == 0:
         return True
-    p, D = integer_model(Q)[2:4]
-    level = _level(Q, [integer_row(vec, p, D) for vec in V.basis])
+    _, D = integer_model(Q)
+    level = _level(Q, [integer_row(vec, Q.field.p, D) for vec in V.basis])
     return level is None or level >= i
 
 

@@ -150,7 +150,7 @@ def _search_one_b(config, b):
     positions = config.admissible_positions(b)
     floor, settled = S.monomial_floor(b)
     if not settled:
-        p, D = integer_scale(fld, coeffs)
+        p, D = fld.p, integer_scale(fld, coeffs)
         scaled = [integer_tail(dict.fromkeys(positions, c), p, D) for c in coeffs]
     memo = {}
     for vector in product(range(len(coeffs)), repeat=len(positions)):

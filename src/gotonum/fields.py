@@ -101,6 +101,7 @@ def _is_prime(n: int) -> bool:
 class Rationals:
     """Descriptor for exact rational scalars (fractions in lowest terms)."""
 
+    p = 0  # no modulus: integer arithmetic over Q stays in Z
     zero = Fraction(0)
     one = Fraction(1)
 

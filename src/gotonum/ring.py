@@ -18,17 +18,18 @@ position in ascending order (``normal_tail``) leaves the tail on the
 gaps i with b + i in G, and that normal form is unique: two ideals are
 equal exactly when their normal forms are.
 
-Each ideal Q = x^b u R carries one integer model (``integer_model``): the
-integer unit t = {0: 1, i: t_i}, u itself mod p over F_p and, over Q,
-u(Dx) with t_i = D^i u_i, D the lcm of the tail denominators, so that no
-Fraction is needed.  The normal form and ``unit_inverse`` read it too.
+Each ideal Q = x^b u R has one integer model (``integer_model``): the
+integer unit t = {0: 1, i: t_i}, u itself mod p = field.p over F_p and,
+over Q (p = 0), u(Dx) with t_i = D^i u_i, D the lcm of the tail
+denominators, so that no Fraction is needed.  The normal form and
+``unit_inverse`` read it too.
 One ascending sweep divides by the unit (``_quotient``): ``unit_inverse``
 runs it on 1, and membership on r, which is in Q exactly when
 h = r * u^(-1), read up to b + f, vanishes below b and at every b + k
 with k a gap (r * x^(-b) u^(-1) must lie in R).
 The colon engine of ``gotonum.colon`` solves its colons in the same
-h = r * u^(-1), through one equation per gap: r = h u lies in R exactly
-when (h u)_k = 0 at every gap k, and v(r) = v(h) because u(0) = 1.
+h = r * u^(-1), one equation per bit of the semigroup's ``gap_bits``:
+r = h u is in R iff (h u)_k = 0 at every gap k; v(r) = v(h) as u(0) = 1.
 """
 
 from __future__ import annotations
@@ -169,11 +170,9 @@ def _quotient(r, t, p, hi):
 
 
 def integer_scale(field, values):
-    """The modulus p of the field's integer arithmetic (0 over Q) and the
-    scale D that makes a tail with these values integral: 1 over F_p, the
-    lcm of their denominators over Q."""
-    p = getattr(field, "p", 0)
-    return p, 1 if p else lcm(*(v.denominator for v in values))
+    """The scale D that makes a tail with these values integral: 1 over
+    F_p, the lcm of their denominators over Q."""
+    return 1 if field.p else lcm(*(v.denominator for v in values))
 
 
 def integer_tail(tail, p, D):
@@ -230,21 +229,14 @@ def normal_tail(S, tail, p):
 
 
 def integer_model(Q):
-    """The integer model of the ideal Q = x^b u R, cached: (hi, t, p, D, gaps).
-
-    hi = b + f is the largest exponent that carries a condition.  t is the
-    integer unit {0: 1, i: t_i}: u mod p over F_p (D = 1), and over Q u(Dx),
-    t_i = D^i u_i (``integer_tail``); with coordinate k scaled by D^k, h u
-    reads h' t, in Z.  gaps has bit k set for each gap k of G.
-    """
-    if Q._model is None:
-        S = Q.semigroup
-        p, D = integer_scale(Q.field, Q.unit_coeffs.values())
-        t = {0: 1, **integer_tail(Q.unit_coeffs, p, D)}
-        bits = "".join("0" if S.contains(k) else "1" for k in range(S.frobenius, 0, -1))
-        gaps = int(bits + "0", 2)
-        Q._model = (Q.truncation - 1, t, p, D, gaps)
-    return Q._model
+    """The integer model (t, D) of Q = x^b u R, in O(|tail|): the integer
+    unit t = {0: 1, i: t_i}, u mod p = Q.field.p over F_p (D = 1), and
+    over Q u(Dx), t_i = D^i u_i (``integer_tail``); with coordinate k
+    scaled by D^k, h u reads h' t, in Z.  The gaps are the semigroup's
+    (``gap_bits``), and b + f, the last exponent with a condition, is
+    Q.truncation - 1."""
+    D = integer_scale(Q.field, Q.unit_coeffs.values())
+    return {0: 1, **integer_tail(Q.unit_coeffs, Q.field.p, D)}, D
 
 
 class CanonicalIdeal:
@@ -262,7 +254,6 @@ class CanonicalIdeal:
         "field",
         "b",
         "unit_coeffs",
-        "_model",
         "_normal",
     )
 
@@ -292,7 +283,6 @@ class CanonicalIdeal:
         self.field = field
         self.b = b
         self.unit_coeffs = clean
-        self._model = None             # integer_model memo
         self._normal = None            # normal_form memo
 
     @property
@@ -312,9 +302,9 @@ class CanonicalIdeal:
         """Coefficients of (1 + sum u_i x^i)^(-1) modulo x^upto, as a sparse
         {k: w_k} map: 1 / t on the model (``_quotient``), w_k itself over
         F_p and w_k / D^k over Q; w_0 = 1 even when upto is 0."""
-        _, t, p, D = integer_model(self)[:4]
-        w = dict(_quotient({0: 1}, t, p, max(upto - 1, 0)))
-        return w if p else {k: Fraction(v, D**k) for k, v in w.items()}
+        t, D = integer_model(self)
+        w = dict(_quotient({0: 1}, t, self.field.p, max(upto - 1, 0)))
+        return w if self.field.p else {k: Fraction(v, D**k) for k, v in w.items()}
 
     def contains(self, w: RingElement) -> bool:
         """Exact membership test w in qR.
@@ -329,7 +319,8 @@ class CanonicalIdeal:
             raise MixedSemigroup("element and ideal over different semigroups")
         if w.field != self.field:
             raise MixedField("element and ideal over different fields")
-        hi, t, p, D = integer_model(self)[:4]
+        t, D = integer_model(self)
+        hi, p = self.truncation - 1, self.field.p
         coeffs = integer_row({k: v for k, v in w.coeffs.items() if k <= hi}, p, D)
         S, b = self.semigroup, self.b
         return all(k >= b and S.contains(k - b) for k, _ in _quotient(coeffs, t, p, hi))
@@ -344,9 +335,9 @@ class CanonicalIdeal:
         """The tail of the ideal's normal generator, as ascending
         ((i, u_i), ...) pairs in field scalars, cached (see ``normal_tail``)."""
         if self._normal is None:
-            _, t, p, D = integer_model(self)[:4]
-            tail = normal_tail(self.semigroup, {i: v for i, v in t.items() if i}, p)
-            self._normal = tail if p else tuple((i, Fraction(t, D**i)) for i, t in tail)
+            t, D = integer_model(self)
+            tail = normal_tail(self.semigroup, {i: v for i, v in t.items() if i}, self.field.p)
+            self._normal = tail if self.field.p else tuple((i, Fraction(t, D**i)) for i, t in tail)
         return self._normal
 
     def __eq__(self, other):

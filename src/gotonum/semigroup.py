@@ -104,8 +104,8 @@ class NumericalSemigroup:
     in G iff e >= ``_ap[e % a_1]``, f = max(``_ap``) - a_1, m-adic orders
     are read off the labels of one class, and escape orders at the a_1
     class tops.  Instances are immutable after construction; the private
-    memos (power generators, escape orders, monomial floors) fill lazily
-    and only grow, read by no other module.
+    memos (power generators, escape orders, monomial floors, gap bits)
+    fill lazily and only grow, read by no other module.
     """
 
     def __init__(self, raw_generators):
@@ -145,6 +145,7 @@ class NumericalSemigroup:
         self._powers = {}           # g -> exponents of order exactly g
         self._escape = {}           # delta -> escape_order(delta)
         self._floors = {}           # min(b, f + a_1 + 1) -> monomial_floor(b)
+        self._gap_bits = None       # gap_bits()
 
     # -- basic queries ---------------------------------------------------
 
@@ -165,6 +166,16 @@ class NumericalSemigroup:
             gaps.extend(range(r, w, self._a1))
         gaps.sort()
         return tuple(gaps)
+
+    def gap_bits(self) -> int:
+        """The gaps as a bitset, bit k set exactly when k is a gap, built
+        once from the classes as ``gaps`` reads them and memoized."""
+        if self._gap_bits is None:
+            bits = bytearray(b"0") * (self.frobenius + 2)  # f + 1 stays 0; <1> reads 0
+            for r, w in enumerate(self._ap):
+                bits[r:w:self._a1] = b"1" * (w // self._a1)
+            self._gap_bits = int(bits[::-1], 2)
+        return self._gap_bits
 
     @property
     def is_regular(self) -> bool:
@@ -310,12 +321,8 @@ class NumericalSemigroup:
 
     def stable_goto_via_t_prime(self) -> int:
         """Minimum over alpha in [1, a_1] of the largest m-adic order among
-        exponents whose shift by alpha leaves the semigroup."""
-        if self.is_regular:
-            return 0
-        return min(
-            self.escape_order(alpha) for alpha in range(1, self.multiplicity + 1)
-        )
+        exponents whose shift by alpha leaves the semigroup: g(x^(f+a_1+1))."""
+        return self.monomial_floor(self.frobenius + self.multiplicity + 1)[0]
 
     def monomial_floor(self, b: int):
         """The pair (g(x^b), U(b) == g(x^b)) for b >= 1 in G, with U(b) the

@@ -279,6 +279,29 @@ class TestPinnedValues:
     def test_wide_ideals_print_the_same_bytes(self, argv, want):
         assert run_cli(*argv) == (0, want)
 
+    @pytest.mark.parametrize(
+        "gens, argv, b, tail, want",
+        [
+            ((3, 7), ["--ideal", "x^9+x^14"], 9, {5: 1}, 3),
+            ((3, 7), ["--monomial", "9"], 9, {}, 2),
+            (
+                (3, 7),
+                ["--ideal", "x^9+x^10+x^13+x^14+x^17+x^20"],
+                9,
+                {1: 1, 4: 1, 5: 1, 8: 1, 11: 1},
+                2,
+            ),
+            ((4, 9), ["--ideal", "x^12+x^18"], 12, {6: 1}, 4),
+        ],
+    )
+    def test_goto_below_the_conductor(self, gens, argv, b, tail, want):
+        # below f the full normal tail is not the maximum: x^9 + x^14 in
+        # <3,7> (f = 11) gets 3, while x^9 and the tail on every gap i
+        # with 9 + i in G get 2; x^12 + x^18 in <4,9> (f = 23) gets 4
+        code, out = run_cli("goto", *map(str, gens), *argv)
+        assert code == 0 and json.loads(out)["goto_number"] == want
+        assert oracles.goto_number_literal(gens, b, tail) == want
+
     def test_monomial_ideal_with_a_wide_second_generator(self):
         # f = 6,199,996: the m-adic orders come from the labels of the 300
         # residue classes, with no table over [0, f]; the value is the

@@ -197,7 +197,7 @@ class TestMonomialFloor:
         # g = 1 and shares no code with gotonum.colon
         above = 0
         for Q in self._ideals():
-            gens, p = Q.semigroup.generators, getattr(Q.field, "p", 0)
+            gens, p = Q.semigroup.generators, Q.field.p
             g = goto_number(Q)
             assert g == oracles.goto_number_literal(gens, Q.b, Q.unit_coeffs, p), Q
             above += g > goto_monomial(Q.semigroup, Q.b)
@@ -245,7 +245,7 @@ class TestConductorLemma:
             S = semigroup(*gens)
             f, a1 = S.frobenius, S.multiplicity
             for Q in _seeded_tails(rng, gens, 12, fields, f + 1, f + 2 * a1):
-                p = getattr(Q.field, "p", 0)
+                p = Q.field.p
                 g = goto_number(Q)
                 assert g == oracles.goto_number_literal(gens, Q.b, Q.unit_coeffs, p), Q
                 above += g > goto_monomial(S, Q.b)
@@ -396,8 +396,8 @@ class TestGotoMonomial:
             Q = CanonicalIdeal(S, b, tail, fld)
             # the gap equations' integer unit is u itself over F_p, and over Q
             # its rescaling u(Dx), D the lcm of the tail denominators
-            t, p, model_D = integer_model(Q)[1:4]
-            D = 1 if p else math.lcm(*(v.denominator for v in tail.values()))
+            t, model_D = integer_model(Q)
+            D = 1 if fld.p else math.lcm(*(v.denominator for v in tail.values()))
             assert model_D == D, (tail, fld)
             assert t == {0: 1, **{i: D**i * v for i, v in tail.items()}}, (tail, fld)
             assert all(type(v) is int for v in t.values()), (tail, fld)
@@ -919,7 +919,7 @@ class TestNoUnitInverse:
             ideals += _seeded_tails(rng, gens, 2, fields, a1, a1)
             for Q in ideals:
                 fld, b, T = Q.field, Q.b, Q.truncation
-                p = getattr(fld, "p", 0)
+                p = fld.p
                 where = (gens, Q, fld.label)
                 assert goto_number(Q) == oracles.goto_number_literal(
                     gens, b, Q.unit_coeffs, p

@@ -523,3 +523,32 @@ class TestNormalForm:
         g = goto_number(Q)
         assert goto_number(P) == g
         assert oracles.goto_number_literal(gens, b, P.unit_coeffs, p) == g
+
+
+class TestIntegerModel:
+    def test_asks_the_semigroup_nothing(self, monkeypatch):
+        # (t, D) is the ideal's own: t = {0: 1, i: D^i u_i}, D the lcm of
+        # the tail denominators over Q and 1 over F_p, built with no
+        # membership test; the gap table is the semigroup's
+        from gotonum.ring import integer_model
+        from gotonum.semigroup import NumericalSemigroup
+
+        cases = [
+            (canonicalize(elem((4, 7, 9), "x^7 + x^8 + 1/2*x^9 - 3*x^11 + x^14")), 2),
+            (canonicalize(elem((5, 11), "x^40 + 2/3*x^44")), 3),
+            (canonicalize(elem((5, 11), "x^40 + 3*x^44", PrimeField(7))), 1),
+            (CanonicalIdeal(semigroup(3, 5), 6), 1),
+        ]
+        calls = []
+        original = NumericalSemigroup.contains
+
+        def spy(self, e):
+            calls.append(e)
+            return original(self, e)
+
+        monkeypatch.setattr(NumericalSemigroup, "contains", spy)
+        for Q, D in cases:
+            assert integer_model(Q) == (
+                {0: 1, **{i: D**i * v for i, v in Q.unit_coeffs.items()}}, D
+            ), Q
+        assert calls == []

@@ -111,6 +111,37 @@ class TestConstruction:
         assert semigroup(4, 7, 9).contains(11)
 
 
+class TestGapBits:
+    def test_matches_member_oracle(self, family):
+        # bit k set exactly when k is a gap, on <1>, <2,3> and the family
+        for S in [semigroup(1), semigroup(2, 3)] + family:
+            f = S.frobenius
+            members = set(oracles.members_upto(list(S.generators), max(f, 0)))
+            want = sum(1 << k for k in range(1, f + 1) if k not in members)
+            assert S.gap_bits() == want, S.generators
+            assert S.gap_bits() is S.gap_bits()
+
+    def test_matches_gaps_at_genus_312400(self):
+        S = NumericalSemigroup([300, 10001, 20011])
+        gaps = S.gaps
+        assert len(gaps) == 312400
+        text = ["0"] * (S.frobenius + 1)
+        for k in gaps:
+            text[k] = "1"
+        assert format(S.gap_bits(), "b")[::-1] == "".join(text)
+
+    def test_built_only_on_demand(self, monkeypatch):
+        # about 10^20 gaps: construction, the stable value and the
+        # conductor order never build the table
+        def refuse(self):
+            raise AssertionError("gap table built")
+
+        monkeypatch.setattr(NumericalSemigroup, "gap_bits", refuse)
+        S = NumericalSemigroup([3, 10**20 + 1])
+        assert S.frobenius == 2 * 10**20 - 1
+        assert bounds.stable_goto(S) == S.conductor_order() == 2
+
+
 class TestTwoGeneratedFrobenius:
     def test_paper_values(self):
         assert frobenius_two_generated(5, 11) == 39
