@@ -4,8 +4,6 @@ payload ``gotonum bounds`` prints."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .colon import goto_monomial
 from .errors import BoundViolation, CrossCheckMismatch, NotTwoGenerated
 from .semigroup import NumericalSemigroup
@@ -71,7 +69,8 @@ def rho(S: NumericalSemigroup) -> int:
 def bound_display_max(S: NumericalSemigroup) -> int:
     """Combined bound max(first-generator bound, per-generator bounds).
 
-    Dominates rho and never exceeds 1 + f/a_1 (checked exactly)."""
+    Dominates rho and never exceeds 1 + f/a_1, for an integer the global
+    bound floor(f/a_1) + 1 (checked)."""
     value = max(
         bound_first_generator(S),
         max(bound_monomial_generator(S, j) for j in range(2, S.embedding_dim + 1)),
@@ -80,7 +79,7 @@ def bound_display_max(S: NumericalSemigroup) -> int:
         raise CrossCheckMismatch(
             f"combined bound {value} undercuts the monomial supremum on {S.generators}"
         )
-    if Fraction(value) > 1 + Fraction(S.frobenius, S.multiplicity):
+    if value > bound_global(S):
         raise BoundViolation(f"combined bound {value} exceeds 1 + f/a_1 on {S.generators}")
     return value
 

@@ -18,7 +18,8 @@ colon's minimal valuation is its smallest free live column.  The rows are
 Python ints on the integer unit t of ``ring.integer_model``: mod field.p
 over F_p, and over Q u(Dx); scaling row k by D^k and column c by D^(-c)
 gives the entries t_(k - c) and moves no pivot, and a kernel vector h' in
-the scaled coordinates maps to r'_k = D^k r_k = (h' t)_k.
+the scaled coordinates maps to r'_k = D^k r_k = (h' t)_k.  Each public
+function builds the model at most once and hands t to the helpers.
 
 The Goto number is the last g whose colon Q : m^g has no element of
 valuation below b.  Escape orders give it for monomials and for every Q
@@ -215,11 +216,10 @@ def _ones(bits):
         c = bits.find("1", c + 1)
 
 
-def _gap_echelon(Q, multipliers):
+def _gap_echelon(Q, t, multipliers):
     """The live set E_M as a bit string indexed by column, and the pivot
     rows of the gap equations on it.  Column c is dead for s when c + s - b
     is negative or a gap: the gap bitset shifted by b - s, and [0, b - s)."""
-    t, _ = integer_model(Q)
     hi, p, gaps = Q.truncation - 1, Q.field.p, Q.semigroup.gap_bits()
     live = (1 << (hi + 1)) - 1
     for s in multipliers:
@@ -239,14 +239,13 @@ def _smallest_free(bits, pivots):
     return next((c for c in _ones(bits) if c not in pivots), None)
 
 
-def _colon_rows(Q, multipliers):
+def _colon_rows(Q, t, multipliers):
     """A basis of the colon mod x^T as integer rows r'_k = D^k r_k, one led
     by each free live column c: after the back substitution, the kernel
     vector h'_c = 1, h'_q = -prow_q[c] / prow_q[q] (cleared by the lcm of
     those leads over Q) times t, cut at b + f."""
-    t, _ = integer_model(Q)
     hi, p = Q.truncation - 1, Q.field.p
-    bits, pivots = _gap_echelon(Q, multipliers)
+    bits, pivots = _gap_echelon(Q, t, multipliers)
     _back_substitute(pivots, p)
     above = {}
     for q, prow in pivots.items():
@@ -273,8 +272,8 @@ def _colon_rows(Q, multipliers):
 def _colon(Q, multipliers):
     """The subspace {r mod x^T : r * x^s in Q for every s in multipliers},
     at T = b + f + 1."""
-    _, D = integer_model(Q)
-    rows = _colon_rows(Q, multipliers)
+    t, D = integer_model(Q)
+    rows = _colon_rows(Q, t, multipliers)
     vectors = rows if Q.field.p else [{k: Fraction(v, D**k) for k, v in r.items()} for r in rows]
     return TruncatedSubspace.span(Q.semigroup, Q.field, Q.truncation, vectors)
 
@@ -299,11 +298,11 @@ def colon_by_monomials(Q: CanonicalIdeal, exponents) -> TruncatedSubspace:
     return _colon(Q, sorted(e for e in set(exponents) if e < Q.truncation))
 
 
-def _colon_min_valuation(Q, g):
+def _colon_min_valuation(Q, t, g):
     """Minimal valuation in Q : m^g (None when the colon is zero): the
     smallest free live column of its gap equations, with no back
     substitution and no kernel basis."""
-    return _smallest_free(*_gap_echelon(Q, Q.semigroup.power_generators(g, Q.truncation - 1)))
+    return _smallest_free(*_gap_echelon(Q, t, Q.semigroup.power_generators(g, Q.truncation - 1)))
 
 
 def goto_number(Q: CanonicalIdeal) -> int:
@@ -332,8 +331,9 @@ def goto_number(Q: CanonicalIdeal) -> int:
     if settled or not Q.unit_coeffs:
         return floor
     cap = S.frobenius // S.multiplicity + 1
+    t = integer_model(Q)[0]
     for g in range(floor + 1, cap + 2):
-        mv = _colon_min_valuation(Q, g)
+        mv = _colon_min_valuation(Q, t, g)
         if mv is not None and mv < Q.b:
             return g - 1
     raise BoundViolation(
@@ -375,12 +375,11 @@ def ideal_image(Q: CanonicalIdeal) -> TruncatedSubspace:
     return _colon(Q, [0])
 
 
-def _shift_echelon(Q):
+def _shift_echelon(Q, t):
     """Q's shifts x^e t, e in b + G up to b + f, echeloned in the scaled
     coordinates with the pivot at the column of least m-adic order, then
     of least exponent: (keys, W, pivots), where column e is keyed
     -(ord(e) W + e) with W = b + f + 1, so that its order is -key // W."""
-    t, _ = integer_model(Q)
     S, hi, p = Q.semigroup, Q.truncation - 1, Q.field.p
     W = hi + 1
     keys = {e: -(S.madic_order(e) * W + e) for e in S.members(0, hi)}
@@ -391,12 +390,12 @@ def _shift_echelon(Q):
     return keys, W, _pivot_columns(shifts, p)
 
 
-def _level(Q, rows):
+def _level(Q, t, rows):
     """Largest i with every row (integer, in the scaled coordinates) in
     m^i + Q, None when they all lie in Q: by the level lemma, the least
     order at which a residual leads.  Exponents above b + f (in Q) drop."""
     p = Q.field.p
-    keys, W, pivots = _shift_echelon(Q)
+    keys, W, pivots = _shift_echelon(Q, t)
     residuals = (_reduce({keys[e]: v for e, v in r.items() if e in keys}, pivots, p) for r in rows)
     return min((-max(res) // W for res in residuals if res), default=None)
 
@@ -410,7 +409,8 @@ def _closure_generator_exponents(Q):
 def is_integrally_closed(Q: CanonicalIdeal) -> bool:
     """Q equals its closure exactly when Q : (closure) holds a unit, i.e.
     when column 0 of its gap equations is live and free."""
-    return _smallest_free(*_gap_echelon(Q, _closure_generator_exponents(Q))) == 0
+    t = integer_model(Q)[0]
+    return _smallest_free(*_gap_echelon(Q, t, _closure_generator_exponents(Q))) == 0
 
 
 def contained_in_power_sum(V: TruncatedSubspace, i: int, Q: CanonicalIdeal) -> bool:
@@ -434,8 +434,8 @@ def contained_in_power_sum(V: TruncatedSubspace, i: int, Q: CanonicalIdeal) -> b
         )
     if i == 0:
         return True
-    _, D = integer_model(Q)
-    level = _level(Q, [integer_row(vec, Q.field.p, D) for vec in V.basis])
+    t, D = integer_model(Q)
+    level = _level(Q, t, [integer_row(vec, Q.field.p, D) for vec in V.basis])
     return level is None or level >= i
 
 
@@ -454,11 +454,12 @@ def dual_goto(Q: CanonicalIdeal) -> int:
         raise NotGorenstein(
             f"duality requires a symmetric semigroup, {S.generators} is not"
         )
-    rows = _colon_rows(Q, _closure_generator_exponents(Q))
+    t = integer_model(Q)[0]
+    rows = _colon_rows(Q, t, _closure_generator_exponents(Q))
     if any(0 in r for r in rows):
         raise ClosedIdeal("duality requires Q strictly inside its closure")
     cap = S.frobenius // S.multiplicity + 2
-    level = _level(Q, rows)
+    level = _level(Q, t, rows)
     if level is None or level >= cap:
         raise BoundViolation(
             f"duality value for ({Q}) escaped the bound {cap}"
@@ -479,7 +480,7 @@ def conductor_dual_goto(Q: CanonicalIdeal) -> int:
             f"generator valuation {Q.b} must exceed the Frobenius number {f}"
         )
     hard_cap = (Q.truncation - 1) // S.multiplicity + 3
-    level = _level(Q, [{e: 1} for e in S.conductor_generators])
+    level = _level(Q, integer_model(Q)[0], [{e: 1} for e in S.conductor_generators])
     if level is None or level >= hard_cap:
         raise BoundViolation(
             f"conductor containment for ({Q}) never failed up to i = {hard_cap}"
@@ -501,5 +502,5 @@ def index_of_nilpotency(Q: CanonicalIdeal) -> int:
             f"generator valuation {Q.b} differs from the multiplicity "
             f"{S.multiplicity}"
         )
-    keys, W, pivots = _shift_echelon(Q)
+    keys, W, pivots = _shift_echelon(Q, integer_model(Q)[0])
     return max(-key // W for key in keys.values() if key not in pivots)

@@ -213,9 +213,9 @@ class TestMonomialFloor:
         seen = []
         original = colon._colon_min_valuation
 
-        def recording(Q, g):
+        def recording(Q, t, g):
             seen.append(g)
-            return original(Q, g)
+            return original(Q, t, g)
 
         monkeypatch.setattr(colon, "_colon_min_valuation", recording)
         decided = scanned = 0
@@ -281,7 +281,7 @@ class TestConductorLemma:
         import gotonum.colon as colon
         from gotonum.semigroup import NumericalSemigroup
 
-        def forbidden(Q, g):
+        def forbidden(Q, t, g):
             raise AssertionError(f"elimination ran on {Q}")
 
         monkeypatch.setattr(colon, "_colon_min_valuation", forbidden)
@@ -346,10 +346,11 @@ class TestGotoMonomial:
         for S in named_semigroups:
             for b in S.members(1, S.frobenius + 2 * S.multiplicity):
                 Q = CanonicalIdeal(S, b)
+                t = integer_model(Q)[0]
                 drops = [
                     g
                     for g in range(1, S.frobenius // S.multiplicity + 3)
-                    if _colon_min_valuation(Q, g) < b
+                    if _colon_min_valuation(Q, t, g) < b
                 ]
                 assert drops[0] - 1 == goto_monomial(S, b), (S.generators, b)
 
@@ -403,7 +404,7 @@ class TestGotoMonomial:
             assert all(type(v) is int for v in t.values()), (tail, fld)
             for g in range(S.frobenius // S.multiplicity + 2):
                 V = colon_power(Q, g)
-                assert _colon_min_valuation(Q, g) == V.min_valuation(), (
+                assert _colon_min_valuation(Q, t, g) == V.min_valuation(), (
                     S.generators, b, tail, fld, g
                 )
                 assert TruncatedSubspace.span(
@@ -428,11 +429,12 @@ class TestGotoMonomial:
                     for i in rng.sample(positions, rng.randint(1, min(3, len(positions))))
                 }
                 Q = CanonicalIdeal(S, b, tail, fld)
+                t = integer_model(Q)[0]
                 for g in range(S.frobenius // S.multiplicity + 3):
                     free = oracles.colon_free_columns_literal(gens, b, Q.unit_coeffs, g, p)
                     where = (gens, b, tail, p, g)
                     assert [min(v) for v in colon_power(Q, g).basis] == free, where
-                    assert _colon_min_valuation(Q, g) == (free[0] if free else None), where
+                    assert _colon_min_valuation(Q, t, g) == (free[0] if free else None), where
 
     def test_integer_pivots_match_fraction_elimination(self):
         # low-rank integer systems force non-unit leads and cancellations,
@@ -859,6 +861,62 @@ class TestIndexOfNilpotency:
                     ):
                         i += 1
                     assert index_of_nilpotency(Q) == i, (gens, tail, fld)
+
+
+class TestOneModelPerCall:
+    def test_each_entry_point_builds_the_model_once(self, monkeypatch):
+        # each public routine builds Q's integer model (t, D) at most once
+        # and hands t to the helpers; goto_number builds none when the
+        # floor decides, and one for a scan over several levels.  The
+        # tails x^b(1 + x^i/3) have D = 3 over Q
+        import gotonum.colon as colon
+
+        builds = []
+        build = colon.integer_model
+        monkeypatch.setattr(colon, "integer_model", lambda Q: builds.append(Q) or build(Q))
+
+        def count(fn, *args):
+            builds.clear()
+            fn(*args)
+            return len(builds)
+
+        # (gens, [(b, i)] scanned or decided by the floor, (a_1, i), (b > f, i))
+        cases = [
+            ((3, 5), [(5, 1), (8, 1), (11, 1)], (3, 2), (8, 1)),
+            ((5, 11), [(10, 1), (40, 4), (45, 1)], (5, 6), (40, 4)),
+            ((4, 7, 9), [(7, 1), (9, 2), (15, 1)], (4, 3), (11, 1)),
+        ]
+        decided = levels = 0
+        for gens, pairs, reduction, in_conductor in cases:
+            S = semigroup(*gens)
+            for fld in (RATIONALS, PrimeField(2), PrimeField(101)):
+
+                def tailed(b, i):
+                    return CanonicalIdeal(S, b, {i: fld.of(Fraction(1, 3))}, fld)
+
+                for b, i in pairs:
+                    where = (gens, b, i, fld.label)
+                    Q = tailed(b, i)
+                    assert integer_model(Q)[1] == (1 if fld.p else 3), where
+                    if oracles.conductor_lemma_decides(list(gens), b):
+                        assert count(goto_number, Q) == 0, where
+                        decided += 1
+                    else:
+                        assert count(goto_number, Q) == 1, where
+                        levels = max(levels, goto_number(Q) - goto_monomial(S, b) + 1)
+                    assert count(goto_number, CanonicalIdeal(S, b, None, fld)) == 0, where
+                    if S.is_symmetric():
+                        assert count(dual_goto, Q) == 1, where
+                    assert count(colon_power, Q, 2) == 1, where
+                    assert count(colon_by_monomials, Q, [S.multiplicity, b]) == 1, where
+                    assert count(ideal_image, Q) == 1, where
+                    assert count(is_integrally_closed, Q) == 1, where
+                    V = ideal_image(Q)
+                    for level in (1, 2):
+                        assert count(contained_in_power_sum, V, level, Q) == 1, where
+                assert count(index_of_nilpotency, tailed(*reduction)) == 1, (gens, fld.label)
+                assert count(conductor_dual_goto, tailed(*in_conductor)) == 1, (gens, fld.label)
+        assert decided == 9 and levels == 5, (decided, levels)
 
 
 class TestRandomizedNonMonomial:
