@@ -6,11 +6,8 @@ from __future__ import annotations
 
 from .colon import goto_monomial
 from .errors import BoundViolation, CrossCheckMismatch, NotTwoGenerated
+from .fields import quote_int, quote_ints
 from .semigroup import NumericalSemigroup
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
 
 
 def bound_global(S: NumericalSemigroup) -> int:
@@ -23,7 +20,7 @@ def bound_monomial_generator(S: NumericalSemigroup, j: int) -> int:
     where b_j is the largest semigroup element below a_j."""
     if not 2 <= j <= S.embedding_dim:
         raise ValueError(
-            f"generator index {j} outside [2, {S.embedding_dim}]"
+            f"generator index {quote_int(j)} outside [2, {S.embedding_dim}]"
         )
     aj = S.generators[j - 1]
     bj = S.largest_below(aj)
@@ -31,11 +28,12 @@ def bound_monomial_generator(S: NumericalSemigroup, j: int) -> int:
 
 
 def bound_first_generator(S: NumericalSemigroup) -> int:
-    """Upper bound ceil((f + a_1 + 1)/a_2) - 1 for g(x^(a_1))."""
+    """Upper bound ceil((f + a_1 + 1)/a_2) - 1, that is floor((f + a_1)/a_2),
+    for g(x^(a_1))."""
     if S.embedding_dim < 2:
         raise NotTwoGenerated("bound needs at least two generators")
     a1, a2 = S.generators[0], S.generators[1]
-    return _ceil_div(S.frobenius + a1 + 1, a2) - 1
+    return (S.frobenius + a1) // a2
 
 
 def closed_form_two_generated(S: NumericalSemigroup):
@@ -43,7 +41,7 @@ def closed_form_two_generated(S: NumericalSemigroup):
     for a two-generated semigroup; the first component never exceeds the second."""
     if S.embedding_dim != 2:
         raise NotTwoGenerated(
-            f"semigroup {S.generators} is not two-generated"
+            f"semigroup {quote_ints(S.generators)} is not two-generated"
         )
     a1, a2 = S.generators
     return (a1 - 1, a2 - 1 - (a2 - 1) // a1)
@@ -77,10 +75,12 @@ def bound_display_max(S: NumericalSemigroup) -> int:
     )
     if value < rho(S):
         raise CrossCheckMismatch(
-            f"combined bound {value} undercuts the monomial supremum on {S.generators}"
+            f"combined bound {value} undercuts the monomial supremum on {quote_ints(S.generators)}"
         )
     if value > bound_global(S):
-        raise BoundViolation(f"combined bound {value} exceeds 1 + f/a_1 on {S.generators}")
+        raise BoundViolation(
+            f"combined bound {value} exceeds 1 + f/a_1 on {quote_ints(S.generators)}"
+        )
     return value
 
 
@@ -103,7 +103,7 @@ def build_report(S: NumericalSemigroup) -> dict:
     ):
         raise CrossCheckMismatch(
             f"two-generated closed form {pair} disagrees with engine "
-            f"{tuple(monomial_gotos.values())} on {S.generators}"
+            f"{tuple(monomial_gotos.values())} on {quote_ints(S.generators)}"
         )
     report = {
         "schema": 1,
@@ -131,7 +131,7 @@ def build_report(S: NumericalSemigroup) -> dict:
     for name, slack in slacks.items():
         if slack < 0:
             raise CrossCheckMismatch(
-                f"bound {name} violated on {S.generators}: slack {slack}"
+                f"bound {name} violated on {quote_ints(S.generators)}: slack {slack}"
             )
     report["slacks"] = slacks
     return report

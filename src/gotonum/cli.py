@@ -3,8 +3,10 @@
 Exit codes: 0 on success, 1 when a golden-corpus check fails, 2 on
 usage or input errors (the message names the violated precondition).
 All output is deterministic: identical invocations produce identical
-bytes.  ``main`` reuses one parser per process; ``build_parser()``
-returns a new one on every call.
+bytes.  Every JSON output is written by ``_emit``, whose precondition is
+a flat payload: each value a scalar or a list, tuple or dict of scalars.
+``main`` reuses one parser per process; ``build_parser()`` returns a new
+one on every call.
 """
 
 from __future__ import annotations
@@ -33,38 +35,43 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+_JSON_VALUE = json.JSONEncoder(separators=(",\n    ", ": "))
+
+
 def _emit(payload, fmt, out):
-    if fmt == "json":
-        out.write(json.dumps(payload, indent=2, sort_keys=False))
-        out.write("\n")
-    else:
+    """Write ``payload``, a nonempty dict with str keys, as ``key: value``
+    lines or as JSON: ``json.dumps(payload, indent=2)`` and a newline, byte
+    for byte, when each value is a scalar or a flat list, tuple or dict.
+    Each value is encoded with no indent, so in C, and a nonempty
+    container's brackets then move to lines of their own."""
+    if fmt != "json":
         for key, value in payload.items():
             out.write(f"{key}: {value}\n")
+        return
+    encode, lead = _JSON_VALUE.encode, "{\n  "
+    for key, value in payload.items():
+        text = encode(value)
+        if value and isinstance(value, (list, tuple, dict)):
+            text = f"{text[0]}\n    {text[1:-1]}\n  {text[-1]}"
+        out.write(f"{lead}{encode(key)}: {text}")
+        lead = ",\n  "
+    out.write("\n}\n")
 
 
 def _cmd_info(args, out):
     S = NumericalSemigroup(args.generators)
-    gaps = S.gaps
     payload = {
         "schema": 1,
         "generators": list(S.generators),
         "frobenius": S.frobenius,
-        "gaps": None,
+        "gaps": list(S.gaps),
         "conductor_generators": list(S.conductor_generators),
         "regular": S.is_regular,
         "symmetric": S.is_symmetric(),
         "stable_goto": bounds.stable_goto(S),
         "conductor_order": S.conductor_order(),
     }
-    if args.format == "human":
-        payload["gaps"] = list(gaps)
-        _emit(payload, args.format, out)
-        return 0
-    # the gap list, the one value that grows with f, is joined in one C
-    # call instead of going through the pure-Python indent encoder
-    listed = "[\n    " + ",\n    ".join(map(str, gaps)) + "\n  ]" if gaps else "[]"
-    out.write(json.dumps(payload, indent=2).replace('"gaps": null', '"gaps": ' + listed, 1))
-    out.write("\n")
+    _emit(payload, args.format, out)
     return 0
 
 

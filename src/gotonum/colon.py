@@ -430,7 +430,8 @@ def contained_in_power_sum(V: TruncatedSubspace, i: int, Q: CanonicalIdeal) -> b
         raise ValueError(f"need i >= 0, got {quote_int(i)}")
     if V.truncation < Q.truncation:
         raise TruncationTooSmall(
-            f"containment needs truncation >= {Q.truncation}, got {V.truncation}"
+            f"containment needs truncation >= {quote_int(Q.truncation)}, "
+            f"got {quote_int(V.truncation)}"
         )
     if i == 0:
         return True
@@ -452,7 +453,7 @@ def dual_goto(Q: CanonicalIdeal) -> int:
     S = Q.semigroup
     if not S.is_symmetric():
         raise NotGorenstein(
-            f"duality requires a symmetric semigroup, {S.generators} is not"
+            f"duality requires a symmetric semigroup, {quote_ints(S.generators)} is not"
         )
     t = integer_model(Q)[0]
     rows = _colon_rows(Q, t, _closure_generator_exponents(Q))
@@ -477,7 +478,7 @@ def conductor_dual_goto(Q: CanonicalIdeal) -> int:
     f = S.frobenius
     if Q.b <= f:
         raise NotInConductor(
-            f"generator valuation {Q.b} must exceed the Frobenius number {f}"
+            f"generator valuation {quote_int(Q.b)} must exceed the Frobenius number {quote_int(f)}"
         )
     hard_cap = (Q.truncation - 1) // S.multiplicity + 3
     level = _level(Q, integer_model(Q)[0], [{e: 1} for e in S.conductor_generators])
@@ -499,8 +500,8 @@ def index_of_nilpotency(Q: CanonicalIdeal) -> int:
     S = Q.semigroup
     if Q.b != S.multiplicity:
         raise NotAReduction(
-            f"generator valuation {Q.b} differs from the multiplicity "
-            f"{S.multiplicity}"
+            f"generator valuation {quote_int(Q.b)} differs from the multiplicity "
+            f"{quote_int(S.multiplicity)}"
         )
     keys, W, pivots = _shift_echelon(Q, integer_model(Q)[0])
     return max(-key // W for key in keys.values() if key not in pivots)

@@ -70,6 +70,9 @@ def _apery_labels(a1, gens):
     a_1.  Putting C in place of c keeps the class, does not raise S and
     lowers D by (k' + |C| - 1) a_1 >= a_1.  So the labels are those of
     the minimal generators, and the pass can run before they are known.
+    A raw a > a_1 is minimal exactly when its class ends in (a - a_1, a):
+    a sum of two nonzero members has a - a_1 in G, so a smaller S ends the
+    class, or sums other generators to a, so a smaller D pops first.
     """
     labels = [[] for _ in range(a1)]
     heap = [(0, 0, 0)]
@@ -126,16 +129,7 @@ class NumericalSemigroup:
         self._a1 = a1
         self._labels = labels = _apery_labels(a1, raw[1:])
         self._ap = ap = [kept[-1][1] for kept in labels]
-        # a raw a > a_1 is a minimal generator iff it is not a sum of two
-        # nonzero members of G.  Such a sum either has a - a_1 in G, so a is
-        # not the least of its class, or has both summands in the Apery set.
-        nonzero = [w for w in ap if w]
-        self.generators = (a1,) + tuple(
-            a
-            for a in raw[1:]
-            if ap[a % a1] == a
-            and not any(w < a and self.contains(a - w) for w in nonzero)
-        )
+        self.generators = (a1,) + tuple(a for a in raw[1:] if labels[a % a1][-1] == (a - a1, a))
         self.frobenius = max(ap) - a1
         # R-module generators of the conductor x^(f+1)V
         self.conductor_generators = tuple(
@@ -309,8 +303,6 @@ class NumericalSemigroup:
         s of t generators; sums with s - alpha > f pass automatically, so
         the sums are kept up to f + a_1, one level per t.
         """
-        if self.is_regular:
-            return 0
         a1, gens, cap = self.multiplicity, self.generators, self.frobenius + self.multiplicity
         level = {0}
         for t in range(1, self.frobenius // a1 + 3):

@@ -454,6 +454,11 @@ class TestErrors:
                 ["goto", "3", "5", "--ideal", "x^5", "--field", "fp:" + "7" * 4000],
                 "prime 7777777777777777... too large (must be < 2^31)",
             ),
+            (
+                ["goto", "3", str(10**40), str(10**40 + 1), "--monomial", "3", "--dual"],
+                "duality requires a symmetric semigroup, "
+                "(3, 1000000000000000..., 1000000000000000...) is not",
+            ),
         ],
     )
     def test_library_messages_cut_long_numbers(self, argv, message):
@@ -673,6 +678,68 @@ class TestDeterminism:
         _, first = run_cli(*args)
         _, second = run_cli(*args)
         assert first == second
+
+
+# the scalars, and the flat lists, tuples and dicts of them, that the
+# values of a generated payload are drawn from
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-10**60, 10**60),
+    st.text(st.sampled_from('a"\\, :\n\u00e9\u2013\U0001d11e[]{}'), max_size=6),
+    st.sampled_from(["", ", ", '"', "\\", ",\n    ", "\u00e9t\u00e9"]),
+)
+_KEYS = st.text(st.sampled_from('k"\\, \u00e9'), max_size=4)
+_VALUES = st.one_of(
+    _SCALARS,
+    st.lists(_SCALARS, max_size=3),
+    st.lists(_SCALARS, max_size=3).map(tuple),
+    st.dictionaries(_KEYS, _SCALARS, max_size=3),
+)
+
+
+class TestJsonWriter:
+    # every JSON output is cli._emit's, and equals the indent-2 dump of
+    # the payload it was given
+    ARGVS = [
+        argv for argv, code in CORPUS
+        if code == 0 and argv[0] in SUBCOMMANDS[:-1] and "--help" not in argv
+        and "--format" not in argv
+    ] + [
+        ["info", "1"],
+        ["info", "3", "5", "7"],
+        ["bounds", "2", "3"],
+        ["search", "3", "5", "--coeffs=-1,0,1/2"],
+        ["table", "3", "5", "--max", "10"],
+    ]
+
+    def test_each_json_output_is_the_indent_2_dump_of_its_payload(self, monkeypatch):
+        emit, calls = cli._emit, []
+
+        def spy(payload, fmt, out):
+            buf = io.StringIO()
+            emit(payload, fmt, buf)
+            calls.append((payload, fmt, buf.getvalue()))
+            out.write(buf.getvalue())
+
+        monkeypatch.setattr(cli, "_emit", spy)
+        assert {argv[0] for argv in self.ARGVS} == set(SUBCOMMANDS) - {"verify-paper"}
+        for argv in self.ARGVS:
+            calls.clear()
+            code, out, err = run_captured(argv)
+            assert code == 0 and err == "", argv
+            # one call writes all of stdout; info's JSON included
+            (payload, fmt, text), = calls
+            assert fmt == "json" and text == out, argv
+            assert text == json.dumps(payload, indent=2) + "\n", argv
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.dictionaries(_KEYS, _VALUES, min_size=1, max_size=5))
+    def test_flat_payloads_are_written_as_the_indent_2_dump(self, payload):
+        buf = io.StringIO()
+        cli._emit(payload, "json", buf)
+        assert buf.getvalue() == json.dumps(payload, indent=2) + "\n"
 
 
 class TestParserReuse:
