@@ -23,10 +23,11 @@ function builds the model at most once and hands t to the helpers.
 
 The Goto number is the last g whose colon Q : m^g has no element of
 valuation below b.  Escape orders give it for monomials and for every Q
-the conductor lemma decides; every other Q is scanned from g(x^b) + 1,
-one elimination per g, M the exponents of m-adic order g.  Q is closed iff
-Q : (closure) holds a unit, i.e. column 0 is free.  The colon subspaces
-map a kernel basis by r = h u and reduce it (``TruncatedSubspace.span``).
+the conductor lemma decides; the one level scan, ``goto_scan``, takes
+the rest from g(x^b) + 1, one elimination per g, on S, b, p and t alone
+(``search`` passes its memo keys).  Q is closed iff Q : (closure) holds
+a unit, i.e. column 0 is free.  The colon subspaces map a kernel basis
+by r = h u and reduce it (``TruncatedSubspace.span``).
 
 Duality asks for the level of r, the largest i with r in m^i + Q.  Q's
 shifts x^e u, e in b + G, are echeloned with the pivot at the column of
@@ -216,14 +217,15 @@ def _ones(bits):
         c = bits.find("1", c + 1)
 
 
-def _gap_echelon(Q, t, multipliers):
-    """The live set E_M as a bit string indexed by column, and the pivot
-    rows of the gap equations on it.  Column c is dead for s when c + s - b
-    is negative or a gap: the gap bitset shifted by b - s, and [0, b - s)."""
-    hi, p, gaps = Q.truncation - 1, Q.field.p, Q.semigroup.gap_bits()
+def _gap_echelon(S, b, p, t, multipliers):
+    """The live set E_M of x^b u R, t the integer unit of u, as a bit string
+    indexed by column, and the pivot rows of the gap equations on it.
+    Column c is dead for s when c + s - b is negative or a gap: the gap
+    bitset shifted by b - s, and [0, b - s)."""
+    gaps, hi = S.gap_bits(), b + max(S.frobenius, 0)
     live = (1 << (hi + 1)) - 1
     for s in multipliers:
-        d = s - Q.b
+        d = s - b
         live &= ~(gaps >> d if d >= 0 else gaps << -d | (1 << -d) - 1)
     bits = format(live, f"0{hi + 1}b")[::-1]
     rows = (
@@ -239,13 +241,14 @@ def _smallest_free(bits, pivots):
     return next((c for c in _ones(bits) if c not in pivots), None)
 
 
-def _colon_rows(Q, t, multipliers):
+def _colon_rows(Q, t, multipliers, modulo_q=False):
     """A basis of the colon mod x^T as integer rows r'_k = D^k r_k, one led
     by each free live column c: after the back substitution, the kernel
     vector h'_c = 1, h'_q = -prow_q[c] / prow_q[q] (cleared by the lcm of
-    those leads over Q) times t, cut at b + f."""
-    hi, p = Q.truncation - 1, Q.field.p
-    bits, pivots = _gap_echelon(Q, t, multipliers)
+    those leads over Q) times t, cut at b + f.  With modulo_q, a column
+    c >= b with c - b in G, empty as x^c u is in R, gives no row x^c t in Q."""
+    S, b, hi, p = Q.semigroup, Q.b, Q.truncation - 1, Q.field.p
+    bits, pivots = _gap_echelon(S, b, p, t, multipliers)
     _back_substitute(pivots, p)
     above = {}
     for q, prow in pivots.items():
@@ -253,7 +256,7 @@ def _colon_rows(Q, t, multipliers):
             above.setdefault(c, []).append(q)
     out = []
     for c in _ones(bits):
-        if c in pivots:
+        if c in pivots or (modulo_q and c >= b and S.contains(c - b)):
             continue
         qs = above.get(c, ())
         L = 1 if p else lcm(*(pivots[q][q] for q in qs))
@@ -298,11 +301,12 @@ def colon_by_monomials(Q: CanonicalIdeal, exponents) -> TruncatedSubspace:
     return _colon(Q, sorted(e for e in set(exponents) if e < Q.truncation))
 
 
-def _colon_min_valuation(Q, t, g):
-    """Minimal valuation in Q : m^g (None when the colon is zero): the
-    smallest free live column of its gap equations, with no back
+def _colon_min_valuation(S, b, p, t, g):
+    """Minimal valuation in Q : m^g, Q = x^b u R (None when the colon is
+    zero): the smallest free live column of its gap equations, with no back
     substitution and no kernel basis."""
-    return _smallest_free(*_gap_echelon(Q, t, Q.semigroup.power_generators(g, Q.truncation - 1)))
+    hi = b + max(S.frobenius, 0)
+    return _smallest_free(*_gap_echelon(S, b, p, t, S.power_generators(g, hi)))
 
 
 def goto_number(Q: CanonicalIdeal) -> int:
@@ -318,26 +322,29 @@ def goto_number(Q: CanonicalIdeal) -> int:
     u x^c x^s = q x^(c + s - b) lies in qR; so g(Q) <= w(b - c).  As
     w(alpha + a_1) > w(alpha) (``goto_monomial``), g(Q) <= U(b), the least
     w(alpha) over 1 <= alpha <= min(b - f - 1, a_1).  When U(b) equals the
-    floor, as it does for every b > f + a_1, g(Q) is the floor.
-
-    Every other Q is scanned over ascending g from the floor + 1, one
-    elimination of the gap equations per g, up to the first colon whose
-    smallest free live column lies below b.  The scan cannot legitimately
-    pass floor(f/a_1) + 1, so reaching floor(f/a_1) + 2 raises an internal
-    error.
+    floor, as it does for every b > f + a_1, g(Q) is the floor.  Every
+    other Q goes to the level scan (``goto_scan``) on its integer unit.
     """
-    S = Q.semigroup
-    floor, settled = S.monomial_floor(Q.b)
+    floor, settled = Q.semigroup.monomial_floor(Q.b)
     if settled or not Q.unit_coeffs:
         return floor
+    return goto_scan(Q.semigroup, Q.b, Q.field.p, integer_model(Q)[0])
+
+
+def goto_scan(S, b, p, t) -> int:
+    """The Goto number of Q = x^b u R over the field of modulus p from an
+    integer unit t = {0: 1, i: t_i} of Q: ascending g from g(x^b) + 1, one
+    elimination of the gap equations per g, up to the first colon with a
+    free live column below b.  Any generator of Q at any scale D != 0 gives
+    the same pivots, so ``search`` passes its memo key, the normal tail of
+    u(Dx).  Passing floor(f/a_1) + 1, which g cannot, raises an error."""
     cap = S.frobenius // S.multiplicity + 1
-    t = integer_model(Q)[0]
-    for g in range(floor + 1, cap + 2):
-        mv = _colon_min_valuation(Q, t, g)
-        if mv is not None and mv < Q.b:
+    for g in range(S.monomial_floor(b)[0] + 1, cap + 2):
+        mv = _colon_min_valuation(S, b, p, t, g)
+        if mv is not None and mv < b:
             return g - 1
     raise BoundViolation(
-        f"colon of ({Q}) still integral at g = {cap + 1}, beyond the proven bound"
+        f"colon at b = {quote_int(b)} over {quote_ints(S.generators)} integral past bound {cap}"
     )
 
 
@@ -402,15 +409,17 @@ def _level(Q, t, rows):
 
 def _closure_generator_exponents(Q):
     """Exponents of the monomial generators of Q's integral closure, the
-    e in G with b <= e <= b + f + 1: a larger e has e - b > f in G."""
+    e in G with b <= e <= b + f + 1: a larger e has e - b > f in G, after
+    the gap bitset, so that a too large f is refused before this list."""
+    Q.semigroup.gap_bits()
     return Q.semigroup.members(Q.b, Q.truncation)
 
 
 def is_integrally_closed(Q: CanonicalIdeal) -> bool:
     """Q equals its closure exactly when Q : (closure) holds a unit, i.e.
     when column 0 of its gap equations is live and free."""
-    t = integer_model(Q)[0]
-    return _smallest_free(*_gap_echelon(Q, t, _closure_generator_exponents(Q))) == 0
+    t, multipliers = integer_model(Q)[0], _closure_generator_exponents(Q)
+    return _smallest_free(*_gap_echelon(Q.semigroup, Q.b, Q.field.p, t, multipliers)) == 0
 
 
 def contained_in_power_sum(V: TruncatedSubspace, i: int, Q: CanonicalIdeal) -> bool:
@@ -456,7 +465,7 @@ def dual_goto(Q: CanonicalIdeal) -> int:
             f"duality requires a symmetric semigroup, {quote_ints(S.generators)} is not"
         )
     t = integer_model(Q)[0]
-    rows = _colon_rows(Q, t, _closure_generator_exponents(Q))
+    rows = _colon_rows(Q, t, _closure_generator_exponents(Q), modulo_q=True)
     if any(0 in r for r in rows):
         raise ClosedIdeal("duality requires Q strictly inside its closure")
     cap = S.frobenius // S.multiplicity + 2

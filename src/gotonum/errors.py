@@ -69,7 +69,11 @@ class NotTwoGenerated(GotoNumberError):
     """Closed form only applies to two-generated semigroups."""
 
 
-class SearchSpaceTooLarge(GotoNumberError):
+class InputTooLarge(GotoNumberError):
+    """Input past a size limit, refused before it is built; names the limit."""
+
+
+class SearchSpaceTooLarge(InputTooLarge):
     """Requested enumeration exceeds the search cap (``explorer.SEARCH_CAP``)."""
 
 

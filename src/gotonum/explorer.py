@@ -3,10 +3,11 @@
 Canonical forms x^b(1 + sum u_i x^i) are enumerated over a finite
 coefficient set; the resulting Goto numbers are exact for the chosen
 field and coefficient set and say nothing about other coefficients.
-Many forms generate the same ideal; the search computes the Goto number
-once per distinct ideal, keyed on its normal form, and not at all at a
-valuation the conductor lemma decides.  Records are streamed: a search
-holds the distinct ideals of one valuation, never one record per form.
+``search`` counts the |C|^k forms of a valuation the conductor lemma
+decides in closed form; elsewhere the level scan (``colon.goto_scan``)
+runs once per distinct ideal, straight from its memo key, the integer
+normal tail.  Records are streamed: a search holds the distinct ideals of
+one valuation, never one record per form.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, product
 
-from .colon import goto_monomial, goto_number
+from .colon import goto_monomial, goto_scan
 from .errors import SearchSpaceTooLarge
 from .fields import RATIONALS, quote_int
 from .ring import CanonicalIdeal, integer_scale, integer_tail, normal_tail
@@ -139,51 +140,61 @@ def _search_one_b(config, b):
     the conductor lemma decides every ideal of valuation b, each form gets
     the floor g(x^b) and nothing else is built.  Elsewhere the integer
     images of the coefficients (one D for the whole set over Q, see
-    ``integer_tail``) give each form's integer normal tail.  For a fixed D
-    that tail determines the ideal, so it keys the memo; only a miss builds
-    the form's ``CanonicalIdeal`` and scans it.
-    """
-    S = config.semigroup
-    fld = config.field
-    coeffs = config.coefficients
+    ``integer_tail``) give each form's integer normal tail, which keys the
+    memo: a miss scans the key as the ideal's unit (``goto_scan``), and the
+    empty key, the monomial x^b, takes the floor."""
+    S, fld, coeffs = config.semigroup, config.field, config.coefficients
     zero = coeffs.index(fld.zero)
     positions = config.admissible_positions(b)
     floor, settled = S.monomial_floor(b)
     if not settled:
         p, D = fld.p, integer_scale(fld, coeffs)
         scaled = [integer_tail(dict.fromkeys(positions, c), p, D) for c in coeffs]
-    memo = {}
+        memo = {(): floor}
     for vector in product(range(len(coeffs)), repeat=len(positions)):
         tail = tuple((i, coeffs[k]) for i, k in zip(positions, vector) if k != zero)
         if settled:
             yield SearchRecord(b, tail, floor)
             continue
-        key = normal_tail(
-            S, {i: scaled[k][i] for i, k in zip(positions, vector) if k != zero}, p
-        )
+        key = normal_tail(S, {i: scaled[k][i] for i, k in zip(positions, vector) if k != zero}, p)
         goto = memo.get(key)
         if goto is None:
-            goto = memo[key] = goto_number(CanonicalIdeal(S, b, dict(tail), fld))
+            goto = memo[key] = goto_scan(S, b, p, {0: 1, **dict(key)})
         yield SearchRecord(b, tail, goto)
 
 
-def search_records(config: SearchConfig):
-    """An iterator over every configured form's record, in enumeration
-    order.  The cap is checked here, before any form is enumerated."""
+def _check_cap(config, b_values):
+    """Refuse more than ``SEARCH_CAP`` forms at these valuations, up front."""
     total = 0
-    for b in config.b_values:
+    for b in b_values:
         total += len(config.coefficients) ** len(config.admissible_positions(b))
         if total > SEARCH_CAP:
             raise SearchSpaceTooLarge(f"enumeration would exceed {SEARCH_CAP} ideals")
+
+
+def search_records(config: SearchConfig):
+    """Every configured form's record, in enumeration order; all count toward the cap."""
+    _check_cap(config, config.b_values)
     return chain.from_iterable(_search_one_b(config, b) for b in config.b_values)
 
 
 def search(config: SearchConfig) -> SearchResult:
-    """Count the Goto numbers of the configured forms in one pass over
-    ``search_records``, keeping the first witness of each value."""
-    value_counts = {}
-    witnesses = {}
-    for rec in search_records(config):
-        value_counts[rec.goto] = value_counts.get(rec.goto, 0) + 1
-        witnesses.setdefault(rec.goto, rec)
+    """Count the Goto numbers of the configured forms, with the first witness
+    of each.  At a valuation the conductor lemma decides, the |C|^k forms
+    take the floor and the first, every position at C[0], is the witness;
+    only the other valuations' forms are enumerated and count toward the cap."""
+    S, C = config.semigroup, config.coefficients
+    _check_cap(config, [b for b in config.b_values if not S.monomial_floor(b)[1]])
+    value_counts, witnesses = {}, {}
+    for b in config.b_values:
+        floor, settled = S.monomial_floor(b)
+        if settled:
+            positions = config.admissible_positions(b)
+            first = () if C[0] == config.field.zero else tuple((i, C[0]) for i in positions)
+            records = [(len(C) ** len(positions), SearchRecord(b, first, floor))]
+        else:
+            records = ((1, rec) for rec in _search_one_b(config, b))
+        for n, rec in records:
+            value_counts[rec.goto] = value_counts.get(rec.goto, 0) + n
+            witnesses.setdefault(rec.goto, rec)
     return SearchResult(config, value_counts, witnesses)

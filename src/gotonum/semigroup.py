@@ -23,6 +23,7 @@ from .errors import (
     CoprimalityError,
     EmptyError,
     GcdError,
+    InputTooLarge,
     NotInSemigroup,
 )
 from .fields import quote_int, quote_ints
@@ -163,8 +164,11 @@ class NumericalSemigroup:
 
     def gap_bits(self) -> int:
         """The gaps as a bitset, bit k set exactly when k is a gap, built
-        once from the classes as ``gaps`` reads them and memoized."""
+        once from the classes as ``gaps`` reads them and memoized; refused,
+        before anything is built, past f = 10^7."""
         if self._gap_bits is None:
+            if self.frobenius > 10**7:
+                raise InputTooLarge(f"colons need f <= 10^7, got f = {quote_int(self.frobenius)}")
             bits = bytearray(b"0") * (self.frobenius + 2)  # f + 1 stays 0; <1> reads 0
             for r, w in enumerate(self._ap):
                 bits[r:w:self._a1] = b"1" * (w // self._a1)

@@ -141,6 +141,22 @@ class TestSearch:
         assert lines[0] == "b\tcoeffs\tgoto"
         assert len(lines) == 3
 
+    def test_cap_counts_only_enumerated_forms(self):
+        # b = 45 > f + a_1 over <5,11> has 39 admissible positions: the
+        # JSON count is 2^39 in closed form, while TSV, which writes every
+        # form, is refused before its header
+        code, out, err = run_captured(["search", "5", "11", "--b", "45"])
+        payload = json.loads(out)
+        assert (code, err) == (0, "")
+        assert payload["count"] == 549755813888 == 2**39
+        assert payload["value_counts"] == {"4": 549755813888}
+        assert payload["witnesses"] == {"4": "x^45"}
+        code, out, err = run_captured(["search", "5", "11", "--b", "45", "--format", "tsv"])
+        assert (code, out) == (2, "")
+        assert err == "error: enumeration would exceed 10000000 ideals\n"
+        # b = 40 is undecided, so its 2^39 forms are refused in every format
+        assert run_captured(["search", "5", "11", "--b", "40"])[0] == 2
+
 
 class TestBoundsAndRlr:
     def test_bounds(self):
@@ -220,6 +236,13 @@ class TestDeepValuations:
         payload = self.run_child("search", "3", "5", "--b", "100000")
         assert payload["count"] == 128
         assert payload["value_counts"] == {"2": 128}
+
+    def test_search_decided_valuation_in_closed_form(self):
+        # 2^23 forms at b = 30 > f + a_1, counted with none enumerated
+        payload = self.run_child("search", "6", "7", "15", "--b", "30")
+        assert payload["count"] == 8388608
+        assert payload["value_counts"] == {"3": 8388608}
+        assert payload["witnesses"] == {"3": "x^30"}
 
     def test_table(self):
         table = self.run_child("table", "3", "5", "--max", "20000")["table"]
@@ -469,6 +492,23 @@ class TestErrors:
         assert proc.stderr == f"error: {message}\n"
         assert len(proc.stderr.encode()) <= 200
         assert "2" * 17 not in proc.stderr and "7" * 17 not in proc.stderr
+
+
+    @pytest.mark.parametrize(
+        "argv, frobenius",
+        [
+            (["goto", "3", "10000000001", "--ideal", "x^3+x^10000000001"], "19999999999"),
+            (["goto", "3", str(10**40 + 1), "--ideal", f"x^3+x^{10**40 + 1}"], "1999999999999999..."),
+            (["goto", "3", str(10**40 + 1), "--monomial", "3", "--dual"], "1999999999999999..."),
+        ],
+    )
+    def test_colons_past_the_frobenius_limit_exit_two(self, argv, frobenius):
+        # the gap bitset of a colon has f + 1 bits; past f = 10^7 it is
+        # refused before anything of that size is built, where it used to
+        # die with MemoryError or OverflowError, or hang under --dual
+        proc = run_child(*argv, timeout=10)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: colons need f <= 10^7, got f = {frobenius}\n"
 
 
 def stderr_is_one_error_line(code, out, err):

@@ -213,9 +213,9 @@ class TestMonomialFloor:
         seen = []
         original = colon._colon_min_valuation
 
-        def recording(Q, t, g):
+        def recording(S, b, p, t, g):
             seen.append(g)
-            return original(Q, t, g)
+            return original(S, b, p, t, g)
 
         monkeypatch.setattr(colon, "_colon_min_valuation", recording)
         decided = scanned = 0
@@ -281,8 +281,8 @@ class TestConductorLemma:
         import gotonum.colon as colon
         from gotonum.semigroup import NumericalSemigroup
 
-        def forbidden(Q, t, g):
-            raise AssertionError(f"elimination ran on {Q}")
+        def forbidden(S, b, p, t, g):
+            raise AssertionError(f"elimination ran at b = {b} with unit {t}")
 
         monkeypatch.setattr(colon, "_colon_min_valuation", forbidden)
         asked = []
@@ -350,7 +350,7 @@ class TestGotoMonomial:
                 drops = [
                     g
                     for g in range(1, S.frobenius // S.multiplicity + 3)
-                    if _colon_min_valuation(Q, t, g) < b
+                    if _colon_min_valuation(S, b, Q.field.p, t, g) < b
                 ]
                 assert drops[0] - 1 == goto_monomial(S, b), (S.generators, b)
 
@@ -404,7 +404,7 @@ class TestGotoMonomial:
             assert all(type(v) is int for v in t.values()), (tail, fld)
             for g in range(S.frobenius // S.multiplicity + 2):
                 V = colon_power(Q, g)
-                assert _colon_min_valuation(Q, t, g) == V.min_valuation(), (
+                assert _colon_min_valuation(S, b, Q.field.p, t, g) == V.min_valuation(), (
                     S.generators, b, tail, fld, g
                 )
                 assert TruncatedSubspace.span(
@@ -434,7 +434,7 @@ class TestGotoMonomial:
                     free = oracles.colon_free_columns_literal(gens, b, Q.unit_coeffs, g, p)
                     where = (gens, b, tail, p, g)
                     assert [min(v) for v in colon_power(Q, g).basis] == free, where
-                    assert _colon_min_valuation(Q, t, g) == (free[0] if free else None), where
+                    assert _colon_min_valuation(S, b, Q.field.p, t, g) == (free[0] if free else None), where
 
     def test_integer_pivots_match_fraction_elimination(self):
         # low-rank integer systems force non-unit leads and cancellations,
@@ -773,6 +773,40 @@ class TestDuality:
                 ), (Q, i)
         assert {kind[0] for kind in kinds if kind != "value"} == {"ClosedIdeal", "NotGorenstein"}
         assert "value" in kinds
+
+
+    def test_rows_of_q_shifts_leave_the_level_unchanged(self):
+        # dual_goto leaves out the rows of J = Q : closure at free columns
+        # c >= b with c - b in G: each is x^c t, in Q.  The level of J is
+        # the same with and without them, and equals the span oracle's
+        # value; the rows left out lie in Q (level None) and column 0
+        # always keeps its row
+        import gotonum.colon as colon
+
+        rng = random.Random(3917)
+        fields = [RATIONALS, PrimeField(2), PrimeField(3), PrimeField(101)]
+        ideals = [ideal((3, 5), "x^5"), ideal((5, 11), "x^40+x^44")]
+        for gens in [(3, 5), (5, 7), (4, 5, 6), (5, 11), (3, 7), (7, 9)]:
+            ideals += _seeded_tails(rng, gens, 6, fields)
+        skipped_total = 0
+        for Q in ideals:
+            S, b, hi = Q.semigroup, Q.b, Q.truncation - 1
+            t = integer_model(Q)[0]
+            exponents = colon._closure_generator_exponents(Q)
+            whole = colon._colon_rows(Q, t, exponents)
+            kept = colon._colon_rows(Q, t, exponents, modulo_q=True)
+            shifts = [r for r in whole if min(r) >= b and S.contains(min(r) - b)]
+            assert kept == [r for r in whole if r not in shifts], Q
+            for r in shifts:
+                c = min(r)
+                assert r == {c + i: v for i, v in t.items() if c + i <= hi}, (Q, c)
+            assert colon._level(Q, t, shifts) is None, Q
+            assert any(0 in r for r in kept) == any(0 in r for r in whole), Q
+            level = colon._level(Q, t, whole)
+            assert colon._level(Q, t, kept) == level == dual_goto(Q), Q
+            assert level == oracles.dual_goto_spans(Q), Q
+            skipped_total += len(shifts)
+        assert skipped_total > 100, skipped_total
 
 
 class TestClosureGenerators:

@@ -117,8 +117,9 @@ class TestSearch:
             lambda self, delta: asked.append(delta) or escape_order(self, delta),
         )
         scans = []
+        scan = explorer.goto_scan
         monkeypatch.setattr(
-            explorer, "goto_number", lambda Q: scans.append(Q) or goto_number(Q)
+            explorer, "goto_scan", lambda S, b, p, t: scans.append(t) or scan(S, b, p, t)
         )
         S = NumericalSemigroup([4, 7, 9])
         result = search(SearchConfig(semigroup=S, b_values=(7,)))
@@ -171,18 +172,20 @@ class TestSearch:
     )
     def test_memo_never_mixes_up_ideals(self, monkeypatch, field, coefficients):
         # every record's Goto number is that of its own form, computed
-        # fresh; the search scans each distinct ideal exactly once, and
-        # none at a valuation the conductor lemma decides
+        # fresh; the search scans each distinct ideal but the monomial x^b
+        # (the empty key, which takes the floor) exactly once, from its
+        # integer normal tail, and none at a valuation the conductor lemma
+        # decides
         import gotonum.explorer as explorer
 
         scanned = []
-        original = explorer.goto_number
+        original = explorer.goto_scan
 
-        def counting(Q):
-            scanned.append(Q)
-            return original(Q)
+        def counting(S, b, p, t):
+            scanned.append(tuple(sorted(t.items())))
+            return original(S, b, p, t)
 
-        monkeypatch.setattr(explorer, "goto_number", counting)
+        monkeypatch.setattr(explorer, "goto_scan", counting)
         rng = random.Random(8)
         cases = []
         for gens in [(3, 5, 7), (4, 5, 7), (3, 5), (4, 5, 6), (3, 7, 8)]:
@@ -206,10 +209,118 @@ class TestSearch:
                 assert scanned == [], (gens, b)
                 decided += 1
             else:
-                assert len(scanned) == len(ideals) < len(records), (gens, b)
+                assert len(scanned) + 1 == len(ideals) < len(records), (gens, b)
+                assert len(set(scanned)) == len(scanned), (gens, b)
+                assert all(t[0] == (0, 1) and len(t) > 1 for t in scanned), (gens, b)
                 distinct += len(ideals)
             scanned.clear()
         assert distinct > 100 and decided > 0, (distinct, decided)
+
+    def test_closed_form_counts_match_the_enumeration(self):
+        # search() counts a decided valuation in closed form, |C|^k forms
+        # at the floor with the all-C[0] form as witness; on every
+        # valuation of the CLI corpus semigroups its counts and witnesses
+        # equal a tally of the records, one valuation at a time and over
+        # the whole range (where the witness is the first across b)
+        rng = random.Random(39)
+        sets = [
+            (RATIONALS, (0, 1)),
+            (RATIONALS, (-1, 0, 1)),
+            (RATIONALS, (0, Fraction(1, 2), 1)),
+            (RATIONALS, (Fraction(-2, 3), 0, 5)),
+            (PrimeField(2), (0, 1)),
+            (PrimeField(5), (0, 1, 4)),
+        ]
+
+        def tally(config):
+            counts, first = {}, {}
+            for rec in search_records(config):
+                counts[rec.goto] = counts.get(rec.goto, 0) + 1
+                first.setdefault(rec.goto, rec)
+            return counts, first
+
+        decided = undecided = 0
+        for gens in [(3, 5), (4, 5, 11), (4, 6, 7), (4, 7, 9), (5, 11), (7, 11, 20)]:
+            S = semigroup(*gens)
+            for field, coefficients in sets:
+                most = max(k for k in range(12) if len(coefficients) ** k <= 256)
+                configs = []
+                for b in SearchConfig(S).b_values:
+                    positions = SearchConfig(S).admissible_positions(b)
+                    if len(positions) > most:
+                        positions = rng.sample(positions, most)
+                    configs.append(SearchConfig(S, field, coefficients, (b,), positions))
+                    settled = S.monomial_floor(b)[1]
+                    decided += settled
+                    undecided += not settled
+                gaps = rng.sample(S.gaps, min(3, len(S.gaps)))
+                configs.append(SearchConfig(S, field, coefficients, positions=gaps))
+                for config in configs:
+                    result = search(config)
+                    counts, first = tally(config)
+                    where = (gens, field, coefficients, config.b_values, config.positions)
+                    assert result.value_counts == counts, where
+                    assert result.witnesses == first, where
+        assert decided > 100 and undecided > 100, (decided, undecided)
+
+    def test_decided_valuation_enumerates_nothing(self, monkeypatch):
+        # b = 30 > f + a_1 over <6,7,15>: 2^23 forms, all at the floor 3,
+        # counted with no normal tail, no scan, no ideal and no model
+        import gotonum.colon as colon
+        import gotonum.ring as ring
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a decided valuation built per-form state")
+
+        monkeypatch.setattr(explorer, "normal_tail", forbidden)
+        monkeypatch.setattr(explorer, "goto_scan", forbidden)
+        monkeypatch.setattr(ring.CanonicalIdeal, "__init__", forbidden)
+        monkeypatch.setattr(colon, "integer_model", forbidden)
+        S = semigroup(6, 7, 15)
+        config = SearchConfig(S, b_values=(30,))
+        assert len(config.admissible_positions(30)) == 23
+        result = search(config)
+        assert result.count == 8_388_608 and result.value_counts == {3: 8_388_608}
+        assert result.witnesses == {3: SearchRecord(30, (), 3)}
+
+    def test_scan_reads_the_memo_key(self, monkeypatch):
+        # an undecided search builds no ideal object and no integer model:
+        # each distinct ideal is scanned from its integer normal tail
+        import gotonum.colon as colon
+        import gotonum.ring as ring
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("search built an ideal or an integer model")
+
+        monkeypatch.setattr(ring.CanonicalIdeal, "__init__", forbidden)
+        monkeypatch.setattr(colon, "integer_model", forbidden)
+        scans = []
+        scan = explorer.goto_scan
+        monkeypatch.setattr(
+            explorer, "goto_scan", lambda S, b, p, t: scans.append(t) or scan(S, b, p, t)
+        )
+        for gens, field, coefficients in [
+            ((4, 7, 9), RATIONALS, (0, Fraction(1, 2), -1)),
+            ((5, 6, 13), PrimeField(3), (0, 1, 2)),
+        ]:
+            S = semigroup(*gens)
+            b_values = [b for b in SearchConfig(S).b_values if not S.monomial_floor(b)[1]]
+            scans.clear()
+            result = search(SearchConfig(S, field, coefficients, b_values[:3], positions=S.gaps[-4:]))
+            assert result.count == sum(3 ** len(result.config.admissible_positions(b)) for b in b_values[:3])
+            assert len(scans) > 10, gens
+
+    def test_scan_bound_check_runs_on_both_routes(self, monkeypatch):
+        # a planted fault that keeps every colon inside the closure drives
+        # the scan past floor(f/a_1) + 1 = 3 on <4,7,9>: goto_number and
+        # search, which scans from the memo key, both raise
+        import gotonum.colon as colon
+
+        monkeypatch.setattr(colon, "_colon_min_valuation", lambda *args: None)
+        with pytest.raises(BoundViolation, match=r"b = 7 over \(4, 7, 9\) integral past bound 3"):
+            goto_number(ideal((4, 7, 9), "x^7+x^8+x^9"))
+        with pytest.raises(BoundViolation, match=r"b = 7 over \(4, 7, 9\) integral past bound 3"):
+            search(SearchConfig(semigroup(4, 7, 9), b_values=(7,)))
 
     def test_memory_does_not_grow_with_forms(self):
         # records are streamed, so a search holds the distinct ideals of one

@@ -11,6 +11,7 @@ from gotonum.errors import (
     CoprimalityError,
     EmptyError,
     GcdError,
+    InputTooLarge,
     NotInSemigroup,
 )
 from gotonum.semigroup import NumericalSemigroup, frobenius_two_generated
@@ -140,6 +141,22 @@ class TestGapBits:
         S = NumericalSemigroup([3, 10**20 + 1])
         assert S.frobenius == 2 * 10**20 - 1
         assert bounds.stable_goto(S) == S.conductor_order() == 2
+
+
+    def test_refused_past_the_limit_before_it_is_built(self):
+        # <2, a> has f = a - 2: f = 10^7 - 1 is built, f = 10^7 + 1 is
+        # refused with the limit named, at once and with nothing allocated
+        S = NumericalSemigroup([2, 10**7 + 1])
+        assert S.gap_bits() == int("10" * (10**7 // 2), 2)
+        S = NumericalSemigroup([2, 10**7 + 3])
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputTooLarge, match=r"f <= 10\^7, got f = 10000001$"):
+                S.gap_bits()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16, peak
 
 
 class TestTwoGeneratedFrobenius:
