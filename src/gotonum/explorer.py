@@ -1,24 +1,27 @@
 """Enumeration and search over parameter ideals.
 
 Canonical forms x^b(1 + sum u_i x^i) are enumerated over a finite
-coefficient set; the resulting Goto numbers are exact for the chosen
+coefficient set C; the resulting Goto numbers are exact for the chosen
 field and coefficient set and say nothing about other coefficients.
-``search`` counts the |C|^k forms of a valuation the conductor lemma
-decides in closed form; elsewhere the level scan (``colon.goto_scan``)
-runs once per distinct ideal, straight from its memo key, the integer
-normal tail.  Records are streamed: a search holds the distinct ideals of
+``search`` enumerates at each valuation only the positions whose
+coefficient can change the ideal, and weights each vector by |C|^|H|, H
+the held positions it leaves out (its docstring has the proof).  The
+integer normal unit of each vector, from one odometer that shares each
+prefix's part of the sweep (``_normal_keys``), keys a memo, so the level
+scan (``colon.goto_scan``) runs once per distinct ideal, straight from
+its key.  Records are streamed: a search holds the distinct ideals of
 one valuation, never one record per form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import product, repeat
 
 from .colon import goto_monomial, goto_scan
 from .errors import SearchSpaceTooLarge
 from .fields import RATIONALS, quote_int
-from .ring import CanonicalIdeal, integer_scale, integer_tail, normal_tail
+from .ring import CanonicalIdeal, clear_step, integer_scale, integer_tail, sweep_levels
 
 # most canonical forms one search may enumerate
 SEARCH_CAP = 10_000_000
@@ -55,6 +58,7 @@ class SearchConfig:
             raise ValueError("coefficient set must contain 0")
         self.coefficients = tuple(sorted(seen))
         S = self.semigroup
+        S.check_frobenius_limit("searches")
         if self.b_values is None:
             hi = S.frobenius + S.multiplicity + 1
             self.b_values = tuple(S.members(1, hi))
@@ -133,68 +137,154 @@ class SearchResult:
         }
 
 
-def _search_one_b(config, b):
-    """Yield the records at valuation b, one Goto number per distinct ideal.
+def _held_positions(S, positions):
+    """The positions of A = ``positions`` in T (``search``), by one sweep
+    down from f, O(f) per gap of A."""
+    f = S.frobenius
+    gaps = [a for a in positions if not S.contains(a)]
+    held = bytearray(f + 1)
+    for j in range(f, 0, -1):
+        held[j] = S.contains(j) and all(j + a > f or held[j + a] for a in gaps)
+    return tuple(j for j in positions if held[j])
 
-    Forms are enumerated as index vectors into the coefficient set.  Where
-    the conductor lemma decides every ideal of valuation b, each form gets
-    the floor g(x^b) and nothing else is built.  Elsewhere the integer
-    images of the coefficients (one D for the whole set over Q, see
-    ``integer_tail``) give each form's integer normal tail, which keys the
-    memo: a miss scans the key as the ideal's unit (``goto_scan``), and the
-    empty key, the monomial x^b, takes the floor."""
+
+def _normal_keys(S, p, positions, images):
+    """The normal unit {0: 1, **normal tail} (``normal_tail``) of every
+    form on the ascending ``positions``, as ascending pairs, digit k at
+    position e putting images[k][e] there, in the order of
+    product(range(len(images)), repeat=n).
+
+    An odometer over the positions keeps the sweep's state (W, P) after
+    each level (``clear_step``).  Level d reads only the digits up to d,
+    so when digit d changes only the levels from d on are recomputed."""
+    f, n = S.frobenius, len(positions)
+    if not n:
+        yield ((0, 1),)
+        return
+    levels = sweep_levels(S, positions)
+    states = [({0: 1}, {0: 1})] * n
+    digits = [0] * n
+    e, clear, keep = levels[-1]
+    last = [image[e] for image in images]
+    d = 0
+    while d >= 0:
+        for level in range(d, n - 1):
+            e_d, clear_d, keep_d = levels[level]
+            W, P = states[level]
+            states[level + 1] = clear_step(W, P, e_d, images[digits[level]][e_d], clear_d, keep_d, f, p)
+        W, P = states[-1]
+        for s in last:
+            yield tuple(sorted(clear_step(W, P, e, s, clear, keep, f, p)[0].items()))
+        d = n - 2
+        while d >= 0 and digits[d] == len(images) - 1:
+            digits[d] = 0
+            d -= 1
+        if d >= 0:
+            digits[d] += 1
+
+
+def _search_one_b(config, b, positions):
+    """Yield (vector, goto) for every form on ``positions`` at b, the
+    vector indexing the coefficient set, in product order.
+
+    Where the conductor lemma decides every ideal of valuation b, each
+    form gets the floor g(x^b) and nothing else is built.  Elsewhere the
+    integer images of the coefficients (one D for the whole set over Q,
+    see ``integer_tail``) give each form's integer normal unit, which
+    keys the memo: a miss scans the key as the ideal's unit
+    (``goto_scan``), and the unit 1, the monomial x^b, takes the floor."""
     S, fld, coeffs = config.semigroup, config.field, config.coefficients
-    zero = coeffs.index(fld.zero)
-    positions = config.admissible_positions(b)
     floor, settled = S.monomial_floor(b)
-    if not settled:
-        p, D = fld.p, integer_scale(fld, coeffs)
-        scaled = [integer_tail(dict.fromkeys(positions, c), p, D) for c in coeffs]
-        memo = {(): floor}
-    for vector in product(range(len(coeffs)), repeat=len(positions)):
-        tail = tuple((i, coeffs[k]) for i, k in zip(positions, vector) if k != zero)
-        if settled:
-            yield SearchRecord(b, tail, floor)
-            continue
-        key = normal_tail(S, {i: scaled[k][i] for i, k in zip(positions, vector) if k != zero}, p)
+    vectors = product(range(len(coeffs)), repeat=len(positions))
+    if settled:
+        yield from zip(vectors, repeat(floor))
+        return
+    p, D = fld.p, integer_scale(fld, coeffs)
+    images = [integer_tail(dict.fromkeys(positions, c), p, D) for c in coeffs]
+    memo = {((0, 1),): floor}
+    for vector, key in zip(vectors, _normal_keys(S, p, positions, images)):
         goto = memo.get(key)
         if goto is None:
-            goto = memo[key] = goto_scan(S, b, p, {0: 1, **dict(key)})
-        yield SearchRecord(b, tail, goto)
+            goto = memo[key] = goto_scan(S, b, p, dict(key))
+        yield vector, goto
 
 
-def _check_cap(config, b_values):
-    """Refuse more than ``SEARCH_CAP`` forms at these valuations, up front."""
-    total = 0
-    for b in b_values:
-        total += len(config.coefficients) ** len(config.admissible_positions(b))
-        if total > SEARCH_CAP:
-            raise SearchSpaceTooLarge(f"enumeration would exceed {SEARCH_CAP} ideals")
+def _check_cap(forms):
+    if forms > SEARCH_CAP:
+        raise SearchSpaceTooLarge(f"enumeration would exceed {SEARCH_CAP} ideals")
+
+
+def _plan(config, hold):
+    """(b, enumerated positions, held positions) per valuation, refused
+    up front past ``SEARCH_CAP`` enumerated forms; with ``hold``, the held
+    positions of ``search``, else none.  |C|^(gaps of A), a lower bound,
+    is counted before T is swept, so a refusal never waits for it."""
+    S, m = config.semigroup, len(config.coefficients)
+    plan, total = [], 0
+    for b in config.b_values:
+        positions = config.admissible_positions(b)
+        if not hold:
+            held = ()
+        elif S.monomial_floor(b)[1]:
+            held = positions
+        else:
+            _check_cap(total + m ** sum(not S.contains(i) for i in positions))
+            held = _held_positions(S, positions)
+        kept = set(held)
+        free = tuple(i for i in positions if i not in kept)
+        total += m ** len(free)
+        _check_cap(total)
+        plan.append((b, free, held))
+    return plan
+
+
+def _record(config, b, free, held, vector, goto):
+    """The form with these digits on ``free`` and C[0] at every held
+    position, the first of its fiber in enumeration order."""
+    coeffs, zero = config.coefficients, config.field.zero
+    tail = [(i, coeffs[k]) for i, k in zip(free, vector) if coeffs[k] != zero]
+    if coeffs[0] != zero:
+        tail += [(i, coeffs[0]) for i in held]
+    return SearchRecord(b, tuple(sorted(tail)), goto)
 
 
 def search_records(config: SearchConfig):
     """Every configured form's record, in enumeration order; all count toward the cap."""
-    _check_cap(config, config.b_values)
-    return chain.from_iterable(_search_one_b(config, b) for b in config.b_values)
+    plan = _plan(config, hold=False)
+    return (
+        _record(config, b, free, (), vector, goto)
+        for b, free, _ in plan
+        for vector, goto in _search_one_b(config, b, free)
+    )
 
 
 def search(config: SearchConfig) -> SearchResult:
     """Count the Goto numbers of the configured forms, with the first witness
-    of each.  At a valuation the conductor lemma decides, the |C|^k forms
-    take the floor and the first, every position at C[0], is the witness;
-    only the other valuations' forms are enumerated and count toward the cap."""
-    S, C = config.semigroup, config.coefficients
-    _check_cap(config, [b for b in config.b_values if not S.monomial_floor(b)[1]])
+    of each.
+
+    Only the admissible positions A whose coefficient can change the
+    ideal are enumerated.  The others, H, are held: all of A where the
+    conductor lemma decides b, else A and T, T the j in G with j + <A>
+    in G or above f, <A> the nonempty sums of positions in A.
+      - A held coefficient cannot change the ideal: for j in T,
+        u + c x^j = u (1 + c x^j u^(-1)), and u^(-1) lives on {0} and
+        <A>, so x^j u^(-1) lies in R (its terms above f in the
+        conductor) and the second factor is an R-unit.  Changing held
+        coefficients one at a time keeps the support in A, so the forms
+        that agree off H are one ideal.
+      - T is one sweep down from f (``_held_positions``): <A> is A plus
+        A + <A>, so j is in T iff j is in G and j + a is in T or above f
+        for each a in A; T + G lies in T, so only the gaps of A are
+        tested.
+    Each vector stands for the |C|^|H| forms that fill H, and its witness
+    fills H with C[0], the first of those forms in enumeration order.
+    Only enumerated vectors count toward the cap."""
+    C = config.coefficients
     value_counts, witnesses = {}, {}
-    for b in config.b_values:
-        floor, settled = S.monomial_floor(b)
-        if settled:
-            positions = config.admissible_positions(b)
-            first = () if C[0] == config.field.zero else tuple((i, C[0]) for i in positions)
-            records = [(len(C) ** len(positions), SearchRecord(b, first, floor))]
-        else:
-            records = ((1, rec) for rec in _search_one_b(config, b))
-        for n, rec in records:
-            value_counts[rec.goto] = value_counts.get(rec.goto, 0) + n
-            witnesses.setdefault(rec.goto, rec)
+    for b, free, held in _plan(config, hold=True):
+        weight = len(C) ** len(held)
+        for vector, goto in _search_one_b(config, b, free):
+            value_counts[goto] = value_counts.get(goto, 0) + weight
+            if goto not in witnesses:
+                witnesses[goto] = _record(config, b, free, held, vector, goto)
     return SearchResult(config, value_counts, witnesses)

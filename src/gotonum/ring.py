@@ -194,38 +194,82 @@ def integer_row(vec, p, D=1):
     return {c: v.numerator * (N // v.denominator) * D**c for c, v in vec.items() if v}
 
 
+def _add_shifted(unit, c, i, terms, hi, p):
+    """unit += c x^i (sum of terms w x^j), in place, up to position hi."""
+    for j, w in terms:
+        k = i + j
+        if k <= hi:
+            nv = unit.get(k, 0) + c * w
+            if p:
+                nv %= p
+            if nv:
+                unit[k] = nv
+            else:
+                unit.pop(k, None)
+
+
+def clear_step(W, P, e, s, clear, keep, f, p):
+    """One level of the normal-tail sweep (``normal_tail``), as a new pair
+    (W, P); the inputs are left as they were.
+
+    W is the partly normal unit and P the product of the R-units that
+    have cleared it, both integer units {0: 1, i: t_i} truncated at f.
+    The level adds the unit's term s x^e, carried through those
+    clearings as s x^e P, then clears W at each position i of ``clear``
+    (ascending, in G, none below e) where it is nonzero: the R-unit
+    1 - W_i x^i zeroes i and writes only above it.  The same unit
+    multiplies P, up to ``keep``, the last position a later level reads.
+    Mod p over F_p, in Z over Q (p = 0).
+    """
+    W0, P0 = W, P
+    if s:
+        W = dict(W)
+        _add_shifted(W, s, e, P.items(), f, p)
+    for i in clear:
+        v = W.get(i)
+        if v:
+            W = dict(W) if W is W0 else W
+            _add_shifted(W, -v, i, list(W.items()), f, p)
+            if i <= keep:
+                P = dict(P) if P is P0 else P
+                _add_shifted(P, -v, i, list(P.items()), keep, p)
+    return W, P
+
+
+def sweep_levels(S, positions):
+    """The levels (e, clear, keep) of the normal-tail sweep over ascending
+    tail positions e_1 < ... < e_n (``clear_step``): level d clears the
+    positions of G in [e_d, e_(d+1)), up to f at the last, and a later
+    level reads P up to f - e_(d+1)."""
+    f = S.frobenius
+    stops = [*positions[1:], f + 1]
+    return [(e, S.members(e, stop - 1), f - stop) for e, stop in zip(positions, stops)]
+
+
 def normal_tail(S, tail, p):
     """The normal tail of x^b(1 + sum t_i x^i), t an integer tail, as
     ascending ((i, t_i), ...) pairs.
 
-    Sweeps i = 1..f ascending: wherever i is in G and t_i != 0, it
-    multiplies the unit by the R-unit 1 - t_i x^i, which clears i and
-    touches only larger positions, and drops positions above f.  The tail
-    ends up on the gaps i with b + i in G.  The sweep runs mod p over F_p;
-    over Q (p = 0) t is the tail of u(Dx) (``integer_tail``), and sweeping
-    u(Dx) is sweeping u with x -> Dx, so it stays in Z.  Two tails give
-    the same ideal exactly when their normal tails agree: where an R-unit
-    quotient of the two first differs from 1, at a position in G, so would
-    the normal tails, which vanish there.
+    Sweeping i ascending, wherever i is in G and the unit's coefficient
+    t_i is nonzero, the unit is multiplied by the R-unit 1 - t_i x^i,
+    which clears i and touches only larger positions; positions above f
+    are dropped.  The tail ends up on the gaps i with b + i in G.  The
+    coefficient cleared at i is that of u P_i, P_i the product of the
+    clearings below i, and reads u only up to i, so the sweep can take the
+    tail's terms one at a time, ascending: ``clear_step`` adds the term at
+    e_d and clears G up to the next position, and the result is u times
+    every clearing.  It runs mod p over F_p; over Q (p = 0) t is the tail
+    of u(Dx) (``integer_tail``), and sweeping u(Dx) is sweeping u with
+    x -> Dx, so it stays in Z.  Two tails give the same ideal exactly when
+    their normal tails agree: where an R-unit quotient of the two first
+    differs from 1, at a position in G, so would the normal tails, which
+    vanish there.
     """
     f = S.frobenius
-    t = dict(tail)
-    for i in range(1, f + 1):
-        v = t.get(i)
-        if not v or not S.contains(i):
-            continue
-        for j, w in list(t.items()):
-            k = i + j
-            if k <= f:
-                nv = t.get(k, 0) - v * w
-                if p:
-                    nv %= p
-                if nv:
-                    t[k] = nv
-                else:
-                    t.pop(k, None)
-        del t[i]
-    return tuple(sorted(t.items()))
+    W = P = {0: 1}
+    for e, clear, keep in sweep_levels(S, sorted(tail)):
+        W, P = clear_step(W, P, e, tail[e], clear, keep, f, p)
+    return tuple(sorted(W.items()))[1:]
 
 
 def integer_model(Q):

@@ -167,13 +167,18 @@ class NumericalSemigroup:
         once from the classes as ``gaps`` reads them and memoized; refused,
         before anything is built, past f = 10^7."""
         if self._gap_bits is None:
-            if self.frobenius > 10**7:
-                raise InputTooLarge(f"colons need f <= 10^7, got f = {quote_int(self.frobenius)}")
+            self.check_frobenius_limit("colons")
             bits = bytearray(b"0") * (self.frobenius + 2)  # f + 1 stays 0; <1> reads 0
             for r, w in enumerate(self._ap):
                 bits[r:w:self._a1] = b"1" * (w // self._a1)
             self._gap_bits = int(bits[::-1], 2)
         return self._gap_bits
+
+    def check_frobenius_limit(self, what: str):
+        """Refuse f > 10^7, the one limit on anything built with f entries
+        (the gap bits of colons, the tail positions of searches)."""
+        if self.frobenius > 10**7:
+            raise InputTooLarge(f"{what} need f <= 10^7, got f = {quote_int(self.frobenius)}")
 
     @property
     def is_regular(self) -> bool:

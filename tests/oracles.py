@@ -6,7 +6,9 @@ programming, generator sums by explicit multiset enumeration, m-adic
 orders by exhaustive partition search, the Pareto labels of the residue
 classes by enumerating multisets, escape orders by trying every
 exponent, monomial colon ideals by direct containment scans, and Goto
-numbers read off those colons.  Colons of non-monomial ideals come from
+numbers read off those colons.  Normal tails come from the full
+ascending sweep over [1, f], and held search positions from the listed
+sums of the admissible positions.  Colons of non-monomial ideals come from
 the literal membership system, one row per (multiplier, checked
 exponent) pair, eliminated over Fraction or mod p;
 primes from trial division.  Colons Q : m^g of m-primary monomial ideals
@@ -184,6 +186,47 @@ def conductor_lemma_decides(gens, b):
     f = frobenius_brute(gens)
     g = goto_monomial_brute(gens, b)
     return any(c > f for c in monomial_colon(gens, b, g + 1, b - 1))
+
+
+@lru_cache(maxsize=None)
+def _frobenius_and_members(gens):
+    f = frobenius_brute(list(gens))
+    return f, frozenset(members_upto(gens, f))
+
+
+def normal_tail_sweep(gens, tail, p=0):
+    """The normal tail of the integer unit 1 + tail by the full ascending
+    sweep: at every i in [1, f] in G where the unit's coefficient is
+    nonzero, the unit is multiplied out by 1 - t_i x^i, terms above f
+    dropped, mod p when p is nonzero."""
+    f, member = _frobenius_and_members(tuple(gens))
+    t = dict(tail)
+    for i in range(1, f + 1):
+        v = t.get(i)
+        if not v or i not in member:
+            continue
+        unit = {0: 1, **t}
+        prod = dict(unit)
+        for j, w in unit.items():
+            if i + j <= f:
+                prod[i + j] = prod.get(i + j, 0) - v * w
+        t = {k: c % p if p else c for k, c in prod.items() if k and (c % p if p else c)}
+    return tuple(sorted(t.items()))
+
+
+def held_positions_brute(gens, positions):
+    """The positions j in G of A = positions with j + s in G or above f for
+    every sum s of positions in A, the sums listed up to f."""
+    f, member = _frobenius_and_members(tuple(gens))
+    sums, todo = set(), list(positions)
+    while todo:
+        s = todo.pop()
+        if s <= f and s not in sums:
+            sums.add(s)
+            todo.extend(s + a for a in positions)
+    return tuple(
+        j for j in positions if j in member and all(j + s > f or j + s in member for s in sums)
+    )
 
 
 def index_of_nilpotency_brute(gens, b):

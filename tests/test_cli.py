@@ -157,6 +157,24 @@ class TestSearch:
         # b = 40 is undecided, so its 2^39 forms are refused in every format
         assert run_captured(["search", "5", "11", "--b", "40"])[0] == 2
 
+    def test_cap_counts_only_enumerated_positions(self):
+        # b = 4 over <4,17> is undecided with 26 admissible positions, but
+        # 18 of them are held (their coefficients cannot change the ideal):
+        # 2^8 vectors stand for 2^26 forms, while TSV writes every form
+        proc = run_child("search", "4", "17", "--b", "4", timeout=10)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        payload = json.loads(proc.stdout)
+        assert payload["count"] == 67108864 == 2**26
+        assert payload["value_counts"] == {"3": 67108864}
+        assert payload["witnesses"] == {"3": "x^4"}
+        proc = run_child("search", "4", "17", "--b", "4", "--format", "tsv", timeout=10)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: enumeration would exceed 10000000 ideals\n"
+        # 602 positions at b = 4 over <4,401>, eight of them enumerated
+        proc = run_child("search", "4", "401", "--b", "4", timeout=10)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["value_counts"] == {"3": 2**602}
+
 
 class TestBoundsAndRlr:
     def test_bounds(self):
@@ -509,6 +527,14 @@ class TestErrors:
         proc = run_child(*argv, timeout=10)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == f"error: colons need f <= 10^7, got f = {frobenius}\n"
+
+    def test_search_past_the_frobenius_limit_exits_two(self):
+        # the tail positions of a search have f entries: past f = 10^7 the
+        # search is refused before any is listed, where it died with
+        # MemoryError
+        proc = run_child("search", "3", "100000001", "--b", "3", timeout=10)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: searches need f <= 10^7, got f = 199999999\n"
 
 
 def stderr_is_one_error_line(code, out, err):

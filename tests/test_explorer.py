@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations, product
+from math import gcd
 
 import pytest
 
@@ -16,7 +18,14 @@ from gotonum.explorer import (
     search_records,
 )
 from gotonum.fields import RATIONALS, PrimeField
-from gotonum.ring import CanonicalIdeal, canonicalize, parse_element
+from gotonum.ring import (
+    CanonicalIdeal,
+    canonicalize,
+    integer_scale,
+    integer_tail,
+    normal_tail,
+    parse_element,
+)
 
 from conftest import semigroup
 
@@ -218,7 +227,8 @@ class TestSearch:
 
     def test_closed_form_counts_match_the_enumeration(self):
         # search() counts a decided valuation in closed form, |C|^k forms
-        # at the floor with the all-C[0] form as witness; on every
+        # at the floor with the all-C[0] form as witness, and weights each
+        # vector of an undecided one by |C|^|H| for its held positions; on every
         # valuation of the CLI corpus semigroups its counts and witnesses
         # equal a tally of the records, one valuation at a time and over
         # the whole range (where the witness is the first across b)
@@ -239,7 +249,7 @@ class TestSearch:
                 first.setdefault(rec.goto, rec)
             return counts, first
 
-        decided = undecided = 0
+        decided = undecided = held = 0
         for gens in [(3, 5), (4, 5, 11), (4, 6, 7), (4, 7, 9), (5, 11), (7, 11, 20)]:
             S = semigroup(*gens)
             for field, coefficients in sets:
@@ -253,6 +263,7 @@ class TestSearch:
                     settled = S.monomial_floor(b)[1]
                     decided += settled
                     undecided += not settled
+                    held += not settled and bool(explorer._held_positions(S, positions))
                 gaps = rng.sample(S.gaps, min(3, len(S.gaps)))
                 configs.append(SearchConfig(S, field, coefficients, positions=gaps))
                 for config in configs:
@@ -262,6 +273,8 @@ class TestSearch:
                     assert result.value_counts == counts, where
                     assert result.witnesses == first, where
         assert decided > 100 and undecided > 100, (decided, undecided)
+        # the |C|^|H| weighting of undecided valuations is exercised too
+        assert held > 50, held
 
     def test_decided_valuation_enumerates_nothing(self, monkeypatch):
         # b = 30 > f + a_1 over <6,7,15>: 2^23 forms, all at the floor 3,
@@ -272,7 +285,7 @@ class TestSearch:
         def forbidden(*args, **kwargs):
             raise AssertionError("a decided valuation built per-form state")
 
-        monkeypatch.setattr(explorer, "normal_tail", forbidden)
+        monkeypatch.setattr(explorer, "clear_step", forbidden)
         monkeypatch.setattr(explorer, "goto_scan", forbidden)
         monkeypatch.setattr(ring.CanonicalIdeal, "__init__", forbidden)
         monkeypatch.setattr(colon, "integer_model", forbidden)
@@ -282,6 +295,42 @@ class TestSearch:
         result = search(config)
         assert result.count == 8_388_608 and result.value_counts == {3: 8_388_608}
         assert result.witnesses == {3: SearchRecord(30, (), 3)}
+
+    def test_prefix_keys_are_the_normal_tails(self):
+        # the odometer's keys, one per form in product order, are the
+        # normal units 1 + normal tail of the forms, against the oracle's
+        # full sweep and ring.normal_tail, on every valuation of the CLI
+        # corpus semigroups (positions sampled down to at most 256 forms)
+        rng = random.Random(40)
+        sets = [
+            (RATIONALS, (0, 1)),
+            (RATIONALS, (-1, 0, 1)),
+            (RATIONALS, (Fraction(-2, 3), 0, Fraction(1, 2))),
+            (PrimeField(2), (0, 1)),
+            (PrimeField(3), (0, 1, 2)),
+        ]
+        forms = 0
+        for gens in [(3, 5), (4, 5, 11), (4, 6, 7), (4, 7, 9), (5, 11), (7, 11, 20)]:
+            S = semigroup(*gens)
+            for field, coefficients in sets:
+                C = SearchConfig(S, field, coefficients).coefficients
+                p, D = field.p, integer_scale(field, C)
+                most = max(k for k in range(12) if len(C) ** k <= 256)
+                for b in SearchConfig(S).b_values:
+                    positions = SearchConfig(S).admissible_positions(b)
+                    if len(positions) > most:
+                        positions = tuple(sorted(rng.sample(positions, most)))
+                    images = [integer_tail(dict.fromkeys(positions, c), p, D) for c in C]
+                    keys = list(explorer._normal_keys(S, p, positions, images))
+                    vectors = list(product(range(len(C)), repeat=len(positions)))
+                    assert len(keys) == len(vectors), (gens, b)
+                    for vector, key in zip(vectors, keys):
+                        tail = {i: images[k][i] for i, k in zip(positions, vector) if images[k][i]}
+                        want = oracles.normal_tail_sweep(gens, tail, p)
+                        assert key[0] == (0, 1), (gens, b, tail)
+                        assert key[1:] == want == normal_tail(S, tail, p), (gens, b, tail)
+                    forms += len(keys)
+        assert forms > 20_000, forms
 
     def test_scan_reads_the_memo_key(self, monkeypatch):
         # an undecided search builds no ideal object and no integer model:
@@ -363,6 +412,70 @@ class TestSearch:
         assert payload["schema"] == 1
         assert payload["field"] == "q"
         assert set(payload["value_counts"]) == {str(g) for g in result.value_counts}
+
+
+def search_class():
+    """The semigroups of the benchmark's search class: multiplicity 3-5,
+    at most four minimal generators, 5 <= f <= 13."""
+    found = {}
+    for m in range(3, 6):
+        for r in (1, 2, 3):
+            for extra in combinations(range(m + 1, m + 14), r):
+                if gcd(m, *extra) == 1:
+                    S = semigroup(m, *extra)
+                    if 5 <= S.frobenius <= 13:
+                        found[S.generators] = S
+    return list(found.values())
+
+
+class TestHeldPositions:
+    # search() enumerates only the positions outside T; a held coefficient
+    # must never change the ideal, and the sweep's T must be the one the
+    # definition gives, on every valuation of the search class and of the
+    # CLI corpus semigroups, each with a seeded --positions subset
+
+    def cases(self):
+        rng = random.Random(40)
+        corpus = [semigroup(*g) for g in [(3, 5), (4, 5, 11), (4, 6, 7), (4, 7, 9), (5, 11), (7, 11, 20)]]
+        for S in search_class() + corpus:
+            config = SearchConfig(S)
+            for b in config.b_values:
+                positions = config.admissible_positions(b)
+                yield S, b, positions
+                if len(positions) > 2:
+                    k = rng.randrange(1, len(positions))
+                    yield S, b, tuple(sorted(rng.sample(positions, k)))
+
+    def test_sweep_is_the_definition(self):
+        cases = held = 0
+        for S, b, positions in self.cases():
+            want = oracles.held_positions_brute(S.generators, positions)
+            assert explorer._held_positions(S, positions) == want, (S.generators, b, positions)
+            cases += 1
+            held += bool(want)
+        assert cases > 1000 and held > 400, (cases, held)
+
+    @pytest.mark.parametrize(
+        "field, values",
+        [(RATIONALS, (-1, Fraction(1, 2), 3)), (PrimeField(2), (1,)), (PrimeField(3), (1, 2))],
+    )
+    def test_held_coefficient_keeps_the_ideal(self, field, values):
+        rng = random.Random(str(field.p))
+        changed = 0
+        for S, b, positions in self.cases():
+            held = explorer._held_positions(S, positions)
+            if S.monomial_floor(b)[1] or not held:
+                continue
+            tail = {i: rng.choice((0, *values)) for i in positions}
+            Q = CanonicalIdeal(S, b, tail, field)
+            for j in rng.sample(held, min(3, len(held))):
+                for c in (0, *values):
+                    if c != tail[j]:
+                        P = CanonicalIdeal(S, b, {**tail, j: c}, field)
+                        assert P.normal_form() == Q.normal_form(), (S.generators, b, tail, j, c)
+                        assert P == Q
+                        changed += 1
+        assert changed > 500, changed
 
 
 class TestProductInequality:
