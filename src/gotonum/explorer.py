@@ -10,7 +10,8 @@ integer normal unit of each vector, from one odometer that shares each
 prefix's part of the sweep (``_normal_keys``), keys a memo, so the level
 scan (``colon.goto_scan``) runs once per distinct ideal, straight from
 its key.  Records are streamed: a search holds the distinct ideals of
-one valuation, never one record per form.
+one valuation, never one record per form.  ``SEARCH_CAP`` bounds the
+work, counted before it is done: the vectors and the sweep's writes.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import SearchSpaceTooLarge
 from .fields import RATIONALS, quote_int
 from .ring import CanonicalIdeal, clear_step, integer_scale, integer_tail, sweep_levels
 
-# most canonical forms one search may enumerate
+# most work one search may do: vectors enumerated and the sweep's writes (``_plan``)
 SEARCH_CAP = 10_000_000
 
 
@@ -77,12 +78,8 @@ class SearchConfig:
 
     def admissible_positions(self, b: int) -> tuple:
         S = self.semigroup
-        f = S.frobenius
-        pos = [i for i in range(1, f + 1) if S.contains(b + i)]
-        if self.positions is not None:
-            allowed = set(self.positions)
-            pos = [i for i in pos if i in allowed]
-        return tuple(pos)
+        candidates = range(1, S.frobenius + 1) if self.positions is None else self.positions
+        return tuple(i for i in candidates if S.contains(b + i))
 
 
 @dataclass(frozen=True)
@@ -138,30 +135,34 @@ class SearchResult:
 
 
 def _held_positions(S, positions):
-    """The positions of A = ``positions`` in T (``search``), by one sweep
-    down from f, O(f) per gap of A."""
+    """The positions of A = ``positions`` in T (``search``): j is outside
+    T when a sum of gaps of A takes it to a gap of S, so the j outside T
+    are the gaps of S shifted down by those sums, as bitsets."""
     f = S.frobenius
-    gaps = [a for a in positions if not S.contains(a)]
-    held = bytearray(f + 1)
-    for j in range(f, 0, -1):
-        held[j] = S.contains(j) and all(j + a > f or held[j + a] for a in gaps)
-    return tuple(j for j in positions if held[j])
+    outside = S.gap_bits()
+    for a in positions:
+        if not S.contains(a):
+            step = a  # shifting by a, 2a, 4a, ... shifts by every multiple of a
+            while step <= f:
+                outside |= outside >> step
+                step <<= 1
+    bits = bin(outside | 2 << f)[:1:-1]  # bits[j] == "1" iff j is outside T
+    return tuple(j for j in positions if bits[j] == "0")
 
 
 def _normal_keys(S, p, positions, images):
-    """The normal unit {0: 1, **normal tail} (``normal_tail``) of every
-    form on the ascending ``positions``, as ascending pairs, digit k at
-    position e putting images[k][e] there, in the order of
-    product(range(len(images)), repeat=n).
+    """(vector, normal unit) for every form on the ascending ``positions``,
+    in product order: digit k at position e puts images[k][e] there, and
+    the unit is {0: 1, **normal tail} (``normal_tail``) as ascending pairs.
 
     An odometer over the positions keeps the sweep's state (W, P) after
     each level (``clear_step``).  Level d reads only the digits up to d,
     so when digit d changes only the levels from d on are recomputed."""
     f, n = S.frobenius, len(positions)
     if not n:
-        yield ((0, 1),)
+        yield (), ((0, 1),)
         return
-    levels = sweep_levels(S, positions)
+    levels = list(sweep_levels(S, positions))
     states = [({0: 1}, {0: 1})] * n
     digits = [0] * n
     e, clear, keep = levels[-1]
@@ -173,8 +174,9 @@ def _normal_keys(S, p, positions, images):
             W, P = states[level]
             states[level + 1] = clear_step(W, P, e_d, images[digits[level]][e_d], clear_d, keep_d, f, p)
         W, P = states[-1]
-        for s in last:
-            yield tuple(sorted(clear_step(W, P, e, s, clear, keep, f, p)[0].items()))
+        prefix = tuple(digits[:-1])
+        for k, s in enumerate(last):
+            yield (*prefix, k), tuple(sorted(clear_step(W, P, e, s, clear, keep, f, p)[0].items()))
         d = n - 2
         while d >= 0 and digits[d] == len(images) - 1:
             digits[d] = 0
@@ -195,44 +197,85 @@ def _search_one_b(config, b, positions):
     (``goto_scan``), and the unit 1, the monomial x^b, takes the floor."""
     S, fld, coeffs = config.semigroup, config.field, config.coefficients
     floor, settled = S.monomial_floor(b)
-    vectors = product(range(len(coeffs)), repeat=len(positions))
     if settled:
-        yield from zip(vectors, repeat(floor))
+        yield from zip(product(range(len(coeffs)), repeat=len(positions)), repeat(floor))
         return
     p, D = fld.p, integer_scale(fld, coeffs)
     images = [integer_tail(dict.fromkeys(positions, c), p, D) for c in coeffs]
     memo = {((0, 1),): floor}
-    for vector, key in zip(vectors, _normal_keys(S, p, positions, images)):
+    for vector, key in _normal_keys(S, p, positions, images):
         goto = memo.get(key)
         if goto is None:
             goto = memo[key] = goto_scan(S, b, p, dict(key))
         yield vector, goto
 
 
-def _check_cap(forms):
-    if forms > SEARCH_CAP:
+def _check_cap(work):
+    if work > SEARCH_CAP:
         raise SearchSpaceTooLarge(f"enumeration would exceed {SEARCH_CAP} ideals")
+
+
+def _sweep_work(S, positions, m, budget):
+    """A bound on the work of ``_normal_keys`` over ``positions`` with m
+    coefficients, counted until it passes ``budget``: one per vector, and
+    for level d, which runs m^d times, its clear positions and the pairs
+    (i, j) below.
+
+    At level d, W and P live on Y, {0} and the sums of e_1, ..., e_d, up
+    to f.  The level writes s x^e P at e + j, and a clearing at i (in Y,
+    as W_i is nonzero) writes W and P at i + j, for j in Y with
+    i + j <= f: each pair (i, j) stands for at most one write to W and
+    one to P.  The pairs grow as f^2 where the levels clear many
+    positions, so a few vectors at large f can be refused (``_plan``)."""
+    f = S.frobenius
+    work, sums, mask = m ** len(positions), 1, (2 << f) - 1
+    for d, (e, clear, _) in enumerate(sweep_levels(S, positions), 1):
+        if work > budget:
+            break
+        step = e  # adding e, 2e, 4e, ... adds every multiple of e up to f
+        while step <= f:
+            sums = (sums | sums << step) & mask
+            step <<= 1
+        bits = bin(sums | 2 << f)[:1:-1]  # bits[j] == "1" iff j in Y
+        writers = [e, *(i for i in clear if bits[i] == "1")]
+        pairs = below = start = 0
+        for i in reversed(writers):  # |Y up to f - i|, by ascending f - i
+            below += bits.count("1", start, f - i + 1)
+            start = f - i + 1
+            pairs += below
+        work += m**d * (len(clear) + pairs)
+    return work
 
 
 def _plan(config, hold):
     """(b, enumerated positions, held positions) per valuation, refused
-    up front past ``SEARCH_CAP`` enumerated forms; with ``hold``, the held
-    positions of ``search``, else none.  |C|^(gaps of A), a lower bound,
-    is counted before T is swept, so a refusal never waits for it."""
+    up front past ``SEARCH_CAP``; with ``hold``, the held positions of
+    ``search``, else none.
+
+    The cap counts the work, each part before it is done: f for a
+    valuation's own walks over [1, f], then |C|^(gaps of A), a lower
+    bound on the vectors, before T is swept, then the sweep's bound
+    (``_sweep_work``), or the |C|^|A| forms where b is decided."""
     S, m = config.semigroup, len(config.coefficients)
     plan, total = [], 0
     for b in config.b_values:
+        total += S.frobenius
+        _check_cap(total)
         positions = config.admissible_positions(b)
+        settled = S.monomial_floor(b)[1]
         if not hold:
             held = ()
-        elif S.monomial_floor(b)[1]:
+        elif settled:
             held = positions
         else:
             _check_cap(total + m ** sum(not S.contains(i) for i in positions))
             held = _held_positions(S, positions)
         kept = set(held)
         free = tuple(i for i in positions if i not in kept)
-        total += m ** len(free)
+        if settled:
+            total += m ** len(free)
+        else:
+            total += _sweep_work(S, free, m, SEARCH_CAP - total)
         _check_cap(total)
         plan.append((b, free, held))
     return plan
@@ -272,13 +315,15 @@ def search(config: SearchConfig) -> SearchResult:
         conductor) and the second factor is an R-unit.  Changing held
         coefficients one at a time keeps the support in A, so the forms
         that agree off H are one ideal.
-      - T is one sweep down from f (``_held_positions``): <A> is A plus
+      - T by a sweep down from f (``_held_positions``): <A> is A plus
         A + <A>, so j is in T iff j is in G and j + a is in T or above f
         for each a in A; T + G lies in T, so only the gaps of A are
-        tested.
+        tested.  Unrolled: j is outside T iff j plus a sum of gaps of A
+        (or none) is a gap of S, so T comes from the gap bitset by shifts.
     Each vector stands for the |C|^|H| forms that fill H, and its witness
     fills H with C[0], the first of those forms in enumeration order.
-    Only enumerated vectors count toward the cap."""
+    The cap counts the enumerated vectors and the sweep's work, never
+    the held forms (``_plan``)."""
     C = config.coefficients
     value_counts, witnesses = {}, {}
     for b, free, held in _plan(config, hold=True):

@@ -240,10 +240,10 @@ def sweep_levels(S, positions):
     """The levels (e, clear, keep) of the normal-tail sweep over ascending
     tail positions e_1 < ... < e_n (``clear_step``): level d clears the
     positions of G in [e_d, e_(d+1)), up to f at the last, and a later
-    level reads P up to f - e_(d+1)."""
+    level reads P up to f - e_(d+1).  Built one level at a time."""
     f = S.frobenius
-    stops = [*positions[1:], f + 1]
-    return [(e, S.members(e, stop - 1), f - stop) for e, stop in zip(positions, stops)]
+    for e, stop in zip(positions, [*positions[1:], f + 1]):
+        yield e, S.members(e, stop - 1), f - stop
 
 
 def normal_tail(S, tail, p):

@@ -175,6 +175,25 @@ class TestSearch:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert json.loads(proc.stdout)["value_counts"] == {"3": 2**602}
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 16 vectors, but a sweep that clears about f/3 positions over
+            # dense units: O(f^2) work each
+            ("search", "3", "1000001", "--b", "3"),
+            ("search", "3", "30001", "--b", "3"),
+            # one vector pair per valuation, but 10^6 valuations, each
+            # walking [1, f] to find its positions
+            ("search", "3", "1000001", "--positions", "1999999"),
+        ],
+    )
+    def test_cap_counts_the_sweep(self, argv):
+        # the cap charges the sweep's bound and each valuation's walks
+        # before they run, so few vectors at large f are refused at once
+        proc = run_child(*argv, timeout=10)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: enumeration would exceed 10000000 ideals\n"
+
 
 class TestBoundsAndRlr:
     def test_bounds(self):

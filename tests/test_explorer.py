@@ -25,6 +25,7 @@ from gotonum.ring import (
     integer_tail,
     normal_tail,
     parse_element,
+    sweep_levels,
 )
 
 from conftest import semigroup
@@ -297,8 +298,8 @@ class TestSearch:
         assert result.witnesses == {3: SearchRecord(30, (), 3)}
 
     def test_prefix_keys_are_the_normal_tails(self):
-        # the odometer's keys, one per form in product order, are the
-        # normal units 1 + normal tail of the forms, against the oracle's
+        # the odometer yields every vector once, in product order, with the
+        # normal unit 1 + normal tail of its form, against the oracle's
         # full sweep and ring.normal_tail, on every valuation of the CLI
         # corpus semigroups (positions sampled down to at most 256 forms)
         rng = random.Random(40)
@@ -321,16 +322,62 @@ class TestSearch:
                     if len(positions) > most:
                         positions = tuple(sorted(rng.sample(positions, most)))
                     images = [integer_tail(dict.fromkeys(positions, c), p, D) for c in C]
-                    keys = list(explorer._normal_keys(S, p, positions, images))
+                    pairs = list(explorer._normal_keys(S, p, positions, images))
                     vectors = list(product(range(len(C)), repeat=len(positions)))
-                    assert len(keys) == len(vectors), (gens, b)
-                    for vector, key in zip(vectors, keys):
+                    assert [vector for vector, _ in pairs] == vectors, (gens, b)
+                    for vector, key in pairs:
                         tail = {i: images[k][i] for i, k in zip(positions, vector) if images[k][i]}
                         want = oracles.normal_tail_sweep(gens, tail, p)
                         assert key[0] == (0, 1), (gens, b, tail)
                         assert key[1:] == want == normal_tail(S, tail, p), (gens, b, tail)
-                    forms += len(keys)
+                    forms += len(pairs)
         assert forms > 20_000, forms
+
+    def test_sweep_work_bounds_the_writes(self, monkeypatch):
+        # the cap charges _sweep_work before the odometer runs: past its
+        # vectors and clear positions, it counts pairs, and each pair is at
+        # most one write to W (written up to f) and one to P (up to keep,
+        # below f); on the held searches' free positions of every
+        # valuation of the CLI corpus semigroups and of two at larger f
+        import gotonum.ring as ring
+
+        writes = {"W": 0, "P": 0}
+        add_shifted = ring._add_shifted
+
+        def counting(unit, c, i, terms, hi, p):
+            terms = list(terms)
+            writes["W" if hi == S.frobenius else "P"] += sum(i + j <= hi for j, _ in terms)
+            add_shifted(unit, c, i, terms, hi, p)
+
+        monkeypatch.setattr(ring, "_add_shifted", counting)
+        rng = random.Random(40)
+        cases = tight = 0
+        corpus = [(3, 5), (4, 5, 11), (4, 6, 7), (4, 7, 9), (5, 11), (7, 11, 20)]
+        larger = [((4, 17), (4,)), ((4, 401), (4,)), ((3, 1001), (3, 6))]
+        for gens, valuations in [(g, None) for g in corpus] + larger:
+            S = semigroup(*gens)
+            for field, C in [(RATIONALS, (0, 1)), (PrimeField(3), (0, 1, 2))]:
+                p, m = field.p, len(C)
+                for b in valuations or SearchConfig(S).b_values:
+                    positions = SearchConfig(S).admissible_positions(b)
+                    held = set(explorer._held_positions(S, positions))
+                    free = [i for i in positions if i not in held]
+                    while m ** len(free) > 256:
+                        free.remove(rng.choice(free))
+                    free = tuple(free)
+                    D = integer_scale(field, C)
+                    images = [integer_tail(dict.fromkeys(free, c), p, D) for c in C]
+                    writes.update(W=0, P=0)
+                    for _ in explorer._normal_keys(S, p, free, images):
+                        pass
+                    levels = sweep_levels(S, free)
+                    visits = m ** len(free) + sum(m**d * len(clear) for d, (_, clear, _) in enumerate(levels, 1))
+                    pairs = explorer._sweep_work(S, free, m, 10**18) - visits
+                    assert writes["W"] <= pairs and writes["P"] <= pairs, (gens, C, b, writes, pairs)
+                    cases += 1
+                    tight += 2 * writes["W"] > pairs
+        # and it is no loose bound: in some cases W alone takes half of it
+        assert cases > 150 and tight >= 10, (cases, tight)
 
     def test_scan_reads_the_memo_key(self, monkeypatch):
         # an undecided search builds no ideal object and no integer model:
