@@ -182,8 +182,8 @@ class TestSearch:
             # dense units: O(f^2) work each
             ("search", "3", "1000001", "--b", "3"),
             ("search", "3", "30001", "--b", "3"),
-            # one vector pair per valuation, but 10^6 valuations, each
-            # walking [1, f] to find its positions
+            # two vectors per valuation, but 10^6 valuations, each
+            # charged f for its walks over [1, f]
             ("search", "3", "1000001", "--positions", "1999999"),
         ],
     )
